@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
+from collections.abc import Iterator
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
@@ -26,14 +29,15 @@ from .decision import (
     write_report_csv,
 )
 from .errors import BayescvError, CommandFailed, OutputUnreadable
-from .manifest import RunManifest, write_manifest
+from .manifest import RunManifest, read_kv, write_kv, write_manifest
 from .metrics import read_corpus
 from .model import (
+    RHAT_THRESHOLD,
     ModelConfig,
     correlated_ttest,
     fit,
-    read_chain_metadata,
     read_chains_csv,
+    unconverged,
     write_chain_metadata,
     write_chains_csv,
 )
@@ -50,6 +54,14 @@ EXIT_IO = 4
 
 def _log(message: str) -> None:
     print(message, file=sys.stderr)
+
+
+@contextmanager
+def _stage(name: str) -> Iterator[None]:
+    """Log the wall time of one stage to stderr, never to an output file."""
+    start = time.perf_counter()
+    yield
+    _log(f"stage {name}: {time.perf_counter() - start:.2f} s")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -229,8 +241,8 @@ def _compare_pair(
     args: argparse.Namespace,
     outputs: dict[str, Path],
     manifest_path: Path,
-) -> tuple[ReportRow, bool, dict[str, str]]:
-    """Shared engine for compare and rank. Returns (row, converged, notes)."""
+) -> tuple[ReportRow, bool]:
+    """Shared engine for compare and rank. Returns (row, converged)."""
     series = assemble_differences(scores, system_a, system_b, args.metric, rho=args.rho)
     rope, rope_mode = _resolve_rope(args, series)
     notes = {
@@ -240,6 +252,7 @@ def _compare_pair(
         "system_b": system_b,
         "metric": args.metric,
         "n_datasets": str(len(series)),
+        "manifest": str(manifest_path),
     }
     if len(series) == 1:
         # A single shared data set cannot feed the hierarchical model;
@@ -247,33 +260,38 @@ def _compare_pair(
         # the decision counters from it.
         post_t = correlated_ttest(series[0])
         n_samples = args.chains * args.draws
-        triple = ttest_triple(post_t, rope, n_samples=n_samples, seed=args.seed)
+        with _stage("tally"):
+            triple = ttest_triple(post_t, rope, n_samples=n_samples, seed=args.seed)
         notes["method"] = "correlated_ttest"
         notes["ttest_location"] = repr(post_t.location)
         notes["ttest_scale"] = repr(post_t.scale)
         notes["ttest_dof"] = repr(post_t.dof)
         if "meta" in outputs:
-            _write_kv(outputs["meta"], notes, manifest_path)
+            write_kv(outputs["meta"], notes)
         converged = True
     else:
         config = _model_config(args)
-        post = fit(series, config, workers=args.workers)
-        triple = tally(post, rope)
+        with _stage("fit"):
+            post = fit(series, config, workers=args.workers)
+        with _stage("tally"):
+            triple = tally(post, rope)
         notes["method"] = "hierarchical"
         notes["standardization_constant"] = repr(post.standardization_constant)
         if "chains" in outputs:
-            write_chains_csv(post, outputs["chains"], manifest=str(manifest_path))
-            extra = dict(notes)
-            extra["manifest"] = str(manifest_path)
-            write_chain_metadata(post, outputs["meta"], extra=extra)
+            with _stage("write chains"):
+                write_chains_csv(post, outputs["chains"], manifest=str(manifest_path))
+                write_chain_metadata(post, outputs["meta"], extra=notes)
         converged = post.converged
         if not converged:
-            bad = [
-                name
-                for name, d in post.diagnostics.items()
-                if not (d.r_hat == d.r_hat and d.r_hat <= 1.05)
-            ]
-            _log(f"warning: chains did not converge for {system_a} vs {system_b}: {bad}")
+            bad = ", ".join(
+                f"{name} (r_hat={post.diagnostics[name].r_hat:.3f}, "
+                f"ess={post.diagnostics[name].ess:.0f})"
+                for name in unconverged(post.diagnostics)
+            )
+            _log(
+                f"warning: chains did not converge for {system_a} vs {system_b} "
+                f"(R-hat above {RHAT_THRESHOLD} or undefined): {bad}"
+            )
     row = ReportRow(
         system_a=system_a,
         system_b=system_b,
@@ -281,11 +299,12 @@ def _compare_pair(
         triple=triple,
         rope_halfwidth=rope.halfwidth,
     )
-    return row, converged, notes
+    return row, converged
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    scores = ScoreMatrix.from_csvs(args.scores)
+    with _stage("load"):
+        scores = ScoreMatrix.from_csvs(args.scores)
     prefix = Path(args.out_prefix)
     report_path = prefix.with_name(prefix.name + ".report.csv")
     chains_path = prefix.with_name(prefix.name + ".chains.csv")
@@ -298,7 +317,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         list(args.scores),
     )
     write_manifest(manifest, manifest_path)
-    row, converged, _ = _compare_pair(
+    row, converged = _compare_pair(
         scores,
         args.system_a,
         args.system_b,
@@ -340,7 +359,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
     all_converged = True
     for i, system_a in enumerate(systems):
         for system_b in systems[i + 1 :]:
-            row, converged, _ = _compare_pair(
+            row, converged = _compare_pair(
                 scores, system_a, system_b, args, {}, manifest_path
             )
             rows.append(row)
@@ -376,11 +395,21 @@ def cmd_plot(args: argparse.Namespace) -> int:
             candidate = Path(str(args.chains).replace(".chains.csv", ".chains.meta.txt"))
             if candidate.exists():
                 meta_path = candidate
-        chains = read_chains_csv(args.chains)
-        meta = read_chain_metadata(meta_path) if meta_path.exists() else {}
+        with _stage("read chains"):
+            chains = read_chains_csv(args.chains)
+        meta = read_kv(meta_path) if meta_path.exists() else {}
         for name in ("delta0", "sigma0", "nu"):
             if name not in chains:
                 raise ValueError(f"{args.chains}: missing draws for {name!r}")
+        # A file cut after a whole chain still reads as a complete grid;
+        # only the sidecar knows how many chains there were.
+        shape = tuple(str(n) for n in chains["delta0"].shape)
+        recorded = (meta.get("chains"), meta.get("draws_per_chain"))
+        if "chains" in meta and shape != recorded:
+            raise ValueError(
+                f"{args.chains}: {shape[0]} chains x {shape[1]} draws, but {meta_path} "
+                f"records {recorded[0]} x {recorded[1]} (truncated?)"
+            )
         rope_raw = args.rope
         if rope_raw is None:
             if "rope_halfwidth" not in meta:
@@ -390,9 +419,10 @@ def cmd_plot(args: argparse.Namespace) -> int:
         label_a = meta.get("system_a", "system a")
         label_b = meta.get("system_b", "system b")
         inputs = [args.chains] + ([str(meta_path)] if meta_path.exists() else [])
-        points, triple = draws_to_points(
-            chains["delta0"], chains["sigma0"], chains["nu"], rope_raw / constant
-        )
+        with _stage("points"):
+            points, triple = draws_to_points(
+                chains["delta0"], chains["sigma0"], chains["nu"], rope_raw / constant
+            )
         title = args.title or f"{label_a} vs {label_b}"
     else:
         rows = read_report_csv(args.report)
@@ -414,15 +444,16 @@ def cmd_plot(args: argparse.Namespace) -> int:
         inputs,
     )
     write_manifest(manifest, manifest_path)
-    svg = render_simplex_svg(
-        points,
-        label_left=label_b,
-        label_right=label_a,
-        triple=triple,
-        title=title,
-        manifest=str(manifest_path),
-        max_points=args.max_points,
-    )
+    with _stage("render"):
+        svg = render_simplex_svg(
+            points,
+            label_left=label_b,
+            label_right=label_a,
+            triple=triple,
+            title=title,
+            manifest=str(manifest_path),
+            max_points=args.max_points,
+        )
     svg_path.write_text(svg, encoding="utf-8")
     _log(f"plot: {svg_path} ({points.shape[0]} draws)")
     print(manifest_path)
@@ -447,14 +478,6 @@ def _echo_flags(args: argparse.Namespace, extra: dict[str, object]) -> dict[str,
     }
     out.update(extra)
     return out
-
-
-def _write_kv(path: Path, notes: dict[str, str], manifest_path: Path) -> None:
-    lines = dict(notes)
-    lines["manifest"] = str(manifest_path)
-    with path.open("w", encoding="utf-8") as handle:
-        for key in sorted(lines):
-            handle.write(f"{key}={lines[key]}\n")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import __version__
 
-__all__ = ["RunManifest", "file_digest", "write_manifest", "read_manifest"]
+__all__ = ["RunManifest", "file_digest", "write_manifest", "write_kv", "read_kv"]
 
 
 @dataclass(frozen=True)
@@ -69,12 +69,18 @@ def write_manifest(manifest: RunManifest, path: str | Path) -> None:
         lines[f"param[{key}]"] = value
     for name, digest in manifest.inputs.items():
         lines[f"input[{name}]"] = f"sha256:{digest}"
+    write_kv(path, lines)
+
+
+def write_kv(path: str | Path, values: dict[str, str]) -> None:
+    """Write one ``key=value`` line per entry, sorted by key."""
     with Path(path).open("w", encoding="utf-8") as handle:
-        for key in sorted(lines):
-            handle.write(f"{key}={lines[key]}\n")
+        for key in sorted(values):
+            handle.write(f"{key}={values[key]}\n")
 
 
-def read_manifest(path: str | Path) -> dict[str, str]:
+def read_kv(path: str | Path) -> dict[str, str]:
+    """Inverse of write_kv; blank lines are skipped."""
     out: dict[str, str] = {}
     with Path(path).open("r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):

@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -32,6 +33,7 @@ import numpy as np
 from . import __version__
 from .diagnostics import ParameterDiagnostics, diagnose
 from .errors import TooFewDatasets
+from .manifest import write_kv
 from .scores import DifferenceSeries
 from .statcore import StudentT, rng_fork, t_sample
 
@@ -45,7 +47,7 @@ __all__ = [
     "write_chains_csv",
     "read_chains_csv",
     "write_chain_metadata",
-    "read_chain_metadata",
+    "unconverged",
 ]
 
 RHAT_THRESHOLD = 1.05
@@ -545,64 +547,88 @@ def fit(
     for name in post.parameter_names():
         diags[name] = diagnose(post.draws_of(name))
     post.diagnostics = diags
-    post.converged = all(
-        math.isfinite(d.r_hat) and d.r_hat <= RHAT_THRESHOLD for d in diags.values()
-    )
+    post.converged = not unconverged(diags)
     return post
 
 
+def unconverged(diagnostics: dict[str, ParameterDiagnostics]) -> list[str]:
+    """Names of the parameters whose R-hat is undefined or above RHAT_THRESHOLD."""
+    return [
+        name
+        for name, d in diagnostics.items()
+        if not (math.isfinite(d.r_hat) and d.r_hat <= RHAT_THRESHOLD)
+    ]
+
+
 def write_chains_csv(post: PosteriorChains, path: str | Path, manifest: str | None = None) -> None:
-    """Long-format dump: chain,draw,parameter,value with full float precision."""
+    """Wide dump: one row per (chain, draw), one column per parameter.
+
+    The header is ``chain,draw`` followed by ``post.parameter_names()``;
+    rows run chain-major. Values are written with ``%.17g``, which
+    round-trips every float64 exactly.
+    """
     names = post.parameter_names()
-    columns = [post.draws_of(name) for name in names]
+    chains, draws = post.n_chains, post.draws_per_chain
+    table = np.column_stack(
+        [np.repeat(np.arange(chains), draws), np.tile(np.arange(draws), chains)]
+        + [post.draws_of(name).reshape(-1) for name in names]
+    )
     with Path(path).open("w", encoding="utf-8", newline="") as handle:
         if manifest is not None:
             handle.write(f"# manifest: {manifest}\n")
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["chain", "draw", "parameter", "value"])
-        for chain in range(post.n_chains):
-            for draw in range(post.draws_per_chain):
-                for name, col in zip(names, columns):
-                    writer.writerow([chain, draw, name, repr(float(col[chain, draw]))])
+        csv.writer(handle, lineterminator="\n").writerow(["chain", "draw", *names])
+        np.savetxt(handle, table, fmt="%.17g", delimiter=",")
 
 
 def read_chains_csv(path: str | Path) -> dict[str, np.ndarray]:
-    """Inverse of write_chains_csv: parameter name -> (chains, draws) array."""
+    """Inverse of write_chains_csv: parameter name -> (chains, draws) array.
+
+    Rejects ragged or non-numeric rows, duplicate columns, a file that
+    does not end in a newline (cut mid-row), and chain/draw columns that
+    are not the complete chain-major grid (missing or reordered rows).
+    """
     path = Path(path)
-    values: dict[str, dict[tuple[int, int], float]] = {}
-    max_chain = -1
-    max_draw = -1
-    with path.open("r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(line for line in handle if not line.startswith("#"))
-        header = next(reader, None)
-        if header != ["chain", "draw", "parameter", "value"]:
-            raise ValueError(f"{path}: expected header chain,draw,parameter,value, got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 fields")
-            try:
-                chain = int(row[0])
-                draw = int(row[1])
-                value = float(row[3])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            values.setdefault(row[2], {})[(chain, draw)] = value
-            max_chain = max(max_chain, chain)
-            max_draw = max(max_draw, draw)
-    if max_chain < 0:
-        raise ValueError(f"{path}: no draws found")
-    shape = (max_chain + 1, max_draw + 1)
-    out: dict[str, np.ndarray] = {}
-    for name, cells in values.items():
-        if len(cells) != shape[0] * shape[1]:
-            raise ValueError(f"{path}: parameter {name!r} is missing draws")
-        arr = np.empty(shape)
-        for (chain, draw), value in cells.items():
-            arr[chain, draw] = value
-        out[name] = arr
-    return out
+    with path.open("rb") as handle:
+        size = handle.seek(0, os.SEEK_END)
+        handle.seek(max(size - 1, 0))
+        if handle.read(1) != b"\n":
+            raise ValueError(f"{path}: file does not end with a newline (truncated?)")
+        handle.seek(0)
+        line = handle.readline()
+        while line.startswith(b"#"):
+            line = handle.readline()
+        header = next(csv.reader([line.decode("utf-8")]), [])
+        if header == ["chain", "draw", "parameter", "value"]:
+            raise ValueError(
+                f"{path}: long-format chains file from an older bayescv; "
+                "re-run compare to regenerate it"
+            )
+        names = header[2:]
+        if header[:2] != ["chain", "draw"] or not names:
+            raise ValueError(f"{path}: expected header chain,draw,<parameters>, got {header}")
+        if len(set(names)) != len(names):
+            raise ValueError(f"{path}: duplicate parameter columns in the header")
+        if handle.tell() == size:
+            raise ValueError(f"{path}: no draws found")
+        try:
+            table = np.loadtxt(handle, delimiter=",", ndmin=2, encoding="utf-8")
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+    if table.shape[1] != len(header):
+        raise ValueError(f"{path}: expected {len(header)} columns, got {table.shape[1]}")
+    rows = table.shape[0]
+    chains = int(np.count_nonzero(table[:, 1] == 0))
+    draws = rows // chains if chains else 0
+    if (
+        chains * draws != rows
+        or not np.array_equal(table[:, 0], np.repeat(np.arange(chains), draws))
+        or not np.array_equal(table[:, 1], np.tile(np.arange(draws), chains))
+    ):
+        raise ValueError(
+            f"{path}: chain and draw columns are not a complete chain-major grid "
+            "(missing or reordered rows)"
+        )
+    return {name: table[:, j].reshape(chains, draws) for j, name in enumerate(names, start=2)}
 
 
 def write_chain_metadata(post: PosteriorChains, path: str | Path, extra: dict[str, str] | None = None) -> None:
@@ -628,20 +654,4 @@ def write_chain_metadata(post: PosteriorChains, path: str | Path, extra: dict[st
         lines[f"ess[{name}]"] = repr(float(diag.ess))
     if extra:
         lines.update(extra)
-    with Path(path).open("w", encoding="utf-8") as handle:
-        for key in sorted(lines):
-            handle.write(f"{key}={lines[key]}\n")
-
-
-def read_chain_metadata(path: str | Path) -> dict[str, str]:
-    out: dict[str, str] = {}
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, _, value = line.partition("=")
-            out[key] = value
-    return out
+    write_kv(path, lines)

@@ -1,5 +1,6 @@
 """End-to-end tests driving the command line through main()."""
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 
 from bayescv.cli import main
 from bayescv.decision import read_report_csv, rope_from_differences
-from bayescv.model import read_chain_metadata, read_chains_csv
+from bayescv.manifest import read_kv
+from bayescv.model import read_chains_csv
 from bayescv.scores import ScoreMatrix, assemble_differences
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -125,12 +127,15 @@ class TestScore:
 
 
 class TestCompare:
-    def test_hierarchical_clear_difference(self, tmp_path):
+    def test_hierarchical_clear_difference(self, tmp_path, capsys):
         prefix = tmp_path / "pair"
         rc = run("compare", "--scores", DELTA3, "--a", "alpha", "--b", "beta",
                  "--metric", "token", "--rope", "0.01", "--seed", "2", *FAST,
                  "--out-prefix", prefix)
         assert rc == 0
+        err = capsys.readouterr().err
+        for stage in ("load", "fit", "tally", "write chains"):
+            assert f"stage {stage}: " in err
         rows = read_report_csv(tmp_path / "pair.report.csv")
         assert len(rows) == 1
         assert rows[0].system_a == "alpha"
@@ -140,7 +145,7 @@ class TestCompare:
 
         chains = read_chains_csv(tmp_path / "pair.chains.csv")
         assert chains["delta0"].shape == (2, 1500)
-        meta = read_chain_metadata(tmp_path / "pair.chains.meta.txt")
+        meta = read_kv(tmp_path / "pair.chains.meta.txt")
         assert meta["method"] == "hierarchical"
         assert meta["n_datasets"] == "8"
         assert float(meta["rope_halfwidth"]) == 0.01
@@ -152,7 +157,7 @@ class TestCompare:
                  "--metric", "token", "--rope", "0.01", "--seed", "3",
                  "--chains", "4", "--draws", "5000", "--out-prefix", prefix)
         assert rc == 0
-        meta = read_chain_metadata(tmp_path / "t.chains.meta.txt")
+        meta = read_kv(tmp_path / "t.chains.meta.txt")
         assert meta["method"] == "correlated_ttest"
         assert "ttest_location" in meta
         assert not (tmp_path / "t.chains.csv").exists()
@@ -172,7 +177,7 @@ class TestCompare:
                  "--metric", "token", "--rope-mode", "ci95", "--seed", "2", *FAST,
                  "--out-prefix", prefix)
         assert rc == 0
-        meta = read_chain_metadata(tmp_path / "auto.chains.meta.txt")
+        meta = read_kv(tmp_path / "auto.chains.meta.txt")
         assert meta["rope_mode"].startswith("ci95")
         series = assemble_differences(
             ScoreMatrix.from_csv(DELTA3), "alpha", "beta", "token"
@@ -200,7 +205,7 @@ class TestCompare:
                  "--metric", "token", "--out-prefix", tmp_path / "x")
         assert rc == 2
 
-    def test_non_convergence_exit_code(self, tmp_path):
+    def test_non_convergence_exit_code(self, tmp_path, capsys):
         # No warmup means no step-size adaptation, and a huge sigma cap
         # leaves the walk poorly scaled, so these chains fail R-hat.
         prefix = tmp_path / "stuck"
@@ -212,6 +217,28 @@ class TestCompare:
         assert rc == 3
         assert (tmp_path / "stuck.report.csv").exists()
         assert (tmp_path / "stuck.chains.csv").exists()
+        warning = next(
+            line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")
+        )
+        assert "R-hat above 1.05" in warning
+        assert re.search(r"\w+ \(r_hat=(\d+\.\d{3}|nan), ess=(\d+|nan)\)", warning)
+
+    def test_artifacts_identical_across_reruns_and_workers(self, tmp_path, monkeypatch):
+        # The same relative prefix in each directory keeps the manifest
+        # path, and so the "# manifest:" line, the same in every run.
+        outputs = []
+        for run_dir, workers in (("a", 1), ("b", 1), ("c", 2)):
+            (tmp_path / run_dir).mkdir()
+            monkeypatch.chdir(tmp_path / run_dir)
+            rc = run("compare", "--scores", DELTA3, "--a", "alpha", "--b", "beta",
+                     "--metric", "token", "--rope", "0.01", "--seed", "2", *FAST,
+                     "--workers", workers, "--out-prefix", "pair")
+            assert rc == 0
+            outputs.append([
+                Path(name).read_bytes()
+                for name in ("pair.chains.csv", "pair.chains.meta.txt", "pair.report.csv")
+            ])
+        assert outputs[0] == outputs[1] == outputs[2]
 
 
 class TestRank:
@@ -254,10 +281,14 @@ class TestPlot:
         assert rc == 0
         return tmp_path
 
-    def test_plot_from_chains(self, compare_artifacts, tmp_path):
+    def test_plot_from_chains(self, compare_artifacts, tmp_path, capsys):
+        capsys.readouterr()
         rc = run("plot", "--chains", compare_artifacts / "pair.chains.csv",
                  "--max-points", "200", "--out-prefix", tmp_path / "fig")
         assert rc == 0
+        err = capsys.readouterr().err
+        for stage in ("read chains", "points", "render"):
+            assert f"stage {stage}: " in err
         svg = (tmp_path / "fig.svg").read_text(encoding="utf-8")
         assert svg.startswith('<?xml version="1.0"')
         assert svg.count("<circle") == 200
@@ -287,6 +318,16 @@ class TestPlot:
         bare = tmp_path / "c.csv"
         bare.write_bytes((compare_artifacts / "pair.chains.csv").read_bytes())
         rc = run("plot", "--chains", bare, "--out-prefix", tmp_path / "fig")
+        assert rc == 2
+
+    def test_plot_rejects_chains_cut_after_a_whole_chain(self, compare_artifacts, tmp_path):
+        # Without the second chain's rows the file is still a complete
+        # one-chain grid; the sidecar's chain count exposes the cut.
+        path = compare_artifacts / "pair.chains.csv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(lines[: 2 + 1500]), encoding="utf-8")
+        assert read_chains_csv(path)["delta0"].shape == (1, 1500)
+        rc = run("plot", "--chains", path, "--out-prefix", tmp_path / "fig")
         assert rc == 2
 
     def test_plot_missing_chains_is_io_error(self, tmp_path):

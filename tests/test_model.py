@@ -13,12 +13,13 @@ import scipy.stats
 from numpy.testing import assert_allclose
 
 from bayescv.errors import TooFewDatasets
+from bayescv.manifest import read_kv
 from bayescv.model import (
     ModelConfig,
+    PosteriorChains,
     correlated_ttest,
     fit,
     generate,
-    read_chain_metadata,
     read_chains_csv,
     write_chain_metadata,
     write_chains_csv,
@@ -342,23 +343,86 @@ class TestAgainstIndependentSampler:
         assert abs(np.median(post.nu) - np.median(ref[:, 2])) < 6.0
 
 
+def _joined(lines):
+    return "\n".join(lines) + "\n"
+
+
+# Each entry damages the lines of a valid wide chains file (manifest
+# comment, header, then 2 chains x 4 draws) and returns the new text.
+CORRUPTIONS = {
+    "ragged_row": lambda lines: _joined(lines[:4] + [lines[4].rsplit(",", 1)[0]] + lines[5:]),
+    "row_cut_mid_line": lambda lines: _joined(lines)[: -len(lines[-1]) // 2],
+    "last_value_cut": lambda lines: _joined(lines)[:-4],
+    "trailing_rows_missing": lambda lines: _joined(lines[:-3]),
+    "middle_row_missing": lambda lines: _joined(lines[:4] + lines[5:]),
+    "rows_swapped": lambda lines: _joined(lines[:3] + [lines[4], lines[3]] + lines[5:]),
+    "non_numeric_cell": lambda lines: _joined(
+        lines[:4] + [lines[4].rsplit(",", 1)[0] + ",abc"] + lines[5:]
+    ),
+    "duplicate_column": lambda lines: _joined(
+        [lines[0], lines[1].replace("sigma0", "delta0")] + lines[2:]
+    ),
+    "no_draws": lambda lines: _joined(lines[:2]),
+    "long_format": lambda lines: "chain,draw,parameter,value\n0,0,delta0,0.1\n",
+}
+
+
 class TestChainsIO:
     def test_csv_roundtrip(self, tmp_path):
-        series = generate(2, 2, 5, 0.01, 0.005, 5.0, 0.1, (0.01, 0.02), seed=15)
+        series = generate(3, 2, 5, 0.01, 0.005, 5.0, 0.1, (0.01, 0.02), seed=15)
         post = fit(series, FAST)
+        # Values whose shortest repr needs all 17 digits, or that sit at
+        # the edges of the float64 range.
+        post.delta0[0, :6] = [0.1, 1 / 3, -0.0, 5e-324, 1.7976931348623157e308, -2.2250738585072014e-308]
         path = tmp_path / "chains.csv"
         write_chains_csv(post, path, manifest="m.txt")
         back = read_chains_csv(path)
-        assert set(back) == set(post.parameter_names())
-        assert_allclose(back["delta0"], post.delta0, rtol=0, atol=0)
-        assert_allclose(back["sigma[ds00]"], post.draws_of("sigma[ds00]"), rtol=0, atol=0)
+        assert list(back) == post.parameter_names()
+        assert len(back) == 3 + 2 * 3
+        for name in post.parameter_names():
+            expected = post.draws_of(name)
+            assert back[name].shape == expected.shape, name
+            assert back[name].tobytes() == np.ascontiguousarray(expected).tobytes(), name
+
+    def test_wide_layout(self, tmp_path):
+        post = fit(generate(2, 2, 5, 0.01, 0.005, 5.0, 0.1, (0.01, 0.02), seed=15), FAST)
+        path = tmp_path / "chains.csv"
+        write_chains_csv(post, path, manifest="m.txt")
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "# manifest: m.txt"
+        assert lines[1] == "chain,draw," + ",".join(post.parameter_names())
+        assert len(lines) == 2 + post.n_chains * post.draws_per_chain
+        assert lines[2].startswith("0,0,") and lines[-1].startswith(f"1,{post.draws_per_chain - 1},")
+
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    def test_read_rejects_damaged_wide_file(self, tmp_path, corruption):
+        rng = np.random.default_rng(5)
+        post = PosteriorChains(
+            dataset_ids=("a", "b", "c"),
+            delta0=rng.normal(size=(2, 4)),
+            sigma0=rng.random((2, 4)),
+            nu=1.0 + rng.random((2, 4)),
+            deltas=rng.normal(size=(2, 4, 3)),
+            sigmas=rng.random((2, 4, 3)),
+            standardization_constant=1.0,
+            config=ModelConfig(),
+        )
+        path = tmp_path / "chains.csv"
+        write_chains_csv(post, path, manifest="m.txt")
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert len(read_chains_csv(path)) == 9
+        path.write_text(CORRUPTIONS[corruption](lines), encoding="utf-8")
+        with pytest.raises(ValueError) as excinfo:
+            read_chains_csv(path)
+        if corruption == "long_format":
+            assert "re-run compare" in str(excinfo.value)
 
     def test_metadata_roundtrip(self, tmp_path):
         series = generate(2, 2, 5, 0.01, 0.005, 5.0, 0.1, (0.01, 0.02), seed=15)
         post = fit(series, FAST)
         path = tmp_path / "chains.meta.txt"
         write_chain_metadata(post, path, extra={"note": "hello"})
-        meta = read_chain_metadata(path)
+        meta = read_kv(path)
         assert meta["chains"] == "2"
         assert meta["draws_per_chain"] == "1500"
         assert meta["note"] == "hello"
