@@ -3,9 +3,11 @@
 A rope [-r, r] splits the real line into "left" (the second system wins by
 more than r), "rope" (practically equivalent), and "right" (the first
 system wins by more than r), reading a difference series as first minus
-second. ``tally`` turns posterior draws into the three probabilities by
-integrating and arg-maxing per draw; ``rank`` assembles pairwise verdicts
-into a partial order.
+second. ``region_probs`` integrates the population t of every posterior
+draw over the three regions in one array kernel; ``tally`` counts the
+per-draw argmax verdicts of those masses, and the plot places the same
+masses on the simplex. ``rank`` assembles pairwise verdicts into a partial
+order.
 """
 
 from __future__ import annotations
@@ -17,20 +19,23 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .errors import MissingPair
 from .model import PosteriorChains, TTestPosterior
 from .scores import DifferenceSeries
-from .statcore import StudentT, rng_fork, t_cdf, t_sample, t_sf
+from .statcore import rng_fork, std_t_cdf, t_sample
 
 __all__ = [
     "RopeInterval",
     "DecisionTriple",
     "verdict_of",
     "region_probs",
+    "classify_draws",
     "tally",
     "ttest_triple",
     "simplex_coordinates",
+    "simplex_points",
     "rank",
     "RankResult",
     "rope_from_differences",
@@ -41,6 +46,9 @@ __all__ = [
 ]
 
 VERDICTS = ("left", "rope", "right")
+
+# Draws per kernel call in classify_draws: bounds its working memory.
+_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -104,19 +112,26 @@ class DecisionTriple:
         return DecisionTriple(n_left=self.n_right, n_rope=self.n_rope, n_right=self.n_left)
 
 
+def _winner(p_left: ArrayLike, p_rope: ArrayLike, p_right: ArrayLike) -> np.ndarray:
+    """Elementwise index into VERDICTS of the argmax region; ties go rope, then left."""
+    p_left, p_rope, p_right = (np.asarray(p) for p in (p_left, p_rope, p_right))
+    return np.where((p_rope >= p_left) & (p_rope >= p_right), 1, np.where(p_left >= p_right, 0, 2))
+
+
 def verdict_of(p_left: float, p_rope: float, p_right: float) -> str:
     """Argmax region, breaking ties by the fixed priority rope, left, right."""
-    if p_rope >= p_left and p_rope >= p_right:
-        return "rope"
-    if p_left >= p_right:
-        return "left"
-    return "right"
+    return VERDICTS[int(_winner(p_left, p_rope, p_right))]
 
 
 def region_probs(
-    delta0: float, sigma0: float, nu: float, rope: RopeInterval
-) -> tuple[float, float, float]:
+    delta0: ArrayLike, sigma0: ArrayLike, nu: ArrayLike, rope: RopeInterval
+) -> tuple[float, float, float] | tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mass of t(delta0, sigma0, nu) left of, inside, and right of the rope.
+
+    The inputs broadcast against each other. All-scalar inputs give a
+    tuple of three floats, arrays a tuple of three arrays. Every draw must
+    have a finite delta0, a finite sigma0 >= 0 and a finite nu > 0, else
+    ValueError.
 
     The left and right masses are computed as direct tail integrals that
     depend on the standardized offsets only through their squares, so
@@ -125,20 +140,45 @@ def region_probs(
     single region containing delta0, with the closed interval winning the
     boundary.
     """
+    d0, s0, nu = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (delta0, sigma0, nu)))
+    valid = np.isfinite(d0) & np.isfinite(s0) & (s0 >= 0.0) & np.isfinite(nu) & (nu > 0.0)
+    if not valid.all():
+        i = int(np.argmin(valid.reshape(-1)))
+        raise ValueError(
+            "draws need a finite delta0, a finite sigma0 >= 0 and a finite nu > 0, got "
+            f"delta0={d0.flat[i]}, sigma0={s0.flat[i]}, nu={nu.flat[i]}"
+        )
     r = rope.halfwidth
-    if sigma0 == 0.0:
-        if delta0 < -r:
-            return (1.0, 0.0, 0.0)
-        if delta0 > r:
-            return (0.0, 0.0, 1.0)
-        return (0.0, 1.0, 0.0)
-    dist = StudentT(location=delta0, scale=sigma0, dof=nu)
-    p_left = t_cdf(-r, dist)
-    p_right = t_sf(r, dist)
-    p_rope = 1.0 - (p_left + p_right)
-    if p_rope < 0.0:
-        p_rope = 0.0
+    point = s0 == 0.0
+    scale = np.where(point, 1.0, s0)
+    # Both tails in one kernel call: left of -r, then right of r.
+    p_left, p_right = std_t_cdf(np.stack([(-r - d0) / scale, -((r - d0) / scale)]), nu)
+    p_left = np.where(point, d0 < -r, p_left)
+    p_right = np.where(point, d0 > r, p_right)
+    p_rope = np.maximum(1.0 - (p_left + p_right), 0.0)
+    if p_rope.ndim == 0:
+        return (float(p_left), float(p_rope), float(p_right))
     return (p_left, p_rope, p_right)
+
+
+def classify_draws(
+    delta0: ArrayLike, sigma0: ArrayLike, nu: ArrayLike, rope: RopeInterval
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], DecisionTriple]:
+    """Region masses of every draw (flattened), and the draws counted by verdict.
+
+    Draws are evaluated in blocks of ``_BLOCK``, so the working memory on
+    top of the returned masses does not grow with the number of draws.
+    """
+    d0, s0, nu = (np.asarray(v, dtype=float).reshape(-1) for v in (delta0, sigma0, nu))
+    if not d0.size == s0.size == nu.size:
+        raise ValueError("delta0, sigma0, nu must hold the same number of draws")
+    probs = np.empty((3, d0.size))
+    counts = np.zeros(3, dtype=np.int64)
+    for lo in range(0, d0.size, _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        probs[:, block] = region_probs(d0[block], s0[block], nu[block], rope)
+        counts += np.bincount(_winner(*probs[:, block]), minlength=3)
+    return tuple(probs), DecisionTriple(*(int(n) for n in counts))
 
 
 def tally(post: PosteriorChains, rope: RopeInterval) -> DecisionTriple:
@@ -151,12 +191,7 @@ def tally(post: PosteriorChains, rope: RopeInterval) -> DecisionTriple:
     the standardized scale of the draws here.
     """
     rope_std = rope.scaled(post.standardization_constant)
-    counts = [0, 0, 0]
-    index = {"left": 0, "rope": 1, "right": 2}
-    for d0, s0, nu in post.population_draws():
-        p = region_probs(float(d0), float(s0), float(nu), rope_std)
-        counts[index[verdict_of(*p)]] += 1
-    return DecisionTriple(n_left=counts[0], n_rope=counts[1], n_right=counts[2])
+    return classify_draws(post.delta0, post.sigma0, post.nu, rope_std)[1]
 
 
 def ttest_triple(
@@ -181,11 +216,20 @@ def ttest_triple(
     return DecisionTriple(n_left=n_left, n_rope=n_samples - n_left - n_right, n_right=n_right)
 
 
+def simplex_points(p_rope: ArrayLike, p_right: ArrayLike) -> np.ndarray:
+    """Barycentric embedding of region masses into the unit-side triangle, shape (..., 2).
+
+    Vertices: left at (0, 0), rope at (1/2, sqrt(3)/2), right at (1, 0).
+    """
+    p_rope = np.asarray(p_rope, dtype=float)
+    return np.stack([0.5 * p_rope + p_right, 0.5 * math.sqrt(3.0) * p_rope], axis=-1)
+
+
 def simplex_coordinates(triple: DecisionTriple | Sequence[float]) -> tuple[float, float]:
     """Barycentric embedding of the triple into the unit-side triangle.
 
-    Vertices: left at (0, 0), rope at (1/2, sqrt(3)/2), right at (1, 0).
-    Probabilities summing to 1 land inside or on the triangle.
+    Probabilities summing to 1 land inside or on the triangle; see
+    ``simplex_points`` for the vertices.
     """
     if isinstance(triple, DecisionTriple):
         p_left, p_rope, p_right = triple.p_left, triple.p_rope, triple.p_right
@@ -196,9 +240,8 @@ def simplex_coordinates(triple: DecisionTriple | Sequence[float]) -> tuple[float
             raise ValueError(f"probabilities must sum to 1, got {total}")
         if min(p_left, p_rope, p_right) < 0.0:
             raise ValueError("probabilities cannot be negative")
-    x = 0.5 * p_rope + p_right
-    y = 0.5 * math.sqrt(3.0) * p_rope
-    return (x, y)
+    x, y = simplex_points(p_rope, p_right)
+    return (float(x), float(y))
 
 
 @dataclass(frozen=True)

@@ -156,12 +156,6 @@ class PosteriorChains:
                     return block[:, :, self.dataset_ids.index(dataset)]
         raise KeyError(f"unknown parameter {name!r}")
 
-    def population_draws(self) -> np.ndarray:
-        """All (delta0, sigma0, nu) draws flattened chain-major, shape (n_draws, 3)."""
-        return np.column_stack(
-            [self.delta0.reshape(-1), self.sigma0.reshape(-1), self.nu.reshape(-1)]
-        )
-
 
 @dataclass(frozen=True)
 class TTestPosterior:

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .decision import DecisionTriple, RopeInterval, region_probs, simplex_coordinates, verdict_of
+from .decision import DecisionTriple, RopeInterval, classify_draws, simplex_points
 
 __all__ = ["render_simplex_svg", "draws_to_points", "points_from_triples"]
 
@@ -40,24 +40,12 @@ def draws_to_points(
 
     The rope halfwidth must already be on the same scale as the draws.
     """
-    rope = RopeInterval(rope_halfwidth)
-    d0 = np.asarray(delta0, dtype=float).reshape(-1)
-    s0 = np.asarray(sigma0, dtype=float).reshape(-1)
-    nu_arr = np.asarray(nu, dtype=float).reshape(-1)
-    if not (d0.shape == s0.shape == nu_arr.shape) or d0.size == 0:
-        raise ValueError("delta0, sigma0, nu must be equal-length non-empty vectors")
-    points = np.empty((d0.size, 2))
-    counts = {"left": 0, "rope": 0, "right": 0}
-    for i in range(d0.size):
-        p = region_probs(float(d0[i]), float(s0[i]), float(nu_arr[i]), rope)
-        points[i] = simplex_coordinates(p)
-        counts[verdict_of(*p)] += 1
-    triple = DecisionTriple(n_left=counts["left"], n_rope=counts["rope"], n_right=counts["right"])
-    return points, triple
+    (_, p_rope, p_right), triple = classify_draws(delta0, sigma0, nu, RopeInterval(rope_halfwidth))
+    return simplex_points(p_rope, p_right), triple
 
 
 def points_from_triples(triples: Sequence[DecisionTriple]) -> np.ndarray:
-    return np.asarray([simplex_coordinates(t) for t in triples])
+    return simplex_points([t.p_rope for t in triples], [t.p_right for t in triples])
 
 
 def render_simplex_svg(

@@ -3,8 +3,9 @@
 Student-t distribution functions, the O(n) log density of a multivariate
 normal with compound-symmetry covariance, and reproducible random streams.
 The t CDF is computed from scratch (regularized incomplete beta via a
-continued fraction) so the package has no runtime dependency on a special
-function library; scipy appears only in the test suite as an oracle.
+continued fraction, evaluated over whole numpy arrays at once) so the
+package has no runtime dependency on a special function library; scipy
+appears only in the test suite as an oracle.
 """
 
 from __future__ import annotations
@@ -13,12 +14,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .errors import DimensionMismatch
 
 __all__ = [
     "StudentT",
     "CompoundSymmetryCov",
+    "betainc",
+    "std_t_cdf",
     "t_cdf",
     "t_sf",
     "t_logpdf",
@@ -87,84 +91,80 @@ class CompoundSymmetryCov:
         return out
 
 
-def _beta_cf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta (modified Lentz scheme)."""
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _CF_TINY:
-        d = _CF_TINY
-    d = 1.0 / d
-    h = d
+_lgamma = np.vectorize(math.lgamma, otypes=[float])
+
+
+def _float_or_array(out: np.ndarray) -> float | np.ndarray:
+    return float(out) if out.ndim == 0 else out
+
+
+def _away_from_zero(v: np.ndarray) -> np.ndarray:
+    return np.where(np.abs(v) < _CF_TINY, _CF_TINY, v)
+
+
+def betainc(a: ArrayLike, b: ArrayLike, x: ArrayLike) -> float | np.ndarray:
+    """Regularized incomplete beta function I_x(a, b), elementwise.
+
+    Numerical Recipes continued fraction (modified Lentz scheme) with the
+    symmetry split at x = (a+1)/(a+b+2) so the fraction always converges
+    quickly. The inputs broadcast against each other; each iteration
+    updates only the entries that have not converged yet. All-scalar
+    inputs give a float.
+    """
+    a, b, x = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, x)))
+    if not (np.all(a > 0.0) and np.all(b > 0.0)):
+        raise ValueError(f"a and b must be positive, got a={a}, b={b}")
+    out = np.where(x <= 0.0, 0.0, np.where(x >= 1.0, 1.0, np.nan))
+    inside = (x > 0.0) & (x < 1.0)
+    a, b, x = a[inside], b[inside], x[inside]
+    front = np.exp(_lgamma(a + b) - _lgamma(a) - _lgamma(b) + a * np.log(x) + b * np.log1p(-x))
+    # Past the split, I_x(a, b) = 1 - I_{1-x}(b, a): swap, then one fraction.
+    swap = x >= (a + 1.0) / (a + b + 2.0)
+    a, b, x = np.where(swap, b, a), np.where(swap, a, b), np.where(swap, 1.0 - x, x)
+    denom = a
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c = np.ones_like(x)
+    d = 1.0 / _away_from_zero(1.0 - qab * x / qap)
+    h = d.copy()
+    frac = np.empty_like(x)
+    idx = np.arange(x.size)
     for m in range(1, _CF_MAX_ITER + 1):
+        if idx.size == 0:
+            break
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
+        d = 1.0 / _away_from_zero(1.0 + aa * d)
+        c = _away_from_zero(1.0 + aa / c)
         h *= d * c
         aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
+        d = 1.0 / _away_from_zero(1.0 + aa * d)
+        c = _away_from_zero(1.0 + aa / c)
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < _CF_EPS:
-            return h
-    raise ArithmeticError(f"incomplete beta did not converge for a={a}, b={b}, x={x}")
+        done = np.abs(delta - 1.0) < _CF_EPS
+        if done.any():
+            frac[idx[done]] = h[done]
+            keep = ~done
+            a, b, x, qab, qap, qam, c, d, h, idx = (v[keep] for v in (a, b, x, qab, qap, qam, c, d, h, idx))
+    if idx.size:
+        raise ArithmeticError(f"incomplete beta did not converge for {idx.size} entries")
+    ratio = front * frac / denom
+    out[inside] = np.where(swap, 1.0 - ratio, ratio)
+    return _float_or_array(out)
 
 
-def betainc(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta function I_x(a, b).
-
-    Standard continued-fraction evaluation with the symmetry split at
-    x = (a+1)/(a+b+2) so the fraction always converges quickly.
-    """
-    if not (a > 0.0 and b > 0.0):
-        raise ValueError(f"a and b must be positive, got a={a}, b={b}")
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_cf(a, b, x) / a
-    return 1.0 - front * _beta_cf(b, a, 1.0 - x) / b
-
-
-def _std_t_cdf(z: float, dof: float) -> float:
-    """CDF of the standard Student t at z.
+def std_t_cdf(z: ArrayLike, dof: ArrayLike) -> float | np.ndarray:
+    """CDF of the standard Student t, elementwise; all-scalar inputs give a float.
 
     The tail mass is computed directly from the incomplete beta and only
-    depends on z through z*z, so ``_std_t_cdf(-z) == 1 - tail`` and
-    ``_std_t_cdf(z) == tail`` use the exact same tail value. Callers that
+    depends on z through z*z, so for z > 0 ``std_t_cdf(-z) == tail`` and
+    ``std_t_cdf(z) == 1 - tail`` use the exact same tail value. Callers that
     need exact mirror symmetry (the decision counters) rely on this.
+    z = 0 gives exactly 0.5, z = -inf/+inf give 0/1, and NaN stays NaN.
     """
-    if math.isnan(z):
-        return math.nan
-    if z == 0.0:
-        return 0.5
-    if math.isinf(z):
-        return 0.0 if z < 0 else 1.0
+    z, dof = np.broadcast_arrays(np.asarray(z, dtype=float), np.asarray(dof, dtype=float))
     tail = 0.5 * betainc(0.5 * dof, 0.5, dof / (dof + z * z))
-    return tail if z < 0 else 1.0 - tail
+    return _float_or_array(np.where(z < 0.0, tail, 1.0 - tail))
 
 
 def t_cdf(x: float, dist: StudentT) -> float:
@@ -175,7 +175,7 @@ def t_cdf(x: float, dist: StudentT) -> float:
     """
     if dist.scale == 0.0:
         return 0.0 if x < dist.location else 1.0
-    return _std_t_cdf((x - dist.location) / dist.scale, dist.dof)
+    return std_t_cdf((x - dist.location) / dist.scale, dist.dof)
 
 
 def t_sf(x: float, dist: StudentT) -> float:
@@ -186,7 +186,7 @@ def t_sf(x: float, dist: StudentT) -> float:
     """
     if dist.scale == 0.0:
         return 1.0 if x < dist.location else 0.0
-    return _std_t_cdf(-((x - dist.location) / dist.scale), dist.dof)
+    return std_t_cdf(-((x - dist.location) / dist.scale), dist.dof)
 
 
 def t_logpdf(x: float, dist: StudentT) -> float:

@@ -330,6 +330,20 @@ class TestPlot:
         rc = run("plot", "--chains", path, "--out-prefix", tmp_path / "fig")
         assert rc == 2
 
+    def test_plot_rejects_damaged_point_mass_draw(self, compare_artifacts, tmp_path):
+        # sigma0 == 0 would otherwise send this row to the point-mass
+        # shortcut, which must not count a NaN delta0 as rope.
+        path = compare_artifacts / "pair.chains.csv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        header = lines[1].rstrip("\n").split(",")
+        row = lines[2 + 700].rstrip("\n").split(",")
+        row[header.index("delta0")] = "nan"
+        row[header.index("sigma0")] = "0"
+        lines[2 + 700] = ",".join(row) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        rc = run("plot", "--chains", path, "--out-prefix", tmp_path / "fig")
+        assert rc == 2
+
     def test_plot_missing_chains_is_io_error(self, tmp_path):
         rc = run("plot", "--chains", tmp_path / "absent.chains.csv",
                  "--out-prefix", tmp_path / "fig")

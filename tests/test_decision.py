@@ -105,6 +105,42 @@ class TestRegionProbs:
         assert rope_mass < 0.01
         assert left == pytest.approx(right, abs=1e-15)
 
+    def test_damaged_draws_rejected_before_point_mass_shortcut(self):
+        rope = RopeInterval(0.01)
+        for delta0, sigma0, nu in [
+            (math.nan, 0.0, 5.0),
+            (0.0, 0.0, -3.0),
+            (0.0, 0.0, math.nan),
+            (0.0, 0.0, 0.0),
+            (0.0, -0.01, 5.0),
+            (0.0, math.inf, 5.0),
+            (math.inf, 0.01, 5.0),
+            (0.0, 0.01, math.inf),
+        ]:
+            with pytest.raises(ValueError):
+                region_probs(delta0, sigma0, nu, rope)
+
+    def test_one_damaged_draw_rejects_the_array(self):
+        delta0 = np.zeros(10)
+        sigma0 = np.zeros(10)
+        delta0[7] = math.nan
+        with pytest.raises(ValueError, match="delta0=nan"):
+            region_probs(delta0, sigma0, np.full(10, 5.0), RopeInterval(0.01))
+
+    def test_array_matches_scalar_calls(self):
+        rng = np.random.default_rng(12)
+        delta0 = rng.normal(0.0, 0.03, size=(3, 7))
+        sigma0 = rng.uniform(0.0, 0.03, size=(3, 7))
+        sigma0[0, :3] = 0.0
+        nu = rng.uniform(1.0, 30.0, size=(3, 7))
+        rope = RopeInterval(0.01)
+        left, rope_mass, right = region_probs(delta0, sigma0, nu, rope)
+        assert left.shape == rope_mass.shape == right.shape == (3, 7)
+        for i in np.ndindex(3, 7):
+            scalar = region_probs(float(delta0[i]), float(sigma0[i]), float(nu[i]), rope)
+            assert all(type(p) is float for p in scalar)
+            assert (left[i], rope_mass[i], right[i]) == scalar
+
 
 class TestVerdictRule:
     def test_plain_argmax(self):
@@ -202,6 +238,24 @@ class TestTally:
         )
         triple = tally(post, RopeInterval(0.01))
         assert (triple.n_left, triple.n_rope, triple.n_right) == (1, 2, 1)
+
+    def test_point_mass_and_regular_draws_match_per_draw_verdicts(self):
+        rng = np.random.default_rng(4)
+        n = 600
+        delta0 = rng.normal(0.0, 0.02, size=n)
+        sigma0 = rng.uniform(0.0005, 0.02, size=n)
+        sigma0[::3] = 0.0
+        delta0[:12:3] = [-0.01, 0.01, -0.0100001, 0.0100001]
+        nu = rng.uniform(1.0, 30.0, size=n)
+        rope = RopeInterval(0.01)
+        counts = {"left": 0, "rope": 0, "right": 0}
+        for d0, s0, v in zip(delta0, sigma0, nu):
+            counts[verdict_of(*region_probs(float(d0), float(s0), float(v), rope))] += 1
+        triple = tally(synthetic_chains(delta0, sigma0, nu), rope)
+        assert triple == DecisionTriple(
+            n_left=counts["left"], n_rope=counts["rope"], n_right=counts["right"]
+        )
+        assert min(counts.values()) > 0
 
 
 class TestTtestTriple:

@@ -171,9 +171,6 @@ class TestFitBasics:
         # [-w/C, w/C].
         limit = post.config.delta0_prior_halfwidth / post.standardization_constant
         assert np.all(np.abs(post.delta0) <= limit)
-        pop = post.population_draws()
-        assert pop.shape == (3000, 3)
-        assert_allclose(pop[:, 0], post.delta0.reshape(-1))
 
     def test_deterministic_and_worker_invariant(self):
         series = generate(2, 2, 5, 0.0, 0.01, 5.0, 0.1, (0.01, 0.02), seed=2)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import bayescv.decision
 from bayescv.decision import DecisionTriple, RopeInterval, region_probs, verdict_of
 from bayescv.plotting import draws_to_points, points_from_triples, render_simplex_svg
 
@@ -15,11 +16,14 @@ def corner_points():
 
 
 class TestDrawsToPoints:
-    def test_matches_per_draw_classification(self):
+    def test_matches_per_draw_classification(self, monkeypatch):
+        # Blocks of 16 draws: n=200 spans twelve full blocks and a partial one.
+        monkeypatch.setattr(bayescv.decision, "_BLOCK", 16)
         rng = np.random.default_rng(7)
         n = 200
         delta0 = rng.normal(0.0, 1.5, size=n)
         sigma0 = rng.uniform(0.05, 2.0, size=n)
+        sigma0[::9] = 0.0
         nu = rng.uniform(1.0, 40.0, size=n)
         rope = RopeInterval(0.5)
 

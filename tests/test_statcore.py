@@ -132,13 +132,20 @@ class TestLogPdf:
 class TestBetainc:
     def test_matches_scipy(self):
         rng = np.random.default_rng(42)
+        cases = []
         for _ in range(300):
             a = float(rng.uniform(0.05, 40.0))
             b = float(rng.uniform(0.05, 40.0))
             x = float(rng.uniform(0.0, 1.0))
+            cases.append((a, b, x))
             assert_allclose(
                 betainc(a, b, x), scipy.special.betainc(a, b, x), atol=1e-12, rtol=1e-12
             )
+        # The same cases in one array call.
+        a, b, x = np.asarray(cases).T
+        assert_allclose(
+            betainc(a, b, x), scipy.special.betainc(a, b, x), atol=1e-12, rtol=1e-12
+        )
 
     def test_endpoints(self):
         assert betainc(2.0, 3.0, 0.0) == 0.0
