@@ -12,8 +12,10 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from contextlib import contextmanager
+from dataclasses import dataclass
+from itertools import combinations
 from pathlib import Path
 
 from . import __version__
@@ -34,8 +36,10 @@ from .metrics import read_corpus
 from .model import (
     RHAT_THRESHOLD,
     ModelConfig,
+    PosteriorChains,
     correlated_ttest,
     fit,
+    fit_many,
     read_chains_csv,
     unconverged,
     write_chain_metadata,
@@ -43,13 +47,21 @@ from .model import (
 )
 from .plotting import draws_to_points, points_from_triples, render_simplex_svg
 from .runner import DEFAULT_METRICS, run_external
-from .scores import ScoreMatrix, assemble_differences
+from .scores import DifferenceSeries, ScoreMatrix, assemble_differences
 from .splits import make_splits, read_plan, write_plan
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NOT_CONVERGED = 3
 EXIT_IO = 4
+
+# rank stacks up to this many pairs into one fit_many call. A sweep costs
+# about the same numpy overhead for one pair as for several, but every
+# stacked pair keeps its draws alive until the call returns. Ranking 4
+# systems on 3 data sets with the default sampler (2-core x86 machine):
+# 1 pair per call took 15.1 s at 44.6 MB peak RSS, 2 pairs 9.0 s at
+# 48.0 MB, 3 pairs 6.2 s at 51.3 MB, all 6 pairs 4.1 s at 61.6 MB.
+_PAIRS_PER_FIT = 2
 
 
 def _log(message: str) -> None:
@@ -145,7 +157,6 @@ def _add_compare_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--draws", type=int, default=12500, help="retained draws per chain")
     parser.add_argument("--warmup", type=int, default=2000)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--no-standardize", action="store_true")
     parser.add_argument("--sigma-bar-factor", type=float, default=1000.0)
     parser.add_argument("--delta0-halfwidth", type=float, default=1.0)
@@ -172,6 +183,18 @@ def cmd_split(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _round_progress() -> Callable[[int, int], None]:
+    """A run_external progress callback: done/total, elapsed and ETA on stderr."""
+    start = time.perf_counter()
+
+    def report(done: int, total: int) -> None:
+        elapsed = time.perf_counter() - start
+        eta = elapsed / done * (total - done)
+        _log(f"round {done}/{total}: {elapsed:.1f} s elapsed, eta {eta:.1f} s")
+
+    return report
+
+
 def cmd_score(args: argparse.Namespace) -> int:
     plan = read_plan(args.plan)
     corpus = read_corpus(args.corpus)
@@ -187,6 +210,7 @@ def cmd_score(args: argparse.Namespace) -> int:
         workers=args.workers,
         workdir=args.workdir,
         timeout=args.timeout,
+        progress=_round_progress(),
     )
     prefix = Path(args.out_prefix)
     scores_path = prefix.with_name(prefix.name + ".scores.csv")
@@ -234,15 +258,24 @@ def _resolve_rope(args: argparse.Namespace, series) -> tuple[RopeInterval, str]:
     return rope, "ci95:half-width-of-central-95%-interval-of-pooled-differences"
 
 
-def _compare_pair(
+@dataclass
+class _Pair:
+    """One comparison before its posterior exists: differences, rope, notes."""
+
+    system_a: str
+    system_b: str
+    series: list[DifferenceSeries]
+    rope: RopeInterval
+    notes: dict[str, str]
+
+
+def _setup_pair(
     scores: ScoreMatrix,
     system_a: str,
     system_b: str,
     args: argparse.Namespace,
-    outputs: dict[str, Path],
     manifest_path: Path,
-) -> tuple[ReportRow, bool]:
-    """Shared engine for compare and rank. Returns (row, converged)."""
+) -> _Pair:
     series = assemble_differences(scores, system_a, system_b, args.metric, rho=args.rho)
     rope, rope_mode = _resolve_rope(args, series)
     notes = {
@@ -254,14 +287,30 @@ def _compare_pair(
         "n_datasets": str(len(series)),
         "manifest": str(manifest_path),
     }
-    if len(series) == 1:
+    return _Pair(system_a, system_b, series, rope, notes)
+
+
+def _finish_pair(
+    pair: _Pair,
+    post: PosteriorChains | None,
+    args: argparse.Namespace,
+    outputs: dict[str, Path],
+    manifest_path: Path,
+) -> tuple[ReportRow, bool]:
+    """Shared tail of compare and rank. Returns (row, converged).
+
+    ``post`` is the hierarchical posterior, or None for a pair with a
+    single shared data set.
+    """
+    notes = pair.notes
+    if post is None:
         # A single shared data set cannot feed the hierarchical model;
         # fall back to the closed-form correlated t posterior and sample
         # the decision counters from it.
-        post_t = correlated_ttest(series[0])
+        post_t = correlated_ttest(pair.series[0])
         n_samples = args.chains * args.draws
         with _stage("tally"):
-            triple = ttest_triple(post_t, rope, n_samples=n_samples, seed=args.seed)
+            triple = ttest_triple(post_t, pair.rope, n_samples=n_samples, seed=args.seed)
         notes["method"] = "correlated_ttest"
         notes["ttest_location"] = repr(post_t.location)
         notes["ttest_scale"] = repr(post_t.scale)
@@ -270,11 +319,8 @@ def _compare_pair(
             write_kv(outputs["meta"], notes)
         converged = True
     else:
-        config = _model_config(args)
-        with _stage("fit"):
-            post = fit(series, config, workers=args.workers)
         with _stage("tally"):
-            triple = tally(post, rope)
+            triple = tally(post, pair.rope)
         notes["method"] = "hierarchical"
         notes["standardization_constant"] = repr(post.standardization_constant)
         if "chains" in outputs:
@@ -289,15 +335,15 @@ def _compare_pair(
                 for name in unconverged(post.diagnostics)
             )
             _log(
-                f"warning: chains did not converge for {system_a} vs {system_b} "
+                f"warning: chains did not converge for {pair.system_a} vs {pair.system_b} "
                 f"(R-hat above {RHAT_THRESHOLD} or undefined): {bad}"
             )
     row = ReportRow(
-        system_a=system_a,
-        system_b=system_b,
+        system_a=pair.system_a,
+        system_b=pair.system_b,
         metric=args.metric,
         triple=triple,
-        rope_halfwidth=rope.halfwidth,
+        rope_halfwidth=pair.rope.halfwidth,
     )
     return row, converged
 
@@ -317,13 +363,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
         list(args.scores),
     )
     write_manifest(manifest, manifest_path)
-    row, converged = _compare_pair(
-        scores,
-        args.system_a,
-        args.system_b,
-        args,
-        {"chains": chains_path, "meta": meta_path},
-        manifest_path,
+    pair = _setup_pair(scores, args.system_a, args.system_b, args, manifest_path)
+    post = None
+    if len(pair.series) > 1:
+        with _stage("fit"):
+            post = fit(pair.series, _model_config(args))
+    row, converged = _finish_pair(
+        pair, post, args, {"chains": chains_path, "meta": meta_path}, manifest_path
     )
     write_report_csv([row], report_path, manifest=str(manifest_path))
     t = row.triple
@@ -335,6 +381,21 @@ def cmd_compare(args: argparse.Namespace) -> int:
     _log(f"report: {report_path}")
     print(manifest_path)
     return EXIT_OK if converged else EXIT_NOT_CONVERGED
+
+
+def _fit_pairs(
+    pairs: list[_Pair], args: argparse.Namespace, manifest_path: Path
+) -> list[tuple[ReportRow, bool]]:
+    """Fit hierarchical pairs of one size in lockstep and finish each.
+
+    The posteriors die with this call, so a batch's draws are freed
+    before the next batch is fitted.
+    """
+    with _stage("fit"):
+        posts = fit_many([pair.series for pair in pairs], _model_config(args))
+    return [
+        _finish_pair(pair, post, args, {}, manifest_path) for pair, post in zip(pairs, posts)
+    ]
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
@@ -354,22 +415,37 @@ def cmd_rank(args: argparse.Namespace) -> int:
         "rank", args.seed, _echo_flags(args, {}), list(args.scores)
     )
     write_manifest(manifest, manifest_path)
+    pairs = [
+        _setup_pair(scores, system_a, system_b, args, manifest_path)
+        for system_a, system_b in combinations(systems, 2)
+    ]
+    # Hierarchical pairs with the same number of shared data sets are
+    # fitted in lockstep, _PAIRS_PER_FIT at a time; every pair uses the
+    # same seed, so its draws do not depend on its neighbours.
+    by_size: dict[int, list[int]] = {}
+    for i, pair in enumerate(pairs):
+        if len(pair.series) > 1:
+            by_size.setdefault(len(pair.series), []).append(i)
+    fitted: list[tuple[ReportRow, bool] | None] = [None] * len(pairs)
+    for indices in by_size.values():
+        for start in range(0, len(indices), _PAIRS_PER_FIT):
+            batch = indices[start : start + _PAIRS_PER_FIT]
+            for i, done in zip(batch, _fit_pairs([pairs[i] for i in batch], args, manifest_path)):
+                fitted[i] = done
+
     rows: list[ReportRow] = []
     verdicts: dict[tuple[str, str], DecisionTriple] = {}
     all_converged = True
-    for i, system_a in enumerate(systems):
-        for system_b in systems[i + 1 :]:
-            row, converged = _compare_pair(
-                scores, system_a, system_b, args, {}, manifest_path
-            )
-            rows.append(row)
-            verdicts[(system_a, system_b)] = row.triple
-            all_converged = all_converged and converged
-            t = row.triple
-            _log(
-                f"{system_a} vs {system_b}: {t.p_left:.3f}/{t.p_rope:.3f}/{t.p_right:.3f} "
-                f"-> {t.verdict}"
-            )
+    for pair, done in zip(pairs, fitted):
+        row, converged = done or _finish_pair(pair, None, args, {}, manifest_path)
+        rows.append(row)
+        verdicts[(pair.system_a, pair.system_b)] = row.triple
+        all_converged = all_converged and converged
+        t = row.triple
+        _log(
+            f"{pair.system_a} vs {pair.system_b}: "
+            f"{t.p_left:.3f}/{t.p_rope:.3f}/{t.p_right:.3f} -> {t.verdict}"
+        )
     write_report_csv(rows, pairs_path, manifest=str(manifest_path))
     result = rank(verdicts)
     lines = [f"# manifest: {manifest_path}"]
@@ -470,7 +546,6 @@ def _echo_flags(args: argparse.Namespace, extra: dict[str, object]) -> dict[str,
         "chains": args.chains,
         "draws": args.draws,
         "warmup": args.warmup,
-        "workers": args.workers,
         "standardize": not args.no_standardize,
         "sigma_bar_factor": args.sigma_bar_factor,
         "delta0_halfwidth": args.delta0_halfwidth,

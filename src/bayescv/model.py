@@ -8,11 +8,15 @@ sigma0, and dof nu; each sigma_i has a uniform prior up to a multiple of
 the observed spread, delta0 has a wide uniform prior, and nu has a Gamma
 prior truncated to nu >= 1.
 
-Inference is adaptive random-walk Metropolis within Gibbs: one scalar
-update per parameter per sweep, log-scale proposals (with the Jacobian
+Inference is adaptive random-walk Metropolis within Gibbs: one update
+per parameter per sweep, log-scale proposals (with the Jacobian
 correction) for the positive parameters, and Robbins-Monro step-size
 adaptation toward 0.44 acceptance during warmup only, so the kept draws
-come from a fixed kernel.
+come from a fixed kernel. All chains, and with ``fit_many`` several
+problems of the same size, run in lockstep in one process: each sweep
+updates delta0, sigma0 and nu of every chain as one array operation,
+then every delta_i of every chain at once (they are conditionally
+independent given the population parameters), then every sigma_i.
 
 For a single data set the posterior of the mean difference is available
 in closed form as a Student t; ``correlated_ttest`` returns it directly.
@@ -24,7 +28,6 @@ import csv
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -42,6 +45,7 @@ __all__ = [
     "PosteriorChains",
     "TTestPosterior",
     "fit",
+    "fit_many",
     "generate",
     "correlated_ttest",
     "write_chains_csv",
@@ -110,6 +114,9 @@ class PosteriorChains:
     have shape (chains, draws, q) in ``dataset_ids`` order. All values are
     on the standardized scale; multiply locations and scales by
     ``standardization_constant`` to return to raw score differences.
+    ``acceptance`` is each parameter's acceptance rate over the kept
+    draws of all chains, ``step_size`` its final adapted proposal scale
+    averaged over chains.
     """
 
     dataset_ids: tuple[str, ...]
@@ -122,6 +129,8 @@ class PosteriorChains:
     config: ModelConfig
     diagnostics: dict[str, ParameterDiagnostics] = field(default_factory=dict)
     converged: bool = True
+    acceptance: dict[str, float] = field(default_factory=dict)
+    step_size: dict[str, float] = field(default_factory=dict)
 
     @property
     def n_chains(self) -> int:
@@ -240,214 +249,32 @@ def generate(
     return out
 
 
-def _t_sum(deltas: list[float], d0: float, s0: float, nu: float) -> float:
-    """Sum of t log densities of the per-dataset means under the population."""
-    half = 0.5 * (nu + 1.0)
-    const = (
-        math.lgamma(half)
-        - math.lgamma(0.5 * nu)
-        - 0.5 * math.log(nu * math.pi)
-        - math.log(s0)
-    )
-    inv = 1.0 / (nu * s0 * s0)
-    total = len(deltas) * const
-    for d in deltas:
-        r = d - d0
-        total -= half * math.log1p(r * r * inv)
-    return total
+@dataclass(frozen=True)
+class _Problem:
+    """Constants of one fit: the sufficient statistics and prior bounds.
 
-
-def _run_chain(
-    chain_index: int,
-    seed: int,
-    warmup: int,
-    keep: int,
-    stats: tuple[tuple[float, float, float, float, float], ...],
-    sigma_lo: tuple[float, ...],
-    sigma_hi: tuple[float, ...],
-    sigma_init: tuple[float, ...],
-    sigma0_lo: float,
-    sigma0_hi: float,
-    halfwidth: float,
-    nu_shape: float,
-    nu_rate: float,
-) -> dict[str, np.ndarray]:
-    """One chain of the Metropolis-within-Gibbs sampler. Picklable on purpose."""
-    rng = rng_fork(seed, chain_index)
-    q = len(stats)
-    ns = [s[0] for s in stats]
-    means = [s[1] for s in stats]
-    ssdevs = [s[2] for s in stats]
-    c1s = [s[3] for s in stats]
-    c2s = [s[4] for s in stats]
-
-    # Initialize at data-informed values with mild per-chain jitter, so
-    # chains start overdispersed but never far from the posterior bulk
-    # (important for degenerate series whose scales sit at the floor).
-    deltas = [
-        means[i] + 0.3 * sigma_init[i] / math.sqrt(ns[i]) * rng.standard_normal()
-        for i in range(q)
-    ]
-    sigmas = [
-        min(max(sigma_init[i] * math.exp(0.3 * rng.standard_normal()), sigma_lo[i] * 1.001),
-            sigma_hi[i] * 0.999)
-        for i in range(q)
-    ]
-    pooled_mean = sum(means) / q
-    spread = math.sqrt(sum((mu - pooled_mean) ** 2 for mu in means) / max(q - 1, 1))
-    delta0 = pooled_mean + 0.3 * max(spread, 3.0 * sigma0_lo) * rng.standard_normal()
-    delta0 = min(max(delta0, -halfwidth), halfwidth)
-    sigma0 = max(spread, 3.0 * sigma0_lo) * math.exp(0.3 * rng.standard_normal())
-    sigma0 = min(max(sigma0, sigma0_lo * 1.001), sigma0_hi * 0.999)
-    nu = math.exp(rng.uniform(math.log(2.0), math.log(10.0)))
-
-    log_steps = [math.log(max(spread, 3.0 * sigma0_lo)), math.log(0.5), math.log(0.5)]
-    log_steps += [
-        math.log(2.4 * sigmas[i] * math.sqrt(c1s[i] / ns[i])) for i in range(q)
-    ]
-    log_steps += [math.log(2.4 / math.sqrt(2.0 * ns[i])) for i in range(q)]
-    n_params = 3 + 2 * q
-
-    out_delta0 = np.empty(keep)
-    out_sigma0 = np.empty(keep)
-    out_nu = np.empty(keep)
-    out_deltas = np.empty((keep, q))
-    out_sigmas = np.empty((keep, q))
-
-    log1p = math.log1p
-    exp = math.exp
-    total = warmup + keep
-    for t in range(1, total + 1):
-        z = rng.standard_normal(n_params)
-        u = rng.random(n_params)
-        gamma = (t + 20.0) ** -0.6 if t <= warmup else 0.0
-
-        half = 0.5 * (nu + 1.0)
-        inv = 1.0 / (nu * sigma0 * sigma0)
-
-        # delta0: flat prior on [-halfwidth, halfwidth]
-        step = exp(log_steps[0])
-        prop = delta0 + step * z[0]
-        alpha = 0.0
-        if -halfwidth <= prop <= halfwidth:
-            logr = 0.0
-            for d in deltas:
-                rp = d - prop
-                rc = d - delta0
-                logr -= half * (log1p(rp * rp * inv) - log1p(rc * rc * inv))
-            alpha = 1.0 if logr >= 0.0 else exp(logr)
-            if u[0] < alpha:
-                delta0 = prop
-        if gamma:
-            log_steps[0] += gamma * (alpha - _ADAPT_TARGET)
-
-        # sigma0: uniform prior, log-scale walk with Jacobian
-        step = exp(log_steps[1])
-        dl = step * z[1]
-        prop = sigma0 * exp(dl)
-        alpha = 0.0
-        if sigma0_lo < prop < sigma0_hi:
-            inv_p = 1.0 / (nu * prop * prop)
-            logr = -(q - 1) * dl
-            for d in deltas:
-                r2 = (d - delta0) ** 2
-                logr += half * (log1p(r2 * inv) - log1p(r2 * inv_p))
-            alpha = 1.0 if logr >= 0.0 else exp(logr)
-            if u[1] < alpha:
-                sigma0 = prop
-                inv = inv_p
-        if gamma:
-            log_steps[1] += gamma * (alpha - _ADAPT_TARGET)
-
-        # nu: Gamma(shape, rate) prior truncated at 1, log-scale walk
-        step = exp(log_steps[2])
-        dl = step * z[2]
-        prop = nu * exp(dl)
-        alpha = 0.0
-        if prop >= 1.0:
-            logr = (
-                _t_sum(deltas, delta0, sigma0, prop)
-                - _t_sum(deltas, delta0, sigma0, nu)
-                + nu_shape * dl
-                - nu_rate * (prop - nu)
-            )
-            alpha = 1.0 if logr >= 0.0 else exp(logr)
-            if u[2] < alpha:
-                nu = prop
-                half = 0.5 * (nu + 1.0)
-                inv = 1.0 / (nu * sigma0 * sigma0)
-        if gamma:
-            log_steps[2] += gamma * (alpha - _ADAPT_TARGET)
-
-        # per-dataset means
-        for i in range(q):
-            step = exp(log_steps[3 + i])
-            d_cur = deltas[i]
-            prop = d_cur + step * z[3 + i]
-            a_lik = ns[i] / (2.0 * c1s[i] * sigmas[i] * sigmas[i])
-            rp = means[i] - prop
-            rc = means[i] - d_cur
-            rp0 = prop - delta0
-            rc0 = d_cur - delta0
-            logr = -a_lik * (rp * rp - rc * rc) - half * (
-                log1p(rp0 * rp0 * inv) - log1p(rc0 * rc0 * inv)
-            )
-            alpha = 1.0 if logr >= 0.0 else exp(logr)
-            if u[3 + i] < alpha:
-                deltas[i] = prop
-            if gamma:
-                log_steps[3 + i] += gamma * (alpha - _ADAPT_TARGET)
-
-        # per-dataset scales
-        for i in range(q):
-            j = 3 + q + i
-            step = exp(log_steps[j])
-            dl = step * z[j]
-            s_cur = sigmas[i]
-            prop = s_cur * exp(dl)
-            alpha = 0.0
-            if sigma_lo[i] < prop < sigma_hi[i]:
-                r = means[i] - deltas[i]
-                a_quad = ns[i] * r * r / c1s[i] + ssdevs[i] / c2s[i]
-                logr = -(ns[i] - 1.0) * dl - 0.5 * a_quad * (
-                    1.0 / (prop * prop) - 1.0 / (s_cur * s_cur)
-                )
-                alpha = 1.0 if logr >= 0.0 else exp(logr)
-                if u[j] < alpha:
-                    sigmas[i] = prop
-            if gamma:
-                log_steps[j] += gamma * (alpha - _ADAPT_TARGET)
-
-        if t > warmup:
-            row = t - warmup - 1
-            out_delta0[row] = delta0
-            out_sigma0[row] = sigma0
-            out_nu[row] = nu
-            for i in range(q):
-                out_deltas[row, i] = deltas[i]
-                out_sigmas[row, i] = sigmas[i]
-
-    return {
-        "delta0": out_delta0,
-        "sigma0": out_sigma0,
-        "nu": out_nu,
-        "deltas": out_deltas,
-        "sigmas": out_sigmas,
-    }
-
-
-def fit(
-    series: list[DifferenceSeries], config: ModelConfig = ModelConfig(), workers: int = 1
-) -> PosteriorChains:
-    """Sample the joint posterior for two or more data sets.
-
-    Raises TooFewDatasets for fewer than two series (use correlated_ttest
-    there). When standardization is on, all differences are divided by the
-    mean per-dataset standard deviation before sampling; the constant is
-    recorded on the result. Chains can run in separate processes with
-    ``workers > 1``; results are merged in chain order, so the draws do
-    not depend on the worker count.
+    Per-dataset tuples run in ``ids`` order. ``stats`` holds (n, mean,
+    sum of squared deviations, 1 + (n-1) rho, 1 - rho) on the
+    standardized scale. ``pooled_mean`` and ``spread`` (the spread of the
+    dataset means, at least 3 * sigma0_lo) center and scale the initial
+    delta0 and sigma0.
     """
+
+    ids: tuple[str, ...]
+    constant: float
+    stats: tuple[tuple[float, float, float, float, float], ...]
+    sigma_lo: tuple[float, ...]
+    sigma_hi: tuple[float, ...]
+    sigma_init: tuple[float, ...]
+    sigma0_lo: float
+    sigma0_hi: float
+    halfwidth: float
+    pooled_mean: float
+    spread: float
+
+
+def _prepare(series: list[DifferenceSeries], config: ModelConfig) -> _Problem:
+    """Validate one problem's series and compute its sampler constants."""
     q = len(series)
     if q < 2:
         raise TooFewDatasets(
@@ -457,8 +284,6 @@ def fit(
     ids = tuple(s.dataset_id for s in series)
     if len(set(ids)) != q:
         raise ValueError("dataset ids must be unique")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
 
     raw_stds = [float(s.x.std(ddof=1)) if s.n > 1 else 0.0 for s in series]
     constant = 1.0
@@ -490,59 +315,305 @@ def fit(
         scale_ref = max((abs(st[1]) for st in stats), default=0.0) or 1.0
     s_eff = [s if s > 0.0 else _ZERO_SPREAD_REL * scale_ref for s in stds]
     sigma_lo = tuple(_SIGMA_FLOOR_REL * s for s in s_eff)
-    sigma_hi = tuple(config.sigma_bar_factor * s for s in s_eff)
-    sigma_init = tuple(
-        stds[i] if stds[i] > 0.0 else 3.0 * sigma_lo[i] for i in range(q)
-    )
     pooled = sum(s_eff) / q
     sigma0_lo = _SIGMA_FLOOR_REL * pooled
-    sigma0_hi = config.sigma_bar_factor * pooled
-    nu_shape, nu_rate = config.nu_prior
-    # The delta0 box prior is meant in raw score units (differences of
-    # [0, 1] metrics can never leave [-1, 1]), so it shrinks together
-    # with the data under standardization.
-    halfwidth = config.delta0_prior_halfwidth / constant
-
-    args = [
-        (
-            c,
-            config.seed,
-            config.warmup,
-            config.samples_per_chain,
-            tuple(stats),
-            sigma_lo,
-            sigma_hi,
-            sigma_init,
-            sigma0_lo,
-            sigma0_hi,
-            halfwidth,
-            nu_shape,
-            nu_rate,
-        )
-        for c in range(config.chains)
-    ]
-    if workers == 1 or config.chains == 1:
-        results = [_run_chain(*a) for a in args]
-    else:
-        with ProcessPoolExecutor(max_workers=min(workers, config.chains)) as pool:
-            results = list(pool.map(_run_chain, *zip(*args)))
-
-    post = PosteriorChains(
-        dataset_ids=ids,
-        delta0=np.stack([r["delta0"] for r in results]),
-        sigma0=np.stack([r["sigma0"] for r in results]),
-        nu=np.stack([r["nu"] for r in results]),
-        deltas=np.stack([r["deltas"] for r in results]),
-        sigmas=np.stack([r["sigmas"] for r in results]),
-        standardization_constant=constant,
-        config=config,
+    means = [st[1] for st in stats]
+    pooled_mean = sum(means) / q
+    spread = math.sqrt(sum((mu - pooled_mean) ** 2 for mu in means) / max(q - 1, 1))
+    return _Problem(
+        ids=ids,
+        constant=constant,
+        stats=tuple(stats),
+        sigma_lo=sigma_lo,
+        sigma_hi=tuple(config.sigma_bar_factor * s for s in s_eff),
+        sigma_init=tuple(
+            stds[i] if stds[i] > 0.0 else 3.0 * sigma_lo[i] for i in range(q)
+        ),
+        sigma0_lo=sigma0_lo,
+        sigma0_hi=config.sigma_bar_factor * pooled,
+        # The delta0 box prior is meant in raw score units (differences of
+        # [0, 1] metrics can never leave [-1, 1]), so it shrinks together
+        # with the data under standardization.
+        halfwidth=config.delta0_prior_halfwidth / constant,
+        pooled_mean=pooled_mean,
+        spread=max(spread, 3.0 * sigma0_lo),
     )
-    diags: dict[str, ParameterDiagnostics] = {}
-    for name in post.parameter_names():
-        diags[name] = diagnose(post.draws_of(name))
-    post.diagnostics = diags
-    post.converged = not unconverged(diags)
-    return post
+
+
+def _t_log_norm(nu: np.ndarray) -> np.ndarray:
+    """Per lane, log of the Student t normalizing constant at unit scale.
+
+    The same value as ``t_logpdf(0.0, StudentT(0.0, 1.0, nu))``, without
+    building a StudentT per lane on every sweep.
+    """
+    values = [
+        math.lgamma(0.5 * (v + 1.0)) - math.lgamma(0.5 * v) - 0.5 * math.log(v * math.pi)
+        for v in nu.ravel().tolist()
+    ]
+    return np.array(values).reshape(nu.shape)
+
+
+@dataclass
+class _Run:
+    """What the lockstep kernel returns."""
+
+    delta0: np.ndarray  # (problems, chains, draws)
+    sigma0: np.ndarray
+    nu: np.ndarray
+    deltas: np.ndarray  # (problems, chains, draws, q)
+    sigmas: np.ndarray
+    accepted: np.ndarray  # (3 + 2q, problems, chains) accepts over the kept draws
+    log_steps: np.ndarray  # (3 + 2q, problems, chains) final adapted log scales
+
+
+# exp(steps * z) is taken for every parameter, though only the scale
+# proposals use it; a scale proposal that overflows lands outside its box.
+# A uniform variate of exactly 0 has log -inf, which accepts as u < alpha
+# would.
+@np.errstate(over="ignore", divide="ignore")
+def _lockstep(problems: list[_Problem], config: ModelConfig) -> _Run:
+    """Every chain of every problem, updated together one sweep at a time.
+
+    A lane is one chain of one problem. The population parameters are
+    arrays of shape (problems, chains), the per-dataset means and scales
+    arrays of shape (q, problems, chains), and per-parameter bookkeeping
+    (steps, log acceptance ratios, accepts) arrays of shape
+    (3 + 2q, problems, chains) in ``parameter_names`` order. Given the
+    population parameters the delta_i are conditionally independent, and
+    so are the sigma_i, so each block is one Metropolis update over its
+    whole array; the sweep order (delta0, sigma0, nu, all delta_i, all
+    sigma_i) is the scalar Gibbs order. A proposal is accepted when
+    log(u) < log(ratio), the same test as u < min(1, ratio).
+
+    Chain c draws from ``rng_fork(seed, c)``, one standard_normal(3 + 2q)
+    then one random(3 + 2q) per sweep. All problems share the seed, so
+    lanes with the same chain index use the same variates, and each
+    problem's draws do not depend on which other problems run beside it.
+    """
+    chains, warmup, keep = config.chains, config.warmup, config.samples_per_chain
+    nu_shape, nu_rate = config.nu_prior
+    q = len(problems[0].ids)
+    n_params = 3 + 2 * q
+    lanes = (len(problems), chains)
+
+    def spread_over_lanes(values: list) -> np.ndarray:
+        """Per-problem scalars to (problems, chains); per-problem q-vectors
+        to (q, problems, chains)."""
+        a = np.asarray(values, dtype=float)
+        a = a[:, None] if a.ndim == 1 else a.T[:, :, None]
+        return np.broadcast_to(a, a.shape[:-1] + (chains,)).copy()
+
+    ns, means, ssdevs, c1s, c2s = (
+        spread_over_lanes([[s[j] for s in p.stats] for p in problems]) for j in range(5)
+    )
+    sigma_lo, sigma_hi, sigma_init, sigma0_lo, sigma0_hi, halfwidth, pooled_mean, spread = (
+        spread_over_lanes([getattr(p, name) for p in problems])
+        for name in (
+            "sigma_lo", "sigma_hi", "sigma_init", "sigma0_lo", "sigma0_hi",
+            "halfwidth", "pooled_mean", "spread",
+        )
+    )
+
+    # Initialize at data-informed values with mild per-chain jitter, so
+    # chains start overdispersed but never far from the posterior bulk
+    # (important for degenerate series whose scales sit at the floor).
+    rngs = [rng_fork(config.seed, c) for c in range(chains)]
+    z0 = np.array([rng.standard_normal(2 * q + 2) for rng in rngs]).T
+    nu0 = np.array([rng.uniform(math.log(2.0), math.log(10.0)) for rng in rngs])
+    deltas = means + 0.3 * sigma_init / np.sqrt(ns) * z0[:q, None, :]
+    sigmas = np.minimum(
+        np.maximum(sigma_init * np.exp(0.3 * z0[q : 2 * q, None, :]), sigma_lo * 1.001),
+        sigma_hi * 0.999,
+    )
+    delta0 = np.clip(pooled_mean + 0.3 * spread * z0[2 * q], -halfwidth, halfwidth)
+    sigma0 = np.clip(
+        spread * np.exp(0.3 * z0[2 * q + 1]), sigma0_lo * 1.001, sigma0_hi * 0.999
+    )
+    nu = np.broadcast_to(np.exp(nu0), lanes).copy()
+
+    log_steps = np.empty((n_params,) + lanes)
+    log_steps[0] = np.log(spread)
+    log_steps[1:3] = math.log(0.5)
+    log_steps[3 : 3 + q] = np.log(2.4 * sigmas * np.sqrt(c1s / ns))
+    log_steps[3 + q :] = np.log(2.4 / np.sqrt(2.0 * ns))
+    steps = np.exp(log_steps)
+
+    out = _Run(
+        delta0=np.empty(lanes + (keep,)),
+        sigma0=np.empty(lanes + (keep,)),
+        nu=np.empty(lanes + (keep,)),
+        deltas=np.empty(lanes + (keep, q)),
+        sigmas=np.empty(lanes + (keep, q)),
+        accepted=np.zeros((n_params,) + lanes, dtype=np.int64),
+        log_steps=log_steps,
+    )
+
+    # Row c of z and u holds chain c's variates of the sweep; their
+    # transposes broadcast over the problem axis.
+    z = np.empty((chains, n_params))
+    u = np.empty((chains, n_params))
+    z_t, u_t = z.T[:, None, :], u.T[:, None, :]
+    log_u = np.empty((n_params,) + lanes)
+    logr = np.empty((n_params,) + lanes)
+    accept = np.empty((n_params,) + lanes, dtype=bool)
+    blk_d, blk_s = slice(3, 3 + q), slice(3 + q, n_params)
+    two_c1s, ss_c2s, minus_n_minus_1 = 2.0 * c1s, ssdevs / c2s, -(ns - 1.0)
+
+    # Cached terms of the current state: half = (nu + 1) / 2,
+    # inv = 1 / (nu sigma0^2), log_norm = the t log normalizing constant
+    # of nu at unit scale, and lt[i] = log1p((delta_i - delta0)^2 inv).
+    half = 0.5 * (nu + 1.0)
+    inv = 1.0 / (nu * sigma0 * sigma0)
+    log_norm = _t_log_norm(nu)
+    lt = deltas - delta0
+    lt = np.log1p(lt * lt * inv)
+
+    for t in range(1, warmup + keep + 1):
+        for rng, z_c, u_c in zip(rngs, z, u):
+            rng.standard_normal(out=z_c)
+            rng.random(out=u_c)
+        dz = steps * z_t
+        edz = np.exp(dz)
+        np.log(u_t, out=log_u)
+
+        # delta0: flat prior on [-halfwidth, halfwidth]
+        prop = delta0 + dz[0]
+        r = deltas - prop
+        lp = np.log1p(r * r * inv)
+        np.multiply(half, (lt - lp).sum(axis=0), out=logr[0])
+        ok = _metropolis(logr[0], np.abs(prop) > halfwidth, log_u[0], accept[0])
+        np.copyto(delta0, prop, where=ok)
+        np.copyto(lt, lp, where=ok)
+
+        # sigma0: uniform prior, log-scale walk with Jacobian
+        prop = sigma0 * edz[1]
+        inv_p = 1.0 / (nu * prop * prop)
+        r2 = deltas - delta0
+        r2 *= r2
+        lp = np.log1p(r2 * inv_p)
+        np.subtract(half * (lt - lp).sum(axis=0), (q - 1) * dz[1], out=logr[1])
+        outside = (prop <= sigma0_lo) | (prop >= sigma0_hi)
+        ok = _metropolis(logr[1], outside, log_u[1], accept[1])
+        np.copyto(sigma0, prop, where=ok)
+        np.copyto(inv, inv_p, where=ok)
+        np.copyto(lt, lp, where=ok)
+
+        # nu: Gamma(shape, rate) prior truncated at 1, log-scale walk
+        prop = nu * edz[2]
+        half_p = 0.5 * (prop + 1.0)
+        inv_p = 1.0 / (prop * sigma0 * sigma0)
+        log_norm_p = _t_log_norm(prop)
+        lp = np.log1p(r2 * inv_p)
+        np.add(
+            q * (log_norm_p - log_norm) - (half_p * lp.sum(axis=0) - half * lt.sum(axis=0)),
+            nu_shape * dz[2] - nu_rate * (prop - nu),
+            out=logr[2],
+        )
+        ok = _metropolis(logr[2], prop < 1.0, log_u[2], accept[2])
+        np.copyto(nu, prop, where=ok)
+        np.copyto(half, half_p, where=ok)
+        np.copyto(inv, inv_p, where=ok)
+        np.copyto(log_norm, log_norm_p, where=ok)
+        np.copyto(lt, lp, where=ok)
+
+        # per-dataset means
+        prop = deltas + dz[blk_d]
+        rp = means - prop
+        rc = means - deltas
+        r = prop - delta0
+        lp = np.log1p(r * r * inv)
+        a_lik = ns / (two_c1s * sigmas * sigmas)
+        np.subtract(a_lik * (rc * rc - rp * rp), half * (lp - lt), out=logr[blk_d])
+        ok = np.less(log_u[blk_d], logr[blk_d], out=accept[blk_d])
+        np.copyto(deltas, prop, where=ok)
+        np.copyto(lt, lp, where=ok)
+
+        # per-dataset scales
+        prop = sigmas * edz[blk_s]
+        r = means - deltas
+        a_quad = ns * r * r / c1s + ss_c2s
+        np.subtract(
+            minus_n_minus_1 * dz[blk_s],
+            0.5 * a_quad * (1.0 / (prop * prop) - 1.0 / (sigmas * sigmas)),
+            out=logr[blk_s],
+        )
+        outside = (prop <= sigma_lo) | (prop >= sigma_hi)
+        ok = _metropolis(logr[blk_s], outside, log_u[blk_s], accept[blk_s])
+        np.copyto(sigmas, prop, where=ok)
+
+        if t <= warmup:
+            # Robbins-Monro step-size adaptation toward _ADAPT_TARGET.
+            alpha = np.exp(np.minimum(logr, 0.0))
+            log_steps += (t + 20.0) ** -0.6 * (alpha - _ADAPT_TARGET)
+            np.exp(log_steps, out=steps)
+        else:
+            row = t - warmup - 1
+            out.accepted += accept
+            out.delta0[..., row] = delta0
+            out.sigma0[..., row] = sigma0
+            out.nu[..., row] = nu
+            out.deltas[..., row, :] = deltas.transpose(1, 2, 0)
+            out.sigmas[..., row, :] = sigmas.transpose(1, 2, 0)
+    return out
+
+
+def _metropolis(
+    logr: np.ndarray, outside: np.ndarray, log_u: np.ndarray, accept: np.ndarray
+) -> np.ndarray:
+    """Sets logr to -inf where the proposal left the prior's support, then
+    writes ``accept = log_u < logr`` and returns it."""
+    np.copyto(logr, -np.inf, where=outside)
+    return np.less(log_u, logr, out=accept)
+
+
+def fit(series: list[DifferenceSeries], config: ModelConfig = ModelConfig()) -> PosteriorChains:
+    """Sample the joint posterior for two or more data sets.
+
+    Raises TooFewDatasets for fewer than two series (use correlated_ttest
+    there). When standardization is on, all differences are divided by the
+    mean per-dataset standard deviation before sampling; the constant is
+    recorded on the result.
+    """
+    return fit_many([series], config)[0]
+
+
+def fit_many(
+    problems: list[list[DifferenceSeries]], config: ModelConfig = ModelConfig()
+) -> list[PosteriorChains]:
+    """``fit`` for several problems at once, all chains in one lockstep kernel.
+
+    Every problem must have the same number of data sets. Each result is
+    the one ``fit`` gives for that problem alone, up to float rounding.
+    """
+    prepared = [_prepare(series, config) for series in problems]
+    sizes = sorted({len(p.ids) for p in prepared})
+    if len(sizes) > 1:
+        raise ValueError(f"fit_many needs problems with equal numbers of data sets, got {sizes}")
+    if not prepared:
+        return []
+    run = _lockstep(prepared, config)
+    draws = config.chains * config.samples_per_chain
+    results = []
+    for b, problem in enumerate(prepared):
+        post = PosteriorChains(
+            dataset_ids=problem.ids,
+            delta0=run.delta0[b],
+            sigma0=run.sigma0[b],
+            nu=run.nu[b],
+            deltas=run.deltas[b],
+            sigmas=run.sigmas[b],
+            standardization_constant=problem.constant,
+            config=config,
+        )
+        names = post.parameter_names()
+        post.diagnostics = {name: diagnose(post.draws_of(name)) for name in names}
+        post.converged = not unconverged(post.diagnostics)
+        accepted = run.accepted[:, b].sum(axis=1) / draws
+        steps = np.exp(run.log_steps[:, b]).mean(axis=1)
+        post.acceptance = {name: float(a) for name, a in zip(names, accepted)}
+        post.step_size = {name: float(s) for name, s in zip(names, steps)}
+        results.append(post)
+    return results
 
 
 def unconverged(diagnostics: dict[str, ParameterDiagnostics]) -> list[str]:
@@ -646,6 +717,9 @@ def write_chain_metadata(post: PosteriorChains, path: str | Path, extra: dict[st
     for name, diag in post.diagnostics.items():
         lines[f"r_hat[{name}]"] = repr(float(diag.r_hat))
         lines[f"ess[{name}]"] = repr(float(diag.ess))
+    for name, rate in post.acceptance.items():
+        lines[f"accept[{name}]"] = repr(rate)
+        lines[f"step[{name}]"] = repr(post.step_size[name])
     if extra:
         lines.update(extra)
     write_kv(path, lines)

@@ -16,7 +16,7 @@ import subprocess
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import CommandFailed, NoOovTokens, OutputUnreadable, ShapeMismatch, TokenMismatch
 from .metrics import (
@@ -126,6 +126,7 @@ def run_external(
     workers: int = 1,
     workdir: str | Path | None = None,
     timeout: float | None = None,
+    progress: Callable[[int, int], None] | None = None,
 ) -> ScoreMatrix:
     """Run a command over every (repetition, fold) round and score it.
 
@@ -135,7 +136,9 @@ def run_external(
     a private directory (a temporary one unless ``workdir`` is given, in
     which case files are kept under ``workdir/repNNN_foldNNN``). The
     result always contains one row per metric per round; an undefined
-    out-of-vocabulary accuracy is stored as None.
+    out-of-vocabulary accuracy is stored as None. ``progress``, if given,
+    is called as ``progress(done, total)`` after each round, in round
+    order, from the calling thread.
     """
     if corpus.n_sentences != plan.n_items:
         raise ValueError(
@@ -158,13 +161,19 @@ def run_external(
         )
 
     results: dict[tuple[int, int], dict[str, float | None]] = {}
+
+    def record(job: tuple[int, int], scored: dict[str, float | None]) -> None:
+        results[job] = scored
+        if progress is not None:
+            progress(len(results), len(jobs))
+
     if workers == 1:
         for job in jobs:
-            results[job] = work(job)[1]
+            record(*work(job))
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             for job, scored in pool.map(work, jobs):
-                results[job] = scored
+                record(job, scored)
 
     matrix = ScoreMatrix()
     for rep, fold in jobs:

@@ -332,14 +332,14 @@ def test_acceptance_8_scale_invariance():
         delta0=0.012, sigma0=0.004, nu=8.0, rho=0.1,
         sigma_range=(0.005, 0.015), seed=3030,
     )
-    post = fit(series, config=config, workers=4)
+    post = fit(series, config=config)
     triple = tally(post, RopeInterval(0.01))
 
     scaled = [
         DifferenceSeries(dataset_id=s.dataset_id, x=s.x * 10.0, rho=s.rho, n=s.n, m=s.m, k=s.k)
         for s in series
     ]
-    post10 = fit(scaled, config=config, workers=4)
+    post10 = fit(scaled, config=config)
     triple10 = tally(post10, RopeInterval(0.10))
 
     assert post.converged and post10.converged

