@@ -7,7 +7,8 @@ hold one token per line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import eq
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -36,20 +37,35 @@ def _check_field(value: str, what: str) -> None:
 
 @dataclass(frozen=True)
 class Sentence:
-    """One sentence: parallel tuples of tokens and tags, never empty."""
+    """One sentence: parallel tuples of tokens and tags, never empty.
+
+    ``text`` is the sentence in the file format, ending with its blank
+    line. It is rendered once, when the sentence is built, so every
+    subset that shares the sentence writes it without rendering it again.
+    """
 
     tokens: tuple[str, ...]
     tags: tuple[str, ...]
+    text: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.tokens) == 0:
             raise ValueError("a sentence needs at least one token")
         if len(self.tokens) != len(self.tags):
             raise ValueError(f"{len(self.tokens)} tokens but {len(self.tags)} tags")
-        for tok in self.tokens:
-            _check_field(tok, "token")
-        for tag in self.tags:
-            _check_field(tag, "tag")
+        # One scan of the joined fields; the per-field loop runs only to
+        # name the first bad field.
+        joined = "".join(self.tokens + self.tags)
+        if not (all(self.tokens) and all(self.tags)) or "\t" in joined or "\n" in joined:
+            for tok in self.tokens:
+                _check_field(tok, "token")
+            for tag in self.tags:
+                _check_field(tag, "tag")
+        # Token, tab, tag, newline per line, filled by two slice copies.
+        cells = ["", "\t", "", "\n"] * len(self.tokens)
+        cells[0::4] = self.tokens
+        cells[2::4] = self.tags
+        object.__setattr__(self, "text", "".join(cells) + "\n")
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -99,11 +115,7 @@ class Vocabulary:
 
     @classmethod
     def from_corpus(cls, *corpora: TaggedCorpus) -> "Vocabulary":
-        seen: set[str] = set()
-        for corpus in corpora:
-            for sent in corpus.sentences:
-                seen.update(sent.tokens)
-        return cls(frozenset(seen))
+        return cls(frozenset().union(*[sent.tokens for corpus in corpora for sent in corpus.sentences]))
 
     def __contains__(self, token: str) -> bool:
         return token in self.tokens
@@ -118,9 +130,9 @@ def _check_aligned(gold: TaggedCorpus, predicted: TaggedCorpus) -> None:
             f"gold has {gold.n_sentences} sentences, prediction has {predicted.n_sentences}"
         )
     for idx, (g, p) in enumerate(zip(gold.sentences, predicted.sentences)):
-        if len(g) != len(p):
-            raise ShapeMismatch(f"sentence {idx}: gold has {len(g)} tokens, prediction has {len(p)}")
         if g.tokens != p.tokens:
+            if len(g) != len(p):
+                raise ShapeMismatch(f"sentence {idx}: gold has {len(g)} tokens, prediction has {len(p)}")
             raise TokenMismatch(f"sentence {idx}: tokens differ between gold and prediction")
 
 
@@ -129,7 +141,7 @@ def token_accuracy(gold: TaggedCorpus, predicted: TaggedCorpus) -> float:
     _check_aligned(gold, predicted)
     correct = 0
     for g, p in zip(gold.sentences, predicted.sentences):
-        correct += sum(gt == pt for gt, pt in zip(g.tags, p.tags))
+        correct += sum(map(eq, g.tags, p.tags))
     return correct / gold.n_tokens
 
 
@@ -147,11 +159,12 @@ def oov_accuracy(vocabulary: Vocabulary, gold: TaggedCorpus, predicted: TaggedCo
     metric has no defined value there.
     """
     _check_aligned(gold, predicted)
+    known = vocabulary.tokens
     correct = 0
     total = 0
     for g, p in zip(gold.sentences, predicted.sentences):
         for tok, gt, pt in zip(g.tokens, g.tags, p.tags):
-            if tok not in vocabulary:
+            if tok not in known:
                 total += 1
                 correct += gt == pt
     if total == 0:
@@ -186,12 +199,8 @@ def read_corpus(path: str | Path) -> TaggedCorpus:
 
 
 def write_corpus(corpus: TaggedCorpus, path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as handle:
-        for sent in corpus.sentences:
-            for tok, tag in zip(sent.tokens, sent.tags):
-                handle.write(f"{tok}\t{tag}\n")
-            handle.write("\n")
+    """Write the corpus in the file format, in one write."""
+    Path(path).write_text("".join([sent.text for sent in corpus.sentences]), encoding="utf-8")
 
 
 def read_vocabulary(path: str | Path) -> Vocabulary:

@@ -6,7 +6,9 @@ gold tags, so trivial commands like ``cp {test} {pred}`` work; a real
 system must ignore the tag column), and ``{pred}`` is where the command
 must write its tagged predictions in the same format and order. Only
 ``{test}`` and ``{pred}`` are mandatory; a no-training baseline can skip
-the rest.
+the rest. The template is split into arguments the way a POSIX shell
+would (``shlex.split``) before the paths go in, so a path with a space
+stays one argument.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ def _score_round(
     job: tuple[int, int],
     plan: SplitPlan,
     corpus: TaggedCorpus,
-    command_template: str,
+    arg_templates: Sequence[str],
     metrics: Sequence[str],
     oov_vocab: str,
     workdir: Path | None,
@@ -63,20 +65,20 @@ def _score_round(
         write_corpus(train, paths["train"])
         write_corpus(dev, paths["dev"])
         write_corpus(gold, paths["test"])
+        names = {k: str(v) for k, v in paths.items()}
         try:
-            command = command_template.format(**{k: str(v) for k, v in paths.items()})
+            argv = [arg.format(**names) for arg in arg_templates]
         except (KeyError, IndexError) as exc:
             raise ValueError(f"unknown placeholder in command template: {exc}") from exc
-        argv = shlex.split(command)
         try:
             proc = subprocess.run(argv, capture_output=True, text=True, timeout=timeout)
         except FileNotFoundError as exc:
             raise CommandFailed(f"round ({rep}, {fold}): cannot execute {argv[0]!r}: {exc}") from exc
         except subprocess.TimeoutExpired as exc:
-            raise CommandFailed(f"round ({rep}, {fold}): command timed out: {command}") from exc
+            raise CommandFailed(f"round ({rep}, {fold}): command timed out: {shlex.join(argv)}") from exc
         if proc.returncode != 0:
             raise CommandFailed(
-                f"round ({rep}, {fold}): command exited with {proc.returncode}: {command}",
+                f"round ({rep}, {fold}): command exited with {proc.returncode}: {shlex.join(argv)}",
                 returncode=proc.returncode,
                 stderr=proc.stderr[-2000:],
             )
@@ -152,12 +154,13 @@ def run_external(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     workdir_path = Path(workdir) if workdir is not None else None
+    arg_templates = shlex.split(command_template)
 
     jobs = [(rep, fold) for rep in range(plan.m) for fold in range(plan.k)]
 
     def work(job: tuple[int, int]) -> tuple[tuple[int, int], dict[str, float | None]]:
         return job, _score_round(
-            job, plan, corpus, command_template, metrics, oov_vocab, workdir_path, timeout
+            job, plan, corpus, arg_templates, metrics, oov_vocab, workdir_path, timeout
         )
 
     results: dict[tuple[int, int], dict[str, float | None]] = {}

@@ -1,6 +1,7 @@
 """Tagging metrics checked against hand counts and simple invariants."""
 
 import fractions
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -231,3 +232,82 @@ class TestCorpusIO:
             assert len(rare) == 1
             seen.update(rare)
         assert len(seen) == 200
+
+
+def reference_write(corpus, path):
+    """The line-by-line writer ``write_corpus`` must match byte for byte."""
+    with open(path, "w", encoding="utf-8") as handle:
+        for sent in corpus.sentences:
+            for tok, tag in zip(sent.tokens, sent.tags):
+                handle.write(f"{tok}\t{tag}\n")
+            handle.write("\n")
+
+
+NON_ASCII = corpus(
+    [("Größe", "NOUN"), ("ändert", "VERB"), ("sich", "PRON")],
+    [("東京", "PROPN"), ("に", "ADP"), ("行く", "VERB")],
+    [("naïve", "ADJ"), ("café", "NOUN"), ("😀", "SYM"), ("a b", "X")],
+)
+
+
+class TestWriterMatchesReference:
+    def assert_same_bytes(self, tmp_path, data):
+        write_corpus(data, tmp_path / "got.tsv")
+        reference_write(data, tmp_path / "want.tsv")
+        assert (tmp_path / "got.tsv").read_bytes() == (tmp_path / "want.tsv").read_bytes()
+
+    def test_fresh_corpus(self, tmp_path):
+        fresh = corpus(
+            [("the", "DET"), ("cat", "NOUN"), ("sat", "VERB")],
+            [("dogs", "NOUN"), ("bark", "VERB")],
+            [("one", "NUM")],
+        )
+        self.assert_same_bytes(tmp_path, fresh)
+
+    def test_second_write_of_the_same_corpus(self, tmp_path):
+        fresh = corpus([("a", "X"), ("b", "Y")], [("c", "Z")])
+        write_corpus(fresh, tmp_path / "first.tsv")
+        self.assert_same_bytes(tmp_path, fresh)
+        assert (tmp_path / "first.tsv").read_bytes() == (tmp_path / "got.tsv").read_bytes()
+
+    def test_subset(self, tmp_path):
+        fixture = read_corpus(Path(__file__).parent / "fixtures" / "toy_corpus.tsv")
+        write_corpus(fixture, tmp_path / "whole.tsv")
+        self.assert_same_bytes(tmp_path, fixture.subset([7, 3, 199, 3, 0]))
+
+    def test_non_ascii_tokens(self, tmp_path):
+        self.assert_same_bytes(tmp_path, NON_ASCII)
+        assert read_corpus(tmp_path / "got.tsv") == NON_ASCII
+
+    def test_fixture_file_rewritten_byte_for_byte(self, tmp_path):
+        fixture = Path(__file__).parent / "fixtures" / "toy_corpus.tsv"
+        write_corpus(read_corpus(fixture), tmp_path / "again.tsv")
+        assert (tmp_path / "again.tsv").read_bytes() == fixture.read_bytes()
+
+
+class TestSentenceErrorsName:
+    # The per-field loop the joined check stands in for.
+    @staticmethod
+    def reference_message(tokens, tags):
+        for value, what in [(t, "token") for t in tokens] + [(t, "tag") for t in tags]:
+            if not value:
+                return f"empty {what}"
+            if "\t" in value or "\n" in value:
+                return f"{what} {value!r} contains a tab or newline, which the file format cannot hold"
+        return None
+
+    @pytest.mark.parametrize(
+        "tokens, tags",
+        [
+            (("a", ""), ("X", "Y")),
+            (("a", "b"), ("X", "")),
+            (("a", "b\tc"), ("", "Y")),
+            (("a", "b"), ("X\nY", "Z")),
+            (("", "b\n"), ("X", "Y")),
+            (("a", "b"), ("X", "Y\t")),
+        ],
+    )
+    def test_first_bad_field_named(self, tokens, tags):
+        with pytest.raises(ValueError) as info:
+            Sentence(tokens, tags)
+        assert str(info.value) == self.reference_message(tokens, tags)

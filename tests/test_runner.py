@@ -1,6 +1,8 @@
 """External-command scoring loop, exercised with tiny shell commands."""
 
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -8,7 +10,8 @@ import pytest
 from bayescv.errors import CommandFailed, OutputUnreadable
 from bayescv.metrics import TaggedCorpus, read_corpus
 from bayescv.runner import run_external
-from bayescv.splits import make_splits
+from bayescv.splits import fold_roles, make_splits
+from test_metrics import reference_write
 
 FIXTURES = Path(__file__).parent / "fixtures"
 COPY_COMMAND = "cp {test} {pred}"
@@ -186,3 +189,85 @@ class TestWorkdir:
         first = tmp_path / round_dirs[0]
         names = {p.name for p in first.iterdir()}
         assert {"train.tsv", "dev.tsv", "test.tsv", "pred.tsv"} <= names
+
+    def test_round_files_match_reference_writer(self, tmp_path, toy_corpus):
+        plan = make_splits(200, 4, 2, seed=5)
+        run_external(
+            plan, toy_corpus, COPY_COMMAND,
+            dataset_id="toy", system_id="copy", metrics=("token",),
+            workdir=tmp_path / "wd",
+        )
+        for rep in range(plan.m):
+            for fold in range(plan.k):
+                folder = tmp_path / "wd" / f"rep{rep:03d}_fold{fold:03d}"
+                roles = zip(("train", "dev", "test"), fold_roles(plan, rep, fold))
+                for name, indices in roles:
+                    reference_write(toy_corpus.subset(indices), tmp_path / "want.tsv")
+                    got = (folder / f"{name}.tsv").read_bytes()
+                    assert got == (tmp_path / "want.tsv").read_bytes(), (rep, fold, name)
+
+    @pytest.mark.parametrize(
+        "command",
+        [COPY_COMMAND, """sh -c "cat '{test}' > '{pred}'\""""],
+        ids=["plain", "sh-quoted"],
+    )
+    def test_workdir_with_a_space(self, tmp_path, toy_corpus, command):
+        plan = make_splits(200, 4, 1, seed=3)
+        workdir = tmp_path / "with space" / "wd"
+        matrix = run_external(
+            plan, toy_corpus, command,
+            dataset_id="toy", system_id="copy", metrics=("token", "sentence"),
+            workdir=workdir,
+        )
+        assert len(matrix) == 4 * 2
+        assert all(value == 1.0 for value in matrix.entries.values())
+        for folder in workdir.iterdir():
+            assert (folder / "pred.tsv").read_bytes() == (folder / "test.tsv").read_bytes()
+
+
+def fresh_corpus(n_sentences: int) -> TaggedCorpus:
+    """Sentences built for one run, shared with no other run or test."""
+    return TaggedCorpus.from_pairs(
+        [(f"w{i % 37}", "NOUN"), (f"v{i % 11}", "VERB"), (f"u{i}", "ADJ" if i % 3 else "ADV")]
+        for i in range(n_sentences)
+    )
+
+
+class TestThreadStress:
+    def test_many_workers_match_one(self, tmp_path):
+        # More workers than cores and a tiny switch interval, so threads
+        # interleave inside round preparation as often as they can.
+        plan = make_splits(60, 5, 6, seed=17)
+
+        def run(workers: int, workdir: Path):
+            return run_external(
+                plan, fresh_corpus(60), COPY_COMMAND,
+                dataset_id="toy", system_id="copy", workers=workers, workdir=workdir,
+                timeout=60,
+            )
+
+        results = {}
+
+        def stressed() -> None:
+            old = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                results["many"] = run(8, tmp_path / "many")
+            except Exception as exc:  # reported by the assertion below
+                results["error"] = exc
+            finally:
+                sys.setswitchinterval(old)
+
+        thread = threading.Thread(target=stressed, daemon=True)
+        start = time.monotonic()
+        thread.start()
+        thread.join(timeout=120)
+        assert not thread.is_alive(), f"still running after {time.monotonic() - start:.0f} s"
+        assert "many" in results, results.get("error")
+        one = run(1, tmp_path / "one")
+        assert results["many"].entries == one.entries
+        for folder in sorted((tmp_path / "one").iterdir()):
+            for name in ("train.tsv", "dev.tsv", "test.tsv", "pred.tsv"):
+                twin = tmp_path / "many" / folder.name / name
+                assert twin.read_bytes() == (folder / name).read_bytes(), (folder.name, name)
+        assert len(list((tmp_path / "many").iterdir())) == plan.m * plan.k
