@@ -10,17 +10,16 @@ a region of practical equivalence.
 
 __version__ = "0.1.0"
 
-from .decision import DecisionTriple, RopeInterval, rank, region_probs, simplex_coordinates, tally
+from .decision import DecisionTriple, RopeInterval, rank, region_probs, tally
 from .errors import BayescvError
 from .metrics import TaggedCorpus, Vocabulary, oov_accuracy, sentence_accuracy, token_accuracy
-from .model import ModelConfig, PosteriorChains, TTestPosterior, correlated_ttest, fit, generate
+from .model import ModelConfig, PosteriorChains, correlated_ttest, fit, generate
 from .scores import DifferenceSeries, ScoreMatrix, assemble_differences
 from .splits import SplitPlan, fold_roles, make_splits
-from .statcore import CompoundSymmetryCov, StudentT, cs_mvn_loglik, rng_fork, t_cdf, t_sample
+from .statcore import StudentT, rng_fork, t_cdf, t_sample
 
 __all__ = [
     "BayescvError",
-    "CompoundSymmetryCov",
     "DecisionTriple",
     "DifferenceSeries",
     "ModelConfig",
@@ -30,11 +29,9 @@ __all__ = [
     "SplitPlan",
     "StudentT",
     "TaggedCorpus",
-    "TTestPosterior",
     "Vocabulary",
     "assemble_differences",
     "correlated_ttest",
-    "cs_mvn_loglik",
     "fit",
     "fold_roles",
     "generate",
@@ -44,7 +41,6 @@ __all__ = [
     "region_probs",
     "rng_fork",
     "sentence_accuracy",
-    "simplex_coordinates",
     "t_cdf",
     "t_sample",
     "tally",

@@ -127,7 +127,10 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--chains", default=None, help="chains CSV from the compare command")
     source.add_argument("--report", default=None, help="report CSV (one point per row)")
     p_plot.add_argument(
-        "--meta", default=None, help="chains metadata file (default: chains path + .meta.txt)"
+        "--meta",
+        default=None,
+        help="chains metadata file (default: the chains path with its last suffix "
+        "replaced by .meta.txt, the file compare writes)",
     )
     p_plot.add_argument(
         "--rope", type=float, default=None, help="rope halfwidth (default: from metadata)"
@@ -466,14 +469,14 @@ def cmd_plot(args: argparse.Namespace) -> int:
     svg_path = prefix.with_name(prefix.name + ".svg")
     manifest_path = prefix.with_name(prefix.name + ".manifest.txt")
     if args.chains is not None:
-        meta_path = Path(args.meta) if args.meta else Path(args.chains + ".meta.txt")
-        if not meta_path.exists():
-            candidate = Path(str(args.chains).replace(".chains.csv", ".chains.meta.txt"))
-            if candidate.exists():
-                meta_path = candidate
+        meta_path = Path(args.meta) if args.meta else Path(args.chains).with_suffix(".meta.txt")
         with _stage("read chains"):
             chains = read_chains_csv(args.chains)
-        meta = read_kv(meta_path) if meta_path.exists() else {}
+        # The draws are on the standardized scale; only the sidecar holds
+        # the constant that maps the rope onto it.
+        if not meta_path.is_file():
+            raise ValueError(f"chains metadata not found at {meta_path}; pass --meta")
+        meta = read_kv(meta_path)
         for name in ("delta0", "sigma0", "nu"):
             if name not in chains:
                 raise ValueError(f"{args.chains}: missing draws for {name!r}")
@@ -494,7 +497,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
         constant = float(meta.get("standardization_constant", "1.0"))
         label_a = meta.get("system_a", "system a")
         label_b = meta.get("system_b", "system b")
-        inputs = [args.chains] + ([str(meta_path)] if meta_path.exists() else [])
+        inputs = [args.chains, str(meta_path)]
         with _stage("points"):
             points, triple = draws_to_points(
                 chains["delta0"], chains["sigma0"], chains["nu"], rope_raw / constant

@@ -22,9 +22,9 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .errors import MissingPair
-from .model import PosteriorChains, TTestPosterior
+from .model import PosteriorChains
 from .scores import DifferenceSeries
-from .statcore import rng_fork, std_t_cdf, t_sample
+from .statcore import StudentT, rng_fork, std_t_cdf, t_sample
 
 __all__ = [
     "RopeInterval",
@@ -34,7 +34,6 @@ __all__ = [
     "classify_draws",
     "tally",
     "ttest_triple",
-    "simplex_coordinates",
     "simplex_points",
     "rank",
     "RankResult",
@@ -195,7 +194,7 @@ def tally(post: PosteriorChains, rope: RopeInterval) -> DecisionTriple:
 
 
 def ttest_triple(
-    post: TTestPosterior, rope: RopeInterval, n_samples: int = 50000, seed: int = 0
+    post: StudentT, rope: RopeInterval, n_samples: int = 50000, seed: int = 0
 ) -> DecisionTriple:
     """Decision counters for a single-dataset t posterior, by simulation.
 
@@ -208,7 +207,7 @@ def ttest_triple(
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     rng = rng_fork(seed, 0)
-    draws = t_sample(post.as_student_t(), rng, size=n_samples)
+    draws = t_sample(post, rng, size=n_samples)
     draws = np.asarray(draws)
     r = rope.halfwidth
     n_left = int(np.count_nonzero(draws < -r))
@@ -223,25 +222,6 @@ def simplex_points(p_rope: ArrayLike, p_right: ArrayLike) -> np.ndarray:
     """
     p_rope = np.asarray(p_rope, dtype=float)
     return np.stack([0.5 * p_rope + p_right, 0.5 * math.sqrt(3.0) * p_rope], axis=-1)
-
-
-def simplex_coordinates(triple: DecisionTriple | Sequence[float]) -> tuple[float, float]:
-    """Barycentric embedding of the triple into the unit-side triangle.
-
-    Probabilities summing to 1 land inside or on the triangle; see
-    ``simplex_points`` for the vertices.
-    """
-    if isinstance(triple, DecisionTriple):
-        p_left, p_rope, p_right = triple.p_left, triple.p_rope, triple.p_right
-    else:
-        p_left, p_rope, p_right = (float(v) for v in triple)
-        total = p_left + p_rope + p_right
-        if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=1e-9):
-            raise ValueError(f"probabilities must sum to 1, got {total}")
-        if min(p_left, p_rope, p_right) < 0.0:
-            raise ValueError("probabilities cannot be negative")
-    x, y = simplex_points(p_rope, p_right)
-    return (float(x), float(y))
 
 
 @dataclass(frozen=True)

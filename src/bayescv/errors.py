@@ -55,9 +55,5 @@ class TooFewDatasets(BayescvError):
     """The hierarchical model needs at least two data sets."""
 
 
-class DimensionMismatch(BayescvError):
-    """A vector's length disagrees with the covariance dimension."""
-
-
 class MissingPair(BayescvError):
     """A ranking was requested but some pair was never compared."""

@@ -1,8 +1,10 @@
 """Tagging corpora and the three intrinsic accuracies.
 
 File format: UTF-8 text, one ``token<TAB>tag`` pair per line, a blank line
-ends a sentence, and the final blank line is optional. Vocabulary files
-hold one token per line.
+ends a sentence, and the final blank line is optional. The accuracies
+compare a predicted corpus with the aligned gold corpus; the
+out-of-vocabulary accuracy counts only tokens outside a given
+``Vocabulary``, which the runner builds from each round's training data.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import eq
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import NoOovTokens, ShapeMismatch, TokenMismatch
 
@@ -23,8 +25,6 @@ __all__ = [
     "oov_accuracy",
     "read_corpus",
     "write_corpus",
-    "read_vocabulary",
-    "write_vocabulary",
 ]
 
 
@@ -101,10 +101,6 @@ class TaggedCorpus:
     def subset(self, indices: Iterable[int]) -> "TaggedCorpus":
         """Sentences at the given indices, in the given order."""
         return TaggedCorpus(tuple(self.sentences[i] for i in indices))
-
-    def iter_positions(self) -> Iterator[tuple[str, str]]:
-        for sent in self.sentences:
-            yield from zip(sent.tokens, sent.tags)
 
 
 @dataclass(frozen=True)
@@ -201,17 +197,3 @@ def read_corpus(path: str | Path) -> TaggedCorpus:
 def write_corpus(corpus: TaggedCorpus, path: str | Path) -> None:
     """Write the corpus in the file format, in one write."""
     Path(path).write_text("".join([sent.text for sent in corpus.sentences]), encoding="utf-8")
-
-
-def read_vocabulary(path: str | Path) -> Vocabulary:
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as handle:
-        tokens = frozenset(line.rstrip("\n") for line in handle if line.rstrip("\n"))
-    return Vocabulary(tokens)
-
-
-def write_vocabulary(vocabulary: Vocabulary, path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as handle:
-        for token in sorted(vocabulary.tokens):
-            handle.write(token + "\n")

@@ -38,12 +38,11 @@ from .diagnostics import ParameterDiagnostics, diagnose
 from .errors import TooFewDatasets
 from .manifest import write_kv
 from .scores import DifferenceSeries
-from .statcore import StudentT, rng_fork, t_sample
+from .statcore import StudentT, cs_quad_form, cs_stats, rng_fork, t_sample
 
 __all__ = [
     "ModelConfig",
     "PosteriorChains",
-    "TTestPosterior",
     "fit",
     "fit_many",
     "generate",
@@ -166,33 +165,15 @@ class PosteriorChains:
         raise KeyError(f"unknown parameter {name!r}")
 
 
-@dataclass(frozen=True)
-class TTestPosterior:
+def correlated_ttest(series: DifferenceSeries) -> StudentT:
     """Closed-form posterior of the mean difference for one data set.
 
     A Student t with n - 1 dof located at the sample mean, with scale
-    sqrt((1/n + rho/(1-rho)) * s2). ``degenerate`` marks the zero-variance
-    case where the posterior collapses to a point mass at the mean.
-    """
-
-    location: float
-    scale: float
-    dof: float
-
-    @property
-    def degenerate(self) -> bool:
-        return self.scale == 0.0
-
-    def as_student_t(self) -> StudentT:
-        return StudentT(location=self.location, scale=self.scale, dof=self.dof)
-
-
-def correlated_ttest(series: DifferenceSeries) -> TTestPosterior:
-    """Posterior of the mean difference under the correlation-adjusted model.
-
-    The adjustment widens the naive 1/n variance by rho/(1-rho) to account
-    for overlapping training sets, so the posterior does not sharpen
-    indefinitely as repetitions are added.
+    sqrt((1/n + rho/(1-rho)) * s2), where s2 is the sample variance. The
+    rho/(1-rho) term widens the naive 1/n variance to account for
+    overlapping training sets, so the posterior does not sharpen
+    indefinitely as repetitions are added. A series with zero sample
+    variance gives scale 0: the point mass at the mean.
     """
     if series.n < 2:
         raise ValueError(f"need at least 2 paired differences, got {series.n}")
@@ -202,7 +183,7 @@ def correlated_ttest(series: DifferenceSeries) -> TTestPosterior:
     xbar = float(series.x.mean())
     s2 = float(series.x.var(ddof=1))
     scale2 = (1.0 / n + series.rho / (1.0 - series.rho)) * s2
-    return TTestPosterior(location=xbar, scale=math.sqrt(scale2), dof=float(n - 1))
+    return StudentT(location=xbar, scale=math.sqrt(scale2), dof=float(n - 1))
 
 
 def generate(
@@ -253,11 +234,10 @@ def generate(
 class _Problem:
     """Constants of one fit: the sufficient statistics and prior bounds.
 
-    Per-dataset tuples run in ``ids`` order. ``stats`` holds (n, mean,
-    sum of squared deviations, 1 + (n-1) rho, 1 - rho) on the
-    standardized scale. ``pooled_mean`` and ``spread`` (the spread of the
-    dataset means, at least 3 * sigma0_lo) center and scale the initial
-    delta0 and sigma0.
+    Per-dataset tuples run in ``ids`` order. ``stats`` holds each
+    series' ``cs_stats`` on the standardized scale. ``pooled_mean`` and
+    ``spread`` (the spread of the dataset means, at least 3 * sigma0_lo)
+    center and scale the initial delta0 and sigma0.
     """
 
     ids: tuple[str, ...]
@@ -296,16 +276,7 @@ def _prepare(series: list[DifferenceSeries], config: ModelConfig) -> _Problem:
     stds = []
     for s in series:
         x = s.x / constant
-        n = float(s.n)
-        stats.append(
-            (
-                n,
-                float(x.mean()),
-                float(np.sum((x - x.mean()) ** 2)),
-                1.0 + (s.n - 1) * s.rho,
-                1.0 - s.rho,
-            )
-        )
+        stats.append(cs_stats(x, s.rho))
         stds.append(float(x.std(ddof=1)) if s.n > 1 else 0.0)
 
     positive = [s for s in stds if s > 0.0]
@@ -341,10 +312,9 @@ def _prepare(series: list[DifferenceSeries], config: ModelConfig) -> _Problem:
 
 
 def _t_log_norm(nu: np.ndarray) -> np.ndarray:
-    """Per lane, log of the Student t normalizing constant at unit scale.
-
-    The same value as ``t_logpdf(0.0, StudentT(0.0, 1.0, nu))``, without
-    building a StudentT per lane on every sweep.
+    """Per lane, lgamma((nu+1)/2) - lgamma(nu/2) - log(nu pi)/2: the log
+    normalizing constant of the unit-scale Student t, and the library's
+    only t density code. ``_lockstep`` caches the rest of the density.
     """
     values = [
         math.lgamma(0.5 * (v + 1.0)) - math.lgamma(0.5 * v) - 0.5 * math.log(v * math.pi)
@@ -403,9 +373,10 @@ def _lockstep(problems: list[_Problem], config: ModelConfig) -> _Run:
         a = a[:, None] if a.ndim == 1 else a.T[:, :, None]
         return np.broadcast_to(a, a.shape[:-1] + (chains,)).copy()
 
-    ns, means, ssdevs, c1s, c2s = (
+    stats = tuple(
         spread_over_lanes([[s[j] for s in p.stats] for p in problems]) for j in range(5)
     )
+    ns, means, _, c1s, _ = stats
     sigma_lo, sigma_hi, sigma_init, sigma0_lo, sigma0_hi, halfwidth, pooled_mean, spread = (
         spread_over_lanes([getattr(p, name) for p in problems])
         for name in (
@@ -457,7 +428,7 @@ def _lockstep(problems: list[_Problem], config: ModelConfig) -> _Run:
     logr = np.empty((n_params,) + lanes)
     accept = np.empty((n_params,) + lanes, dtype=bool)
     blk_d, blk_s = slice(3, 3 + q), slice(3 + q, n_params)
-    two_c1s, ss_c2s, minus_n_minus_1 = 2.0 * c1s, ssdevs / c2s, -(ns - 1.0)
+    two_c1s, minus_n_minus_1 = 2.0 * c1s, -(ns - 1.0)
 
     # Cached terms of the current state: half = (nu + 1) / 2,
     # inv = 1 / (nu sigma0^2), log_norm = the t log normalizing constant
@@ -530,8 +501,7 @@ def _lockstep(problems: list[_Problem], config: ModelConfig) -> _Run:
 
         # per-dataset scales
         prop = sigmas * edz[blk_s]
-        r = means - deltas
-        a_quad = ns * r * r / c1s + ss_c2s
+        a_quad = cs_quad_form(stats, deltas)
         np.subtract(
             minus_n_minus_1 * dz[blk_s],
             0.5 * a_quad * (1.0 / (prop * prop) - 1.0 / (sigmas * sigmas)),

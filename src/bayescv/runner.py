@@ -8,7 +8,8 @@ must write its tagged predictions in the same format and order. Only
 ``{test}`` and ``{pred}`` are mandatory; a no-training baseline can skip
 the rest. The template is split into arguments the way a POSIX shell
 would (``shlex.split``) before the paths go in, so a path with a space
-stays one argument.
+stays one argument. A template that does not split, or that names an
+unknown placeholder, is rejected before any round writes a file.
 """
 
 from __future__ import annotations
@@ -38,6 +39,19 @@ __all__ = ["run_external", "DEFAULT_METRICS"]
 DEFAULT_METRICS = ("token", "sentence", "oov")
 
 
+def _split_template(command_template: str) -> list[str]:
+    """Split the template into arguments, each formatted once with
+    placeholder paths, so a bad template fails before any round runs."""
+    try:
+        arg_templates = shlex.split(command_template)
+        for arg in arg_templates:
+            arg.format(train="train", dev="dev", test="test", pred="pred")
+    except KeyError as exc:
+        raise ValueError(f"unknown placeholder {exc} in command template {command_template!r}") from exc
+    except (ValueError, IndexError, AttributeError) as exc:
+        raise ValueError(f"bad command template {command_template!r}: {exc}") from exc
+    return arg_templates
+
 
 def _score_round(
     job: tuple[int, int],
@@ -66,10 +80,7 @@ def _score_round(
         write_corpus(dev, paths["dev"])
         write_corpus(gold, paths["test"])
         names = {k: str(v) for k, v in paths.items()}
-        try:
-            argv = [arg.format(**names) for arg in arg_templates]
-        except (KeyError, IndexError) as exc:
-            raise ValueError(f"unknown placeholder in command template: {exc}") from exc
+        argv = [arg.format(**names) for arg in arg_templates]
         try:
             proc = subprocess.run(argv, capture_output=True, text=True, timeout=timeout)
         except FileNotFoundError as exc:
@@ -154,7 +165,7 @@ def run_external(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     workdir_path = Path(workdir) if workdir is not None else None
-    arg_templates = shlex.split(command_template)
+    arg_templates = _split_template(command_template)
 
     jobs = [(rep, fold) for rep in range(plan.m) for fold in range(plan.k)]
 

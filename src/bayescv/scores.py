@@ -60,28 +60,8 @@ class ScoreMatrix:
             raise ValueError(f"negative repetition or fold in {key}")
         self.entries[key] = score
 
-    def merge(self, other: "ScoreMatrix") -> None:
-        """Absorb another matrix; overlapping keys are an error."""
-        for key, value in other.entries.items():
-            if key in self.entries:
-                raise DuplicateScoreKey(f"duplicate score for {key}")
-            self.entries[key] = value
-
-    def systems(self) -> list[str]:
-        return sorted({k[1] for k in self.entries})
-
-    def datasets(self) -> list[str]:
-        return sorted({k[0] for k in self.entries})
-
-    def metrics(self) -> list[str]:
-        return sorted({k[2] for k in self.entries})
-
     def __len__(self) -> int:
         return len(self.entries)
-
-    @classmethod
-    def from_csv(cls, path: str | Path) -> "ScoreMatrix":
-        return cls.from_csvs([path])
 
     @classmethod
     def from_csvs(cls, paths: Iterable[str | Path]) -> "ScoreMatrix":

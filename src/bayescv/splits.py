@@ -43,11 +43,6 @@ class SplitPlan:
             )
         self.assignments.setflags(write=False)
 
-    def fold_members(self, repetition: int, fold: int) -> np.ndarray:
-        """Item indices of one fold, ascending."""
-        _check_indices(self, repetition, fold)
-        return np.flatnonzero(self.assignments[repetition] == fold)
-
 
 def make_splits(n_items: int, k: int, m: int, seed: int) -> SplitPlan:
     """Build a plan for m independent k-fold shuffles of n_items items.
@@ -69,13 +64,6 @@ def make_splits(n_items: int, k: int, m: int, seed: int) -> SplitPlan:
     return SplitPlan(n_items=n_items, k=k, m=m, seed=seed, assignments=assignments)
 
 
-def _check_indices(plan: SplitPlan, repetition: int, fold: int) -> None:
-    if not 0 <= repetition < plan.m:
-        raise IndexOutOfRange(f"repetition {repetition} outside range(0, {plan.m})")
-    if not 0 <= fold < plan.k:
-        raise IndexOutOfRange(f"fold {fold} outside range(0, {plan.k})")
-
-
 def fold_roles(
     plan: SplitPlan, repetition: int, eval_fold: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -86,7 +74,10 @@ def fold_roles(
     the usual 80/10/10 arrangement. All three index arrays are ascending
     and together cover every item exactly once.
     """
-    _check_indices(plan, repetition, eval_fold)
+    if not 0 <= repetition < plan.m:
+        raise IndexOutOfRange(f"repetition {repetition} outside range(0, {plan.m})")
+    if not 0 <= eval_fold < plan.k:
+        raise IndexOutOfRange(f"fold {eval_fold} outside range(0, {plan.k})")
     folds = plan.assignments[repetition]
     val_fold = (eval_fold + 1) % plan.k
     eval_idx = np.flatnonzero(folds == eval_fold)

@@ -1,11 +1,13 @@
 """Numerical kernels used everywhere else.
 
-Student-t distribution functions, the O(n) log density of a multivariate
-normal with compound-symmetry covariance, and reproducible random streams.
-The t CDF is computed from scratch (regularized incomplete beta via a
-continued fraction, evaluated over whole numpy arrays at once) so the
-package has no runtime dependency on a special function library; scipy
-appears only in the test suite as an oracle.
+The Student t CDF, the compound-symmetry normal likelihood that the
+sampler runs, and reproducible random streams. The t CDF is computed from
+scratch (regularized incomplete beta via a continued fraction, evaluated
+over whole numpy arrays at once) so the package has no runtime dependency
+on a special function library; scipy appears only in the test suite as an
+oracle. The likelihood is written on the sufficient statistics of
+``cs_stats``, so it costs O(1) per evaluation and never forms the n-by-n
+covariance matrix.
 """
 
 from __future__ import annotations
@@ -16,18 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .errors import DimensionMismatch
-
 __all__ = [
     "StudentT",
-    "CompoundSymmetryCov",
     "betainc",
     "std_t_cdf",
     "t_cdf",
-    "t_sf",
-    "t_logpdf",
     "t_sample",
-    "cs_mvn_loglik",
+    "cs_stats",
+    "cs_quad_form",
+    "cs_loglik",
     "rng_fork",
 ]
 
@@ -56,39 +55,6 @@ class StudentT:
             raise ValueError(f"dof must be finite and > 0, got {self.dof}")
         if not math.isfinite(self.location):
             raise ValueError(f"location must be finite, got {self.location}")
-
-
-@dataclass(frozen=True)
-class CompoundSymmetryCov:
-    """n-by-n covariance ``variance * ((1 - rho) I + rho J)`` with J all ones.
-
-    Positive definiteness requires ``-1/(n-1) < rho < 1`` (any rho in
-    (-1, 1) when n == 1). Its eigenstructure is fully explicit: eigenvalue
-    ``variance * (1 + (n-1) rho)`` along the constant vector and
-    ``variance * (1 - rho)`` with multiplicity n - 1 on its complement,
-    which is what makes the O(n) density below possible.
-    """
-
-    n: int
-    variance: float
-    rho: float
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if not (self.variance > 0.0 and math.isfinite(self.variance)):
-            raise ValueError(f"variance must be finite and > 0, got {self.variance}")
-        lo = -1.0 / (self.n - 1) if self.n > 1 else -1.0
-        if not (lo < self.rho < 1.0):
-            raise ValueError(
-                f"rho={self.rho} outside ({lo}, 1) breaks positive definiteness for n={self.n}"
-            )
-
-    def dense(self) -> np.ndarray:
-        """Materialize the full matrix. Meant for tests and oracles."""
-        out = np.full((self.n, self.n), self.variance * self.rho)
-        np.fill_diagonal(out, self.variance)
-        return out
 
 
 _lgamma = np.vectorize(math.lgamma, otypes=[float])
@@ -178,32 +144,6 @@ def t_cdf(x: float, dist: StudentT) -> float:
     return std_t_cdf((x - dist.location) / dist.scale, dist.dof)
 
 
-def t_sf(x: float, dist: StudentT) -> float:
-    """P(T > x), computed directly rather than as 1 - t_cdf(x).
-
-    For small tails this keeps all the precision, and it mirrors t_cdf
-    exactly: t_sf(x) under location m equals t_cdf(-x) under location -m.
-    """
-    if dist.scale == 0.0:
-        return 1.0 if x < dist.location else 0.0
-    return std_t_cdf(-((x - dist.location) / dist.scale), dist.dof)
-
-
-def t_logpdf(x: float, dist: StudentT) -> float:
-    """Log density of the location-scale Student t. Requires scale > 0."""
-    if dist.scale == 0.0:
-        raise ValueError("log density undefined for a point mass (scale == 0)")
-    nu = dist.dof
-    z = (x - dist.location) / dist.scale
-    return (
-        math.lgamma(0.5 * (nu + 1.0))
-        - math.lgamma(0.5 * nu)
-        - 0.5 * math.log(nu * math.pi)
-        - math.log(dist.scale)
-        - 0.5 * (nu + 1.0) * math.log1p(z * z / nu)
-    )
-
-
 def t_sample(
     dist: StudentT, rng: np.random.Generator, size: int | tuple[int, ...] | None = None
 ) -> float | np.ndarray:
@@ -220,27 +160,45 @@ def t_sample(
     return dist.location + dist.scale * t
 
 
-def cs_mvn_loglik(x: np.ndarray, mean: float, cov: CompoundSymmetryCov) -> float:
-    """Log density of MVN(mean * 1, cov) at x, evaluated in O(n).
+CsStats = tuple[float, float, float, float, float]
 
-    Splitting x into its projection onto the constant vector and the
-    residuals diagonalizes the quadratic form: the mean direction carries
-    eigenvalue ``variance * (1 + (n-1) rho)`` and the residuals carry
-    ``variance * (1 - rho)``. No n-by-n matrix is ever formed.
+
+def cs_stats(x: ArrayLike, rho: float) -> CsStats:
+    """Sufficient statistics of x under a compound-symmetry normal model.
+
+    Returns (n, mean, sum of squared deviations from the mean,
+    1 + (n-1) rho, 1 - rho). The last two are the eigenvalues of the unit
+    correlation matrix ``(1 - rho) I + rho J``: along the constant vector,
+    and (n - 1 times) on its complement.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise DimensionMismatch(f"expected a 1-d vector, got shape {x.shape}")
-    if x.shape[0] != cov.n:
-        raise DimensionMismatch(f"vector has length {x.shape[0]}, covariance is {cov.n}-dimensional")
-    n = cov.n
-    lam_mean = cov.variance * (1.0 + (n - 1) * cov.rho)
-    lam_dev = cov.variance * (1.0 - cov.rho)
+    n = x.shape[0]
     xbar = float(x.mean())
-    ssdev = float(np.sum((x - xbar) ** 2))
-    quad = n * (xbar - mean) ** 2 / lam_mean + ssdev / lam_dev
-    logdet = math.log(lam_mean) + (n - 1) * math.log(lam_dev)
-    return -0.5 * (n * math.log(2.0 * math.pi) + logdet + quad)
+    return (float(n), xbar, float(np.sum((x - xbar) ** 2)), 1.0 + (n - 1) * rho, 1.0 - rho)
+
+
+def cs_quad_form(stats: CsStats, mean: ArrayLike) -> ArrayLike:
+    """Quadratic form of x at ``mean`` under the unit-variance correlation matrix.
+
+    The mean direction carries eigenvalue 1 + (n-1) rho and the residuals
+    1 - rho, so the form splits into two terms. Elementwise over array
+    statistics and means; divide by the variance for the form under
+    ``variance * ((1 - rho) I + rho J)``.
+    """
+    n, xbar, ss, c1, c2 = stats
+    r = xbar - mean
+    return n * r * r / c1 + ss / c2
+
+
+def cs_loglik(stats: CsStats, mean: float, variance: float) -> float:
+    """Log density of MVN(mean * 1, variance * ((1 - rho) I + rho J)) at x.
+
+    ``stats`` is ``cs_stats(x, rho)``. Positive definiteness needs
+    variance > 0 and -1/(n-1) < rho < 1.
+    """
+    n, _, _, c1, c2 = stats
+    logdet = n * math.log(variance) + math.log(c1) + (n - 1.0) * math.log(c2)
+    return -0.5 * (n * math.log(2.0 * math.pi) + logdet + cs_quad_form(stats, mean) / variance)
 
 
 def rng_fork(seed: int, stream_id: int) -> np.random.Generator:

@@ -28,24 +28,17 @@ from bayescv.decision import (
 from bayescv.metrics import TaggedCorpus, Vocabulary, oov_accuracy, sentence_accuracy, token_accuracy
 from bayescv.model import ModelConfig, PosteriorChains, correlated_ttest, fit, generate
 from bayescv.scores import DifferenceSeries, ScoreMatrix
-from bayescv.statcore import CompoundSymmetryCov, StudentT, cs_mvn_loglik, t_cdf, t_logpdf
+from bayescv.statcore import StudentT, cs_loglik, cs_stats, t_cdf
+from oracles import dense_cs_loglik, t_logpdf
 
 FIXTURES = Path(__file__).parent / "fixtures"
-
-
-def dense_loglik(x: np.ndarray, mean: float, cov: CompoundSymmetryCov) -> float:
-    """MVN log density via an explicit Cholesky factorization."""
-    chol = np.linalg.cholesky(cov.dense())
-    resid = np.asarray(x, dtype=float) - mean
-    white = np.linalg.solve(chol, resid)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    return -0.5 * (len(resid) * math.log(2.0 * math.pi) + logdet + float(white @ white))
 
 
 def quadrature_t_cdf(x: float, dist: StudentT) -> float:
     """CDF by integrating the density outward from the location."""
     mass, _ = integrate.quad(
-        lambda u: math.exp(t_logpdf(u, dist)), dist.location, x, epsabs=1e-13, limit=300
+        lambda u: math.exp(t_logpdf(u, dist.location, dist.scale, dist.dof)),
+        dist.location, x, epsabs=1e-13, limit=300,
     )
     return 0.5 + mass
 
@@ -87,10 +80,11 @@ def test_acceptance_1_kernel_exactness():
         n = int(rng.integers(1, 21))
         lo = -1.0 / (n - 1) if n > 1 else -1.0
         rho = float(rng.uniform(0.8 * lo, 0.95))
-        cov = CompoundSymmetryCov(n=n, variance=float(rng.uniform(0.1, 4.0)), rho=rho)
+        variance = float(rng.uniform(0.1, 4.0))
         mean = float(rng.normal(0.0, 2.0))
         x = rng.normal(mean, 1.0, size=n)
-        gap = abs(cs_mvn_loglik(x, mean, cov) - dense_loglik(x, mean, cov))
+        ours = cs_loglik(cs_stats(x, rho), mean, variance)
+        gap = abs(ours - dense_cs_loglik(x, mean, variance, rho))
         worst_loglik = max(worst_loglik, gap)
     assert worst_loglik <= 1e-10
 
@@ -211,8 +205,7 @@ def test_acceptance_5_single_dataset_consistency():
         )[0]
         post = correlated_ttest(series)
         rope = RopeInterval(float(rng.uniform(0.005, 0.02)))
-        t = post.as_student_t()
-        analytic = region_probs(t.location, t.scale, t.dof, rope)
+        analytic = region_probs(post.location, post.scale, post.dof, rope)
         sampled = ttest_triple(post, rope, n_samples=1_000_000, seed=9000 + i)
         gap = max(
             abs(analytic[0] - sampled.p_left),
@@ -244,7 +237,7 @@ def test_acceptance_6_toy_protocol(tmp_path):
             "--out-prefix", str(tmp_path / system),
         ])
         assert rc == 0
-        matrix = ScoreMatrix.from_csv(tmp_path / f"{system}.scores.csv")
+        matrix = ScoreMatrix.from_csvs([tmp_path / f"{system}.scores.csv"])
         for metric in ("token", "sentence"):
             count = sum(1 for key in matrix.entries if key[1] == system and key[2] == metric)
             assert count == 200

@@ -102,7 +102,7 @@ class TestScore:
         assert rc == 0
         out = capsys.readouterr().out.strip().splitlines()
         assert out[-1] == str(tmp_path / "copy.manifest.txt")
-        matrix = ScoreMatrix.from_csv(tmp_path / "copy.scores.csv")
+        matrix = ScoreMatrix.from_csvs([tmp_path / "copy.scores.csv"])
         assert len(matrix) == 2 * 3 * 2
         assert all(v == 1.0 for v in matrix.entries.values())
 
@@ -147,6 +147,26 @@ class TestScore:
                  "--command", "sh -c 'exit 3' run {test} {pred}",
                  "--out-prefix", tmp_path / "boom")
         assert rc == 4
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            ("cp {test} {pred} {bogus}", "unknown placeholder 'bogus' in command template"),
+            ("cp '{test} {pred}", "bad command template \"cp '{test} {pred}\": No closing quotation"),
+        ],
+        ids=["unknown_placeholder", "unclosed_quote"],
+    )
+    def test_bad_template_fails_before_any_round(self, tmp_path, capsys, command, message):
+        corpus = tmp_path / "corpus.tsv"
+        self._write_corpus(corpus)
+        assert run("split", "--n", 12, "--k", 3, "--m", 1, "--seed", 5,
+                   "--out-prefix", tmp_path / "c") == 0
+        rc = run("score", "--plan", tmp_path / "c.plan.json", "--corpus", corpus,
+                 "--dataset", "toy", "--system", "x", "--command", command,
+                 "--workdir", tmp_path / "wd", "--out-prefix", tmp_path / "s")
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "wd").exists()
 
 
 class TestCompare:
@@ -203,7 +223,7 @@ class TestCompare:
         meta = read_kv(tmp_path / "auto.chains.meta.txt")
         assert meta["rope_mode"].startswith("ci95")
         series = assemble_differences(
-            ScoreMatrix.from_csv(DELTA3), "alpha", "beta", "token"
+            ScoreMatrix.from_csvs([DELTA3]), "alpha", "beta", "token"
         )
         expected = rope_from_differences(series).halfwidth
         assert float(meta["rope_halfwidth"]) == expected
@@ -286,7 +306,7 @@ class TestRank:
         # on a single data set: rank then fits pairs with 3 and 2 shared
         # data sets in separate lockstep calls and uses the t posterior for
         # the single-dataset pairs, but keeps the pair order throughout.
-        matrix = ScoreMatrix.from_csv(three_system_csv)
+        matrix = ScoreMatrix.from_csvs([three_system_csv])
         for (ds, system, metric, rep, fold), value in list(matrix.entries.items()):
             if system == "mid" and ds != "d2":
                 matrix.add(ds, "two", metric, rep, fold, value + 0.001 * (fold - 2))
@@ -325,7 +345,7 @@ class TestRank:
         assert rank_rc == max(compare_rcs)
 
     def test_single_system_is_usage_error(self, one_dataset_csv, tmp_path):
-        path = ScoreMatrix.from_csv(one_dataset_csv)
+        path = ScoreMatrix.from_csvs([one_dataset_csv])
         matrix = ScoreMatrix()
         for key, value in path.entries.items():
             if key[1] == "alpha":
@@ -379,12 +399,37 @@ class TestPlot:
         assert "P(rope)=" in svg
 
     def test_plot_needs_rope_from_somewhere(self, compare_artifacts, tmp_path):
-        # A bare copy of the chains has no metadata next to it, so without
-        # --rope there is no halfwidth to classify the draws with.
+        # A bare copy of the chains has no sidecar (c.meta.txt) next to
+        # it, and the draws cannot be classified without one.
         bare = tmp_path / "c.csv"
         bare.write_bytes((compare_artifacts / "pair.chains.csv").read_bytes())
         rc = run("plot", "--chains", bare, "--out-prefix", tmp_path / "fig")
         assert rc == 2
+
+    def test_plot_requires_the_sidecar(self, compare_artifacts, tmp_path, capsys):
+        # The draws are standardized; classifying them without the
+        # sidecar's constant would put every draw on the wrong scale.
+        copy = tmp_path / "x.chains.csv"
+        copy.write_bytes((compare_artifacts / "pair.chains.csv").read_bytes())
+        capsys.readouterr()
+        rc = run("plot", "--chains", copy, "--rope", "0.03", "--out-prefix", tmp_path / "fig")
+        assert rc == 2
+        assert str(tmp_path / "x.chains.meta.txt") in capsys.readouterr().err
+        assert not (tmp_path / "fig.svg").exists()
+
+    def test_plot_needs_rope_when_sidecar_has_none(self, compare_artifacts, tmp_path, capsys):
+        meta = compare_artifacts / "pair.chains.meta.txt"
+        lines = meta.read_text(encoding="utf-8").splitlines(keepends=True)
+        stripped = tmp_path / "stripped.meta.txt"
+        stripped.write_text(
+            "".join(line for line in lines if not line.startswith("rope_halfwidth=")),
+            encoding="utf-8",
+        )
+        capsys.readouterr()
+        rc = run("plot", "--chains", compare_artifacts / "pair.chains.csv", "--meta", stripped,
+                 "--out-prefix", tmp_path / "fig")
+        assert rc == 2
+        assert "no --rope given" in capsys.readouterr().err
 
     def test_plot_rejects_chains_cut_after_a_whole_chain(self, compare_artifacts, tmp_path):
         # Without the second chain's rows the file is still a complete

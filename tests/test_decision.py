@@ -17,23 +17,22 @@ from bayescv.decision import (
     read_report_csv,
     region_probs,
     rope_from_differences,
-    simplex_coordinates,
+    simplex_points,
     tally,
     ttest_triple,
     verdict_of,
     write_report_csv,
 )
 from bayescv.errors import MissingPair
-from bayescv.model import ModelConfig, PosteriorChains, TTestPosterior, fit, generate
+from bayescv.model import ModelConfig, PosteriorChains, fit, generate
 from bayescv.scores import DifferenceSeries
-from bayescv.statcore import StudentT, t_cdf, t_logpdf
+from bayescv.statcore import StudentT, t_cdf
+from oracles import t_logpdf
 
 
 def quadrature_probs(delta0, sigma0, nu, r):
-    dist = StudentT(location=delta0, scale=sigma0, dof=nu)
-
     def pdf(u):
-        return math.exp(t_logpdf(u, dist))
+        return math.exp(t_logpdf(u, delta0, sigma0, nu))
 
     inside, _ = scipy.integrate.quad(pdf, -r, r, epsabs=1e-13, epsrel=1e-13)
     left, _ = scipy.integrate.quad(pdf, -np.inf, -r, epsabs=1e-13, epsrel=1e-13)
@@ -260,25 +259,24 @@ class TestTally:
 
 class TestTtestTriple:
     def test_matches_analytic_tails(self):
-        post = TTestPosterior(location=0.02, scale=0.012, dof=9.0)
+        post = StudentT(location=0.02, scale=0.012, dof=9.0)
         rope = RopeInterval(0.01)
         n = 200_000
         triple = ttest_triple(post, rope, n_samples=n, seed=5)
-        dist = post.as_student_t()
-        p_left = t_cdf(-0.01, dist)
-        p_right = 1.0 - t_cdf(0.01, dist)
+        p_left = t_cdf(-0.01, post)
+        p_right = 1.0 - t_cdf(0.01, post)
         se = math.sqrt(0.25 / n)
         assert abs(triple.p_left - p_left) < 5 * se + 1e-4
         assert abs(triple.p_right - p_right) < 5 * se + 1e-4
 
     def test_degenerate_point_mass(self):
-        inside = ttest_triple(TTestPosterior(0.005, 0.0, 3.0), RopeInterval(0.01), 1000)
+        inside = ttest_triple(StudentT(0.005, 0.0, 3.0), RopeInterval(0.01), 1000)
         assert inside == DecisionTriple(0, 1000, 0)
-        above = ttest_triple(TTestPosterior(0.05, 0.0, 3.0), RopeInterval(0.01), 1000)
+        above = ttest_triple(StudentT(0.05, 0.0, 3.0), RopeInterval(0.01), 1000)
         assert above == DecisionTriple(0, 0, 1000)
 
     def test_deterministic_given_seed(self):
-        post = TTestPosterior(location=0.0, scale=0.02, dof=5.0)
+        post = StudentT(location=0.0, scale=0.02, dof=5.0)
         a = ttest_triple(post, RopeInterval(0.01), 5000, seed=1)
         b = ttest_triple(post, RopeInterval(0.01), 5000, seed=1)
         assert a == b
@@ -286,21 +284,16 @@ class TestTtestTriple:
 
 class TestSimplexCoordinates:
     def test_vertices(self):
-        assert simplex_coordinates(DecisionTriple(10, 0, 0)) == (0.0, 0.0)
-        assert simplex_coordinates(DecisionTriple(0, 0, 10)) == (1.0, 0.0)
-        x, y = simplex_coordinates(DecisionTriple(0, 10, 0))
+        # simplex_points takes (p_rope, p_right); p_left is the remainder.
+        assert tuple(simplex_points(0.0, 0.0)) == (0.0, 0.0)
+        assert tuple(simplex_points(0.0, 1.0)) == (1.0, 0.0)
+        x, y = simplex_points(1.0, 0.0)
         assert (x, y) == (0.5, pytest.approx(math.sqrt(3) / 2))
 
     def test_centroid(self):
-        x, y = simplex_coordinates((1 / 3, 1 / 3, 1 / 3))
+        x, y = simplex_points(1 / 3, 1 / 3)
         assert x == pytest.approx(0.5)
         assert y == pytest.approx(math.sqrt(3) / 6)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            simplex_coordinates((0.5, 0.2, 0.2))
-        with pytest.raises(ValueError):
-            simplex_coordinates((1.2, -0.1, -0.1))
 
 
 class TestRank:

@@ -14,11 +14,9 @@ from bayescv.metrics import (
     Vocabulary,
     oov_accuracy,
     read_corpus,
-    read_vocabulary,
     sentence_accuracy,
     token_accuracy,
     write_corpus,
-    write_vocabulary,
 )
 
 
@@ -213,12 +211,6 @@ class TestCorpusIO:
         path.write_text("a\tX\n\nb\tY", encoding="utf-8")
         got = read_corpus(path)
         assert got.n_sentences == 2
-
-    def test_vocabulary_roundtrip(self, tmp_path):
-        path = tmp_path / "v.txt"
-        vocab = Vocabulary(frozenset({"b", "a", "c"}))
-        write_vocabulary(vocab, path)
-        assert read_vocabulary(path) == vocab
 
     def test_fixture_corpus_loads(self):
         from pathlib import Path

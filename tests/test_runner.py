@@ -68,13 +68,14 @@ class TestStubTagger:
             train = toy_corpus.subset(train_idx)
             evl = toy_corpus.subset(eval_idx)
             tag_counts: dict[str, int] = {}
-            for _, tag in train.iter_positions():
-                tag_counts[tag] = tag_counts.get(tag, 0) + 1
+            for sent in train.sentences:
+                for tag in sent.tags:
+                    tag_counts[tag] = tag_counts.get(tag, 0) + 1
             top = max(tag_counts.items(), key=lambda kv: (kv[1], [-ord(c) for c in kv[0]]))
             best = min(sorted(tag_counts), key=lambda t: -tag_counts[t])
             assert top[0] == best
             expected = sum(
-                1 for _, tag in evl.iter_positions() if tag == best
+                1 for sent in evl.sentences for tag in sent.tags if tag == best
             ) / evl.n_tokens
             got = matrix.entries[("toy", "maj", "token", 0, fold)]
             assert got == pytest.approx(expected, abs=1e-12)

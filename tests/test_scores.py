@@ -43,22 +43,24 @@ class TestScoreMatrix:
 
     def test_enumerations(self):
         m = small_matrix()
-        assert m.systems() == ["sysa", "sysb"]
-        assert m.datasets() == ["d1", "d2"]
-        assert m.metrics() == ["token"]
+        assert sorted({key[1] for key in m.entries}) == ["sysa", "sysb"]
+        assert sorted({key[0] for key in m.entries}) == ["d1", "d2"]
         assert len(m) == 24
 
-    def test_merge_conflict(self):
-        a, b = small_matrix(), small_matrix()
-        with pytest.raises(DuplicateScoreKey):
-            a.merge(b)
+    def test_merge_conflict(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        small_matrix().to_csv(a)
+        small_matrix().to_csv(b)
+        with pytest.raises(DuplicateScoreKey, match="b.csv"):
+            ScoreMatrix.from_csvs([a, b])
 
-    def test_merge_disjoint(self):
-        a = small_matrix()
-        b = ScoreMatrix()
-        b.add("d3", "sysa", "token", 0, 0, 0.4)
-        a.merge(b)
-        assert len(a) == 25
+    def test_merge_disjoint(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        small_matrix().to_csv(a)
+        extra = ScoreMatrix()
+        extra.add("d3", "sysa", "token", 0, 0, 0.4)
+        extra.to_csv(b)
+        assert len(ScoreMatrix.from_csvs([a, b])) == 25
 
 
 class TestScoreCsv:
@@ -67,14 +69,14 @@ class TestScoreCsv:
         m.add("d1", "sysa", "oov", 0, 0, None)
         path = tmp_path / "s.csv"
         m.to_csv(path)
-        again = ScoreMatrix.from_csv(path)
+        again = ScoreMatrix.from_csvs([path])
         assert again.entries == m.entries
 
     def test_roundtrip_is_byte_stable(self, tmp_path):
         m = small_matrix()
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         m.to_csv(p1)
-        ScoreMatrix.from_csv(p1).to_csv(p2)
+        ScoreMatrix.from_csvs([p1]).to_csv(p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_manifest_comment_skipped(self, tmp_path):
@@ -83,13 +85,13 @@ class TestScoreCsv:
         m.to_csv(path, manifest="manifest.txt")
         first = path.read_text().splitlines()[0]
         assert first == "# manifest: manifest.txt"
-        assert ScoreMatrix.from_csv(path).entries == m.entries
+        assert ScoreMatrix.from_csvs([path]).entries == m.entries
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("dataset,system,metric,rep,fold,score\n")
         with pytest.raises(ValueError):
-            ScoreMatrix.from_csv(path)
+            ScoreMatrix.from_csvs([path])
 
     def test_bad_row_carries_line_number(self, tmp_path):
         path = tmp_path / "s.csv"
@@ -97,7 +99,7 @@ class TestScoreCsv:
             "dataset,system,metric,repetition,fold,score\nd,s,token,0,0,not-a-number\n"
         )
         with pytest.raises(ValueError, match=":2"):
-            ScoreMatrix.from_csv(path)
+            ScoreMatrix.from_csvs([path])
 
     def test_from_csvs_merges(self, tmp_path):
         m = small_matrix()

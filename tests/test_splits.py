@@ -154,6 +154,7 @@ class TestSplitPlanValidation:
             )
 
     def test_fold_members(self):
+        # A round's evaluation set is exactly the members of its fold, ascending.
         plan = make_splits(9, 3, 1, seed=0)
-        members = plan.fold_members(0, 1)
+        members = fold_roles(plan, 0, 1)[2]
         assert_array_equal(members, np.flatnonzero(plan.assignments[0] == 1))

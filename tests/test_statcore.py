@@ -1,6 +1,7 @@
 """Checks for the probability kernels against independent references:
 numerical quadrature for the t CDF, dense linear algebra for the
-compound-symmetry Gaussian, and scipy for the incomplete beta function.
+compound-symmetry Gaussian, and scipy for the incomplete beta function
+and for the test oracles' t density.
 """
 
 import math
@@ -12,18 +13,18 @@ import scipy.special
 import scipy.stats
 from numpy.testing import assert_allclose
 
-from bayescv.errors import DimensionMismatch
+from bayescv.scores import DifferenceSeries
 from bayescv.statcore import (
-    CompoundSymmetryCov,
     StudentT,
     betainc,
-    cs_mvn_loglik,
+    cs_loglik,
+    cs_quad_form,
+    cs_stats,
     rng_fork,
     t_cdf,
-    t_logpdf,
     t_sample,
-    t_sf,
 )
+from oracles import cs_dense, dense_cs_loglik, t_logpdf
 
 
 def t_cdf_quadrature(x: float, dist: StudentT) -> float:
@@ -31,22 +32,11 @@ def t_cdf_quadrature(x: float, dist: StudentT) -> float:
     one half plus the integral of the pdf over [location, x]."""
 
     def pdf(u: float) -> float:
-        return math.exp(t_logpdf(u, dist))
+        return math.exp(t_logpdf(u, dist.location, dist.scale, dist.dof))
 
     area, err = scipy.integrate.quad(pdf, dist.location, x, epsabs=1e-13, epsrel=1e-13)
     assert err < 1e-11
     return 0.5 + area
-
-
-def dense_cs_loglik(x: np.ndarray, mean: float, cov: CompoundSymmetryCov) -> float:
-    """Reference density via an explicit covariance matrix factorization."""
-    sigma = cov.dense()
-    n = cov.n
-    chol = np.linalg.cholesky(sigma)
-    resid = x - mean
-    half = np.linalg.solve(chol, resid)
-    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-    return float(-0.5 * (n * math.log(2.0 * math.pi) + logdet + half @ half))
 
 
 class TestStudentTCdf:
@@ -80,7 +70,7 @@ class TestStudentTCdf:
         # argument, so reflection around the location is bit-for-bit.
         dist = StudentT(location=0.0, scale=1.0, dof=4.0)
         for x in (0.001, 0.5, 1.0, 2.75, 6.0):
-            assert t_cdf(-x, dist) == t_sf(x, dist)
+            assert t_cdf(x, dist) == 1.0 - t_cdf(-x, dist)
             assert t_cdf(x, dist) + t_cdf(-x, dist) == pytest.approx(1.0, abs=1e-15)
 
     def test_monotone_in_x(self):
@@ -97,17 +87,17 @@ class TestStudentTCdf:
         assert t_cdf(1e8, dist) == pytest.approx(1.0, abs=1e-12)
 
     def test_sf_complements_cdf(self):
+        # P(T > x) is the CDF of the mirrored distribution at -x.
         dist = StudentT(location=0.6, scale=0.8, dof=11.0)
+        mirrored = StudentT(location=-0.6, scale=0.8, dof=11.0)
         for x in (-2.0, 0.0, 0.6, 1.0, 5.0):
-            assert_allclose(t_sf(x, dist) + t_cdf(x, dist), 1.0, atol=1e-14, rtol=0)
+            assert_allclose(t_cdf(-x, mirrored) + t_cdf(x, dist), 1.0, atol=1e-14, rtol=0)
 
     def test_point_mass(self):
         dist = StudentT(location=0.5, scale=0.0, dof=3.0)
         assert t_cdf(0.4999, dist) == 0.0
         assert t_cdf(0.5, dist) == 1.0
         assert t_cdf(0.6, dist) == 1.0
-        assert t_sf(0.4999, dist) == 1.0
-        assert t_sf(0.5, dist) == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -118,15 +108,11 @@ class TestStudentTCdf:
 
 class TestLogPdf:
     def test_matches_scipy(self):
+        # The test oracles' t density, checked once here.
         for dof in (1.0, 3.0, 17.5):
-            dist = StudentT(location=0.3, scale=1.7, dof=dof)
             ref = scipy.stats.t(df=dof, loc=0.3, scale=1.7)
             for x in (-6.0, -1.0, 0.3, 2.0, 9.0):
-                assert_allclose(t_logpdf(x, dist), ref.logpdf(x), atol=1e-12, rtol=0)
-
-    def test_point_mass_rejected(self):
-        with pytest.raises(ValueError):
-            t_logpdf(0.0, StudentT(location=0.0, scale=0.0, dof=2.0))
+                assert_allclose(t_logpdf(x, 0.3, 1.7, dof), ref.logpdf(x), atol=1e-12, rtol=0)
 
 
 class TestBetainc:
@@ -154,8 +140,8 @@ class TestBetainc:
 
 class TestCompoundSymmetry:
     def test_dense_structure(self):
-        cov = CompoundSymmetryCov(n=4, variance=2.0, rho=0.25)
-        sigma = cov.dense()
+        # The oracle's matrix, which the likelihood checks below rely on.
+        sigma = cs_dense(4, 2.0, 0.25)
         assert sigma.shape == (4, 4)
         assert_allclose(np.diag(sigma), 2.0)
         off = sigma[~np.eye(4, dtype=bool)]
@@ -169,40 +155,55 @@ class TestCompoundSymmetry:
             low = -1.0 / (n - 1)
             rho = float(rng.uniform(low * 0.9, 0.95))
             mean = float(rng.normal())
-            cov = CompoundSymmetryCov(n=n, variance=variance, rho=rho)
             x = rng.normal(size=n)
             assert_allclose(
-                cs_mvn_loglik(x, mean, cov), dense_cs_loglik(x, mean, cov), atol=1e-10, rtol=0
+                cs_loglik(cs_stats(x, rho), mean, variance),
+                dense_cs_loglik(x, mean, variance, rho),
+                atol=1e-10,
+                rtol=0,
             )
 
     def test_loglik_matches_scipy(self):
-        cov = CompoundSymmetryCov(n=6, variance=0.5, rho=0.3)
         rng = np.random.default_rng(11)
         x = rng.normal(size=6)
-        ref = scipy.stats.multivariate_normal(mean=np.full(6, 0.2), cov=cov.dense())
-        assert_allclose(cs_mvn_loglik(x, 0.2, cov), ref.logpdf(x), atol=1e-10, rtol=0)
+        ref = scipy.stats.multivariate_normal(mean=np.full(6, 0.2), cov=cs_dense(6, 0.5, 0.3))
+        assert_allclose(cs_loglik(cs_stats(x, 0.3), 0.2, 0.5), ref.logpdf(x), atol=1e-10, rtol=0)
 
     def test_rho_bounds(self):
+        # The likelihood's input comes from a DifferenceSeries, which
+        # rejects any rho that breaks positive definiteness.
         with pytest.raises(ValueError):
-            CompoundSymmetryCov(n=5, variance=1.0, rho=1.0)
+            DifferenceSeries("d", np.zeros(5), rho=1.0, n=5, m=1, k=5)
         with pytest.raises(ValueError):
-            CompoundSymmetryCov(n=5, variance=1.0, rho=-0.25 - 1e-9)
-        CompoundSymmetryCov(n=5, variance=1.0, rho=-0.24)
+            DifferenceSeries("d", np.zeros(5), rho=-0.25 - 1e-9, n=5, m=1, k=5)
+        DifferenceSeries("d", np.zeros(5), rho=-0.24, n=5, m=1, k=5)
 
     def test_shape_validation(self):
-        cov = CompoundSymmetryCov(n=3, variance=1.0, rho=0.1)
-        with pytest.raises(DimensionMismatch):
-            cs_mvn_loglik(np.zeros(4), 0.0, cov)
-        with pytest.raises(DimensionMismatch):
-            cs_mvn_loglik(np.zeros((3, 1)), 0.0, cov)
+        # ... and any x that is not a 1-d vector of length n.
+        with pytest.raises(ValueError):
+            DifferenceSeries("d", np.zeros(4), rho=0.1, n=3, m=1, k=3)
+        with pytest.raises(ValueError):
+            DifferenceSeries("d", np.zeros((3, 1)), rho=0.1, n=3, m=1, k=3)
 
     def test_independent_case_reduces_to_univariate(self):
-        cov = CompoundSymmetryCov(n=5, variance=1.5, rho=0.0)
         x = np.array([0.1, -0.4, 0.9, 0.0, 1.1])
         expected = sum(
             scipy.stats.norm(loc=0.2, scale=math.sqrt(1.5)).logpdf(v) for v in x
         )
-        assert_allclose(cs_mvn_loglik(x, 0.2, cov), expected, atol=1e-12, rtol=0)
+        assert_allclose(cs_loglik(cs_stats(x, 0.0), 0.2, 1.5), expected, atol=1e-12, rtol=0)
+
+    def test_quad_form_is_elementwise(self):
+        # The sampler evaluates the form over arrays of statistics and means.
+        rng = np.random.default_rng(3)
+        xs = [rng.normal(size=n) for n in (2, 5, 9)]
+        columns = tuple(np.array([cs_stats(x, 0.2)[j] for x in xs])[:, None] for j in range(5))
+        means = rng.normal(size=(3, 4))
+        got = cs_quad_form(columns, means)
+        for i, x in enumerate(xs):
+            for j in range(4):
+                r = x - means[i, j]
+                expected = r @ np.linalg.solve(cs_dense(len(x), 1.0, 0.2), r)
+                assert_allclose(got[i, j], expected, rtol=1e-10)
 
 
 class TestSampling:
