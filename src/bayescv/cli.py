@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .decision import (
     DecisionTriple,
@@ -55,13 +57,16 @@ EXIT_USAGE = 2
 EXIT_NOT_CONVERGED = 3
 EXIT_IO = 4
 
-# rank stacks up to this many pairs into one fit_many call. A sweep costs
-# about the same numpy overhead for one pair as for several, but every
-# stacked pair keeps its draws alive until the call returns. Ranking 4
-# systems on 3 data sets with the default sampler (2-core x86 machine):
-# 1 pair per call took 15.1 s at 44.6 MB peak RSS, 2 pairs 9.0 s at
-# 48.0 MB, 3 pairs 6.2 s at 51.3 MB, all 6 pairs 4.1 s at 61.6 MB.
-_PAIRS_PER_FIT = 2
+# rank fits pairs with the same number of shared data sets together, in
+# fit_many calls that each keep at most this many bytes of draws; a pair
+# keeps chains x draws x (3 + 2q) x 8 bytes, and one too large for the
+# budget on its own still gets a call. A lockstep sweep costs about the
+# same for one pair as for several, so fewer calls are faster, but every
+# pair in a call keeps its draws alive until the call returns. Ranking 4
+# systems on 3 data sets with the default sampler (6 pairs at q=3, 2-core
+# x86 machine, medians of 10 runs): 2 pairs per call took 9.3 s at
+# 50.2 MB peak RSS, this budget's 3 per call 6.8 s at 54.0 MB.
+_DRAW_BUDGET = 12_000_000
 
 
 def _log(message: str) -> None:
@@ -422,25 +427,31 @@ def cmd_rank(args: argparse.Namespace) -> int:
         _setup_pair(scores, system_a, system_b, args, manifest_path)
         for system_a, system_b in combinations(systems, 2)
     ]
-    # Hierarchical pairs with the same number of shared data sets are
-    # fitted in lockstep, _PAIRS_PER_FIT at a time; every pair uses the
-    # same seed, so its draws do not depend on its neighbours.
+    # n same-size pairs run as ceil(n / cap) batches whose sizes differ by
+    # at most one: as few calls as full batches of cap need, at a lower
+    # peak. Every pair uses the same seed, so its draws do not depend on
+    # its batch.
     by_size: dict[int, list[int]] = {}
     for i, pair in enumerate(pairs):
         if len(pair.series) > 1:
             by_size.setdefault(len(pair.series), []).append(i)
-    fitted: list[tuple[ReportRow, bool] | None] = [None] * len(pairs)
-    for indices in by_size.values():
-        for start in range(0, len(indices), _PAIRS_PER_FIT):
-            batch = indices[start : start + _PAIRS_PER_FIT]
-            for i, done in zip(batch, _fit_pairs([pairs[i] for i in batch], args, manifest_path)):
-                fitted[i] = done
+    fitted: dict[int, tuple[ReportRow, bool]] = {}
+    for q, indices in by_size.items():
+        pair_bytes = args.chains * args.draws * (3 + 2 * q) * 8
+        cap = max(1, _DRAW_BUDGET // pair_bytes)
+        for part in np.array_split(indices, -(-len(indices) // cap)):
+            batch = part.tolist()
+            _log(
+                f"fit batch: {len(batch)} pairs x {q} data sets, "
+                f"{len(batch) * pair_bytes / 1e6:.1f} MB of draws"
+            )
+            fitted.update(zip(batch, _fit_pairs([pairs[i] for i in batch], args, manifest_path)))
 
     rows: list[ReportRow] = []
     verdicts: dict[tuple[str, str], DecisionTriple] = {}
     all_converged = True
-    for pair, done in zip(pairs, fitted):
-        row, converged = done or _finish_pair(pair, None, args, {}, manifest_path)
+    for i, pair in enumerate(pairs):
+        row, converged = fitted.get(i) or _finish_pair(pair, None, args, {}, manifest_path)
         rows.append(row)
         verdicts[(pair.system_a, pair.system_b)] = row.triple
         all_converged = all_converged and converged
@@ -477,14 +488,17 @@ def cmd_plot(args: argparse.Namespace) -> int:
         if not meta_path.is_file():
             raise ValueError(f"chains metadata not found at {meta_path}; pass --meta")
         meta = read_kv(meta_path)
+        for key in ("standardization_constant", "chains", "draws_per_chain"):
+            if key not in meta:
+                raise ValueError(f"{meta_path} has no {key!r}; is it the sidecar of these chains?")
         for name in ("delta0", "sigma0", "nu"):
             if name not in chains:
                 raise ValueError(f"{args.chains}: missing draws for {name!r}")
         # A file cut after a whole chain still reads as a complete grid;
         # only the sidecar knows how many chains there were.
         shape = tuple(str(n) for n in chains["delta0"].shape)
-        recorded = (meta.get("chains"), meta.get("draws_per_chain"))
-        if "chains" in meta and shape != recorded:
+        recorded = (meta["chains"], meta["draws_per_chain"])
+        if shape != recorded:
             raise ValueError(
                 f"{args.chains}: {shape[0]} chains x {shape[1]} draws, but {meta_path} "
                 f"records {recorded[0]} x {recorded[1]} (truncated?)"
@@ -494,7 +508,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
             if "rope_halfwidth" not in meta:
                 raise ValueError("no --rope given and none recorded in the chain metadata")
             rope_raw = float(meta["rope_halfwidth"])
-        constant = float(meta.get("standardization_constant", "1.0"))
+        constant = float(meta["standardization_constant"])
         label_a = meta.get("system_a", "system a")
         label_b = meta.get("system_b", "system b")
         inputs = [args.chains, str(meta_path)]

@@ -553,7 +553,7 @@ def fit_many(
     """``fit`` for several problems at once, all chains in one lockstep kernel.
 
     Every problem must have the same number of data sets. Each result is
-    the one ``fit`` gives for that problem alone, up to float rounding.
+    the one ``fit`` gives for that problem alone, bit for bit.
     """
     prepared = [_prepare(series, config) for series in problems]
     sizes = sorted({len(p.ids) for p in prepared})

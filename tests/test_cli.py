@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bayescv import cli
 from bayescv.cli import main
 from bayescv.decision import read_report_csv, rope_from_differences
 from bayescv.manifest import read_kv
@@ -318,9 +319,10 @@ class TestRank:
         rank_rc = run("rank", "--scores", scores, "--metric", "token", "--rope", "0.01",
                       "--seed", "6", *FAST, "--out-prefix", tmp_path / "r")
         err = capsys.readouterr().err.splitlines()
-        # 10 pairs: 3 with one shared data set, 4 with two (2 calls), 3
-        # with three (2 calls).
-        assert sum(line.startswith("stage fit:") for line in err) == 4
+        # 10 pairs: 3 with one shared data set, 4 with two and 3 with
+        # three; under FAST a pair keeps about 0.2 MB of draws, so each
+        # size is one call.
+        assert sum(line.startswith("stage fit:") for line in err) == 2
         rows = read_report_csv(tmp_path / "r.pairs.csv")
         systems = sorted(["high", "low", "mid", "one", "two"])
         expected = [(a, b) for i, a in enumerate(systems) for b in systems[i + 1 :]]
@@ -343,6 +345,62 @@ class TestRank:
             assert alone.triple == row.triple, (row.system_a, row.system_b)
         assert set(compare_rcs) <= {0, 3}
         assert rank_rc == max(compare_rcs)
+
+    @pytest.fixture()
+    def seven_pair_csv(self, tmp_path):
+        """Six systems whose 15 pairs share two data sets (7 pairs) or one."""
+        coverage = {
+            "full": ("d0", "d1", "d2"),
+            "a1": ("d0", "d1"), "a2": ("d0", "d1"),
+            "b1": ("d0", "d2"), "b2": ("d0", "d2"),
+            "c1": ("d1", "d2"),
+        }
+        rng = np.random.default_rng(29)
+        matrix = ScoreMatrix()
+        for offset, (system, datasets) in enumerate(coverage.items()):
+            for ds in datasets:
+                for rep in range(2):
+                    for fold in range(5):
+                        value = 0.70 + 0.01 * offset + rng.normal(0.0, 0.003)
+                        matrix.add(ds, system, "token", rep, fold, value)
+        path = tmp_path / "six.scores.csv"
+        matrix.to_csv(path)
+        return path
+
+    def test_output_does_not_depend_on_batching(
+        self, seven_pair_csv, tmp_path, monkeypatch, capsys
+    ):
+        # A pair's draws under FAST take 2 chains x 1500 draws x 7
+        # parameters x 8 bytes at two shared data sets.
+        pair_bytes = 2 * 1500 * 7 * 8
+        outputs = {}
+        for name, budget in (("default", None), ("single", 1), ("three", 3 * pair_bytes)):
+            if budget is not None:
+                monkeypatch.setattr(cli, "_DRAW_BUDGET", budget)
+            work = tmp_path / name
+            work.mkdir()
+            monkeypatch.chdir(work)
+            capsys.readouterr()
+            rc = run("rank", "--scores", seven_pair_csv, "--metric", "token",
+                     "--rope", "0.01", "--seed", "6", *FAST, "--out-prefix", "r")
+            err = capsys.readouterr().err.splitlines()
+            batches = [line for line in err if line.startswith("fit batch: ")]
+            assert len(batches) == sum(line.startswith("stage fit:") for line in err)
+            outputs[name] = (
+                rc,
+                (work / "r.pairs.csv").read_bytes(),
+                (work / "r.ranking.txt").read_bytes(),
+            )
+            if name == "single":
+                assert len(batches) == 7
+            if name == "three":
+                assert batches == [
+                    f"fit batch: {n} pairs x 2 data sets, {n * pair_bytes / 1e6:.1f} MB of draws"
+                    for n in (3, 2, 2)
+                ]
+        assert outputs["single"] == outputs["default"]
+        assert outputs["three"] == outputs["default"]
+        assert outputs["default"][0] in (0, 3)
 
     def test_single_system_is_usage_error(self, one_dataset_csv, tmp_path):
         path = ScoreMatrix.from_csvs([one_dataset_csv])
@@ -415,6 +473,25 @@ class TestPlot:
         rc = run("plot", "--chains", copy, "--rope", "0.03", "--out-prefix", tmp_path / "fig")
         assert rc == 2
         assert str(tmp_path / "x.chains.meta.txt") in capsys.readouterr().err
+        assert not (tmp_path / "fig.svg").exists()
+
+    def test_plot_rejects_a_sidecar_of_other_draws(
+        self, compare_artifacts, one_dataset_csv, tmp_path, capsys
+    ):
+        # A single-dataset compare writes a sidecar with no constant and
+        # no chain shape; read as 1.0, the constant would misclassify the
+        # standardized draws (P(right)=1.000 instead of mostly rope).
+        rc = run("compare", "--scores", one_dataset_csv, "--a", "alpha", "--b", "beta",
+                 "--metric", "token", "--rope", "0.03", "--out-prefix", tmp_path / "one")
+        assert rc == 0
+        other = tmp_path / "one.chains.meta.txt"
+        capsys.readouterr()
+        rc = run("plot", "--chains", compare_artifacts / "pair.chains.csv", "--meta", other,
+                 "--rope", "0.03", "--out-prefix", tmp_path / "fig")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(other) in err
+        assert "'standardization_constant'" in err
         assert not (tmp_path / "fig.svg").exists()
 
     def test_plot_needs_rope_when_sidecar_has_none(self, compare_artifacts, tmp_path, capsys):
