@@ -87,7 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Compare systems scored by repeated k-fold cross-validation.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # Not dest="command": score's --command template would overwrite it.
+    sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p_split = sub.add_parser("split", help="write a repeated k-fold split plan")
     p_split.add_argument("--n", type=int, required=True, help="number of items (sentences)")
@@ -148,6 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_compare_flags(parser: argparse.ArgumentParser) -> None:
+    defaults = ModelConfig()
     parser.add_argument(
         "--scores", required=True, nargs="+", help="one or more score CSV files, merged"
     )
@@ -161,30 +163,50 @@ def _add_compare_flags(parser: argparse.ArgumentParser) -> None:
         help="derive the rope as half the central 95%% interval of the pooled differences",
     )
     parser.add_argument("--rho", type=float, default=None, help="fold correlation (default 1/k)")
-    parser.add_argument("--chains", type=int, default=4)
-    parser.add_argument("--draws", type=int, default=12500, help="retained draws per chain")
-    parser.add_argument("--warmup", type=int, default=2000)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--no-standardize", action="store_true")
-    parser.add_argument("--sigma-bar-factor", type=float, default=1000.0)
-    parser.add_argument("--delta0-halfwidth", type=float, default=1.0)
+    parser.add_argument("--chains", type=int, default=defaults.chains)
     parser.add_argument(
-        "--nu-prior", type=float, nargs=2, default=(2.0, 0.1), metavar=("SHAPE", "RATE")
+        "--draws", type=int, default=defaults.samples_per_chain, help="retained draws per chain"
     )
+    parser.add_argument("--warmup", type=int, default=defaults.warmup)
+    parser.add_argument("--seed", type=int, default=defaults.seed)
+    parser.add_argument("--no-standardize", action="store_true")
+    parser.add_argument("--sigma-bar-factor", type=float, default=defaults.sigma_bar_factor)
+    parser.add_argument(
+        "--delta0-halfwidth", type=float, default=defaults.delta0_prior_halfwidth
+    )
+    parser.add_argument(
+        "--nu-prior", type=float, nargs=2, default=defaults.nu_prior, metavar=("SHAPE", "RATE")
+    )
+
+
+def _output(args: argparse.Namespace, suffix: str) -> Path:
+    prefix = Path(args.out_prefix)
+    return prefix.with_name(prefix.name + suffix)
+
+
+def _write_manifest(args: argparse.Namespace, inputs: list[str | Path]) -> Path:
+    """Write <out-prefix>.manifest.txt: every parsed flag of the subcommand
+    as param[<dest>] (--seed as seed=), and the digests of ``inputs``.
+
+    None renders empty and a list or tuple as its items joined by commas,
+    so a typed flag and its default read the same.
+    """
+    params = {
+        dest: ",".join(map(str, value)) if isinstance(value, (list, tuple))
+        else "" if value is None else value
+        for dest, value in vars(args).items()
+        if dest not in ("subcommand", "func", "seed")
+    }
+    path = _output(args, ".manifest.txt")
+    manifest = RunManifest.collect(args.subcommand, getattr(args, "seed", None), params, inputs)
+    write_manifest(manifest, path)
+    return path
 
 
 def cmd_split(args: argparse.Namespace) -> int:
     plan = make_splits(args.n, args.k, args.m, args.seed)
-    prefix = Path(args.out_prefix)
-    plan_path = prefix.with_name(prefix.name + ".plan.json")
-    manifest_path = prefix.with_name(prefix.name + ".manifest.txt")
-    manifest = RunManifest.collect(
-        "split",
-        args.seed,
-        {"n": args.n, "k": args.k, "m": args.m, "out_prefix": args.out_prefix},
-        [],
-    )
-    write_manifest(manifest, manifest_path)
+    plan_path = _output(args, ".plan.json")
+    manifest_path = _write_manifest(args, [])
     write_plan(plan, plan_path, manifest=str(manifest_path))
     _log(f"plan: {plan_path} ({plan.m} repetitions x {plan.k} folds over {plan.n_items} items)")
     print(manifest_path)
@@ -220,25 +242,8 @@ def cmd_score(args: argparse.Namespace) -> int:
         timeout=args.timeout,
         progress=_round_progress(),
     )
-    prefix = Path(args.out_prefix)
-    scores_path = prefix.with_name(prefix.name + ".scores.csv")
-    manifest_path = prefix.with_name(prefix.name + ".manifest.txt")
-    manifest = RunManifest.collect(
-        "score",
-        None,
-        {
-            "plan": args.plan,
-            "corpus": args.corpus,
-            "dataset": args.dataset,
-            "system": args.system,
-            "command": args.command,
-            "metrics": args.metrics,
-            "oov_vocab": args.oov_vocab,
-            "workers": args.workers,
-        },
-        [args.plan, args.corpus],
-    )
-    write_manifest(manifest, manifest_path)
+    scores_path = _output(args, ".scores.csv")
+    manifest_path = _write_manifest(args, [args.plan, args.corpus])
     matrix.to_csv(scores_path, manifest=str(manifest_path))
     na = sum(1 for v in matrix.entries.values() if v is None)
     _log(f"scores: {scores_path} ({len(matrix)} rows, {na} undefined)")
@@ -278,11 +283,7 @@ class _Pair:
 
 
 def _setup_pair(
-    scores: ScoreMatrix,
-    system_a: str,
-    system_b: str,
-    args: argparse.Namespace,
-    manifest_path: Path,
+    scores: ScoreMatrix, system_a: str, system_b: str, args: argparse.Namespace
 ) -> _Pair:
     series = assemble_differences(scores, system_a, system_b, args.metric, rho=args.rho)
     rope, rope_mode = _resolve_rope(args, series)
@@ -293,17 +294,12 @@ def _setup_pair(
         "system_b": system_b,
         "metric": args.metric,
         "n_datasets": str(len(series)),
-        "manifest": str(manifest_path),
     }
     return _Pair(system_a, system_b, series, rope, notes)
 
 
 def _finish_pair(
-    pair: _Pair,
-    post: PosteriorChains | None,
-    args: argparse.Namespace,
-    outputs: dict[str, Path],
-    manifest_path: Path,
+    pair: _Pair, post: PosteriorChains | None, args: argparse.Namespace
 ) -> tuple[ReportRow, bool]:
     """Shared tail of compare and rank. Returns (row, converged).
 
@@ -323,18 +319,11 @@ def _finish_pair(
         notes["ttest_location"] = repr(post_t.location)
         notes["ttest_scale"] = repr(post_t.scale)
         notes["ttest_dof"] = repr(post_t.dof)
-        if "meta" in outputs:
-            write_kv(outputs["meta"], notes)
         converged = True
     else:
         with _stage("tally"):
             triple = tally(post, pair.rope)
         notes["method"] = "hierarchical"
-        notes["standardization_constant"] = repr(post.standardization_constant)
-        if "chains" in outputs:
-            with _stage("write chains"):
-                write_chains_csv(post, outputs["chains"], manifest=str(manifest_path))
-                write_chain_metadata(post, outputs["meta"], extra=notes)
         converged = post.converged
         if not converged:
             bad = ", ".join(
@@ -359,26 +348,22 @@ def _finish_pair(
 def cmd_compare(args: argparse.Namespace) -> int:
     with _stage("load"):
         scores = ScoreMatrix.from_csvs(args.scores)
-    prefix = Path(args.out_prefix)
-    report_path = prefix.with_name(prefix.name + ".report.csv")
-    chains_path = prefix.with_name(prefix.name + ".chains.csv")
-    meta_path = prefix.with_name(prefix.name + ".chains.meta.txt")
-    manifest_path = prefix.with_name(prefix.name + ".manifest.txt")
-    manifest = RunManifest.collect(
-        "compare",
-        args.seed,
-        _echo_flags(args, {"a": args.system_a, "b": args.system_b}),
-        list(args.scores),
-    )
-    write_manifest(manifest, manifest_path)
-    pair = _setup_pair(scores, args.system_a, args.system_b, args, manifest_path)
+    manifest_path = _write_manifest(args, args.scores)
+    pair = _setup_pair(scores, args.system_a, args.system_b, args)
     post = None
     if len(pair.series) > 1:
         with _stage("fit"):
             post = fit(pair.series, _model_config(args))
-    row, converged = _finish_pair(
-        pair, post, args, {"chains": chains_path, "meta": meta_path}, manifest_path
-    )
+    row, converged = _finish_pair(pair, post, args)
+    pair.notes["manifest"] = str(manifest_path)
+    meta_path = _output(args, ".chains.meta.txt")
+    if post is None:
+        write_kv(meta_path, pair.notes)
+    else:
+        with _stage("write chains"):
+            write_chains_csv(post, _output(args, ".chains.csv"), manifest=str(manifest_path))
+            write_chain_metadata(post, meta_path, extra=pair.notes)
+    report_path = _output(args, ".report.csv")
     write_report_csv([row], report_path, manifest=str(manifest_path))
     t = row.triple
     _log(
@@ -391,9 +376,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return EXIT_OK if converged else EXIT_NOT_CONVERGED
 
 
-def _fit_pairs(
-    pairs: list[_Pair], args: argparse.Namespace, manifest_path: Path
-) -> list[tuple[ReportRow, bool]]:
+def _fit_pairs(pairs: list[_Pair], args: argparse.Namespace) -> list[tuple[ReportRow, bool]]:
     """Fit hierarchical pairs of one size in lockstep and finish each.
 
     The posteriors die with this call, so a batch's draws are freed
@@ -401,30 +384,19 @@ def _fit_pairs(
     """
     with _stage("fit"):
         posts = fit_many([pair.series for pair in pairs], _model_config(args))
-    return [
-        _finish_pair(pair, post, args, {}, manifest_path) for pair, post in zip(pairs, posts)
-    ]
+    return [_finish_pair(pair, post, args) for pair, post in zip(pairs, posts)]
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
     scores = ScoreMatrix.from_csvs(args.scores)
-    systems = sorted(
-        {key[1] for key in scores.entries if key[2] == args.metric}
-    )
+    systems = sorted({key[1] for key in scores.entries if key[2] == args.metric})
     if len(systems) < 2:
         raise ValueError(
             f"ranking needs at least two systems with {args.metric!r} scores, found {systems}"
         )
-    prefix = Path(args.out_prefix)
-    pairs_path = prefix.with_name(prefix.name + ".pairs.csv")
-    ranking_path = prefix.with_name(prefix.name + ".ranking.txt")
-    manifest_path = prefix.with_name(prefix.name + ".manifest.txt")
-    manifest = RunManifest.collect(
-        "rank", args.seed, _echo_flags(args, {}), list(args.scores)
-    )
-    write_manifest(manifest, manifest_path)
+    manifest_path = _write_manifest(args, args.scores)
     pairs = [
-        _setup_pair(scores, system_a, system_b, args, manifest_path)
+        _setup_pair(scores, system_a, system_b, args)
         for system_a, system_b in combinations(systems, 2)
     ]
     # n same-size pairs run as ceil(n / cap) batches whose sizes differ by
@@ -445,13 +417,13 @@ def cmd_rank(args: argparse.Namespace) -> int:
                 f"fit batch: {len(batch)} pairs x {q} data sets, "
                 f"{len(batch) * pair_bytes / 1e6:.1f} MB of draws"
             )
-            fitted.update(zip(batch, _fit_pairs([pairs[i] for i in batch], args, manifest_path)))
+            fitted.update(zip(batch, _fit_pairs([pairs[i] for i in batch], args)))
 
     rows: list[ReportRow] = []
     verdicts: dict[tuple[str, str], DecisionTriple] = {}
     all_converged = True
     for i, pair in enumerate(pairs):
-        row, converged = fitted.get(i) or _finish_pair(pair, None, args, {}, manifest_path)
+        row, converged = fitted.get(i) or _finish_pair(pair, None, args)
         rows.append(row)
         verdicts[(pair.system_a, pair.system_b)] = row.triple
         all_converged = all_converged and converged
@@ -460,7 +432,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
             f"{pair.system_a} vs {pair.system_b}: "
             f"{t.p_left:.3f}/{t.p_rope:.3f}/{t.p_right:.3f} -> {t.verdict}"
         )
-    write_report_csv(rows, pairs_path, manifest=str(manifest_path))
+    write_report_csv(rows, _output(args, ".pairs.csv"), manifest=str(manifest_path))
     result = rank(verdicts)
     lines = [f"# manifest: {manifest_path}"]
     lines += [f"{a} {symbol} {b}" for a, symbol, b in result.labels]
@@ -469,6 +441,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
     else:
         lines.append("ranking: inconsistent")
         lines += [f"conflict: {c}" for c in result.conflicts]
+    ranking_path = _output(args, ".ranking.txt")
     ranking_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     _log(lines[-1] if result.consistent else "verdicts are inconsistent; see " + str(ranking_path))
     print(manifest_path)
@@ -476,9 +449,6 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
-    prefix = Path(args.out_prefix)
-    svg_path = prefix.with_name(prefix.name + ".svg")
-    manifest_path = prefix.with_name(prefix.name + ".manifest.txt")
     if args.chains is not None:
         meta_path = Path(args.meta) if args.meta else Path(args.chains).with_suffix(".meta.txt")
         with _stage("read chains"):
@@ -508,13 +478,13 @@ def cmd_plot(args: argparse.Namespace) -> int:
             if "rope_halfwidth" not in meta:
                 raise ValueError("no --rope given and none recorded in the chain metadata")
             rope_raw = float(meta["rope_halfwidth"])
-        constant = float(meta["standardization_constant"])
+        rope = RopeInterval(rope_raw).scaled(float(meta["standardization_constant"]))
         label_a = meta.get("system_a", "system a")
         label_b = meta.get("system_b", "system b")
         inputs = [args.chains, str(meta_path)]
         with _stage("points"):
             points, triple = draws_to_points(
-                chains["delta0"], chains["sigma0"], chains["nu"], rope_raw / constant
+                chains["delta0"], chains["sigma0"], chains["nu"], rope.halfwidth
             )
         title = args.title or f"{label_a} vs {label_b}"
     else:
@@ -525,18 +495,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
         label_b = rows[0].system_b if len(rows) == 1 else "left region"
         inputs = [args.report]
         title = args.title or (f"{label_a} vs {label_b}" if len(rows) == 1 else "pairwise triples")
-    manifest = RunManifest.collect(
-        "plot",
-        None,
-        {
-            "chains": args.chains or "",
-            "report": args.report or "",
-            "rope": "" if args.rope is None else repr(args.rope),
-            "max_points": args.max_points,
-        },
-        inputs,
-    )
-    write_manifest(manifest, manifest_path)
+    manifest_path = _write_manifest(args, inputs)
     with _stage("render"):
         svg = render_simplex_svg(
             points,
@@ -547,29 +506,11 @@ def cmd_plot(args: argparse.Namespace) -> int:
             manifest=str(manifest_path),
             max_points=args.max_points,
         )
+    svg_path = _output(args, ".svg")
     svg_path.write_text(svg, encoding="utf-8")
     _log(f"plot: {svg_path} ({points.shape[0]} draws)")
     print(manifest_path)
     return EXIT_OK
-
-
-def _echo_flags(args: argparse.Namespace, extra: dict[str, object]) -> dict[str, object]:
-    out: dict[str, object] = {
-        "scores": ",".join(args.scores),
-        "metric": args.metric,
-        "rope": "" if args.rope is None else repr(args.rope),
-        "rope_mode": args.rope_mode or "fixed",
-        "rho": "" if args.rho is None else repr(args.rho),
-        "chains": args.chains,
-        "draws": args.draws,
-        "warmup": args.warmup,
-        "standardize": not args.no_standardize,
-        "sigma_bar_factor": args.sigma_bar_factor,
-        "delta0_halfwidth": args.delta0_halfwidth,
-        "nu_prior": f"{args.nu_prior[0]},{args.nu_prior[1]}",
-    }
-    out.update(extra)
-    return out
 
 
 def main(argv: list[str] | None = None) -> int:

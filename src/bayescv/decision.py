@@ -62,8 +62,8 @@ class RopeInterval:
 
     def scaled(self, constant: float) -> "RopeInterval":
         """The same region expressed in units divided by ``constant``."""
-        if constant <= 0.0:
-            raise ValueError(f"scaling constant must be positive, got {constant}")
+        if not (constant > 0.0 and math.isfinite(constant)):
+            raise ValueError(f"scaling constant must be finite and positive, got {constant}")
         return RopeInterval(self.halfwidth / constant)
 
 

@@ -8,8 +8,9 @@ must write its tagged predictions in the same format and order. Only
 ``{test}`` and ``{pred}`` are mandatory; a no-training baseline can skip
 the rest. The template is split into arguments the way a POSIX shell
 would (``shlex.split``) before the paths go in, so a path with a space
-stays one argument. A template that does not split, or that names an
-unknown placeholder, is rejected before any round writes a file.
+stays one argument. A template that does not split or that names an
+unknown placeholder, and a metric list that is empty or names an unknown
+metric, are rejected before any round writes a file.
 """
 
 from __future__ import annotations
@@ -103,18 +104,17 @@ def _score_round(
         vocabulary = Vocabulary.from_corpus(*vocab_corpora)
         out: dict[str, float | None] = {}
         try:
+            # run_external has checked the names: the last one left is oov.
             for metric in metrics:
                 if metric == "token":
                     out[metric] = token_accuracy(gold, predicted)
                 elif metric == "sentence":
                     out[metric] = sentence_accuracy(gold, predicted)
-                elif metric == "oov":
+                else:
                     try:
                         out[metric] = oov_accuracy(vocabulary, gold, predicted)
                     except NoOovTokens:
                         out[metric] = None
-                else:
-                    raise ValueError(f"unknown metric {metric!r}")
         except (ShapeMismatch, TokenMismatch) as exc:
             raise OutputUnreadable(f"round ({rep}, {fold}): prediction misaligned: {exc}") from exc
         return out
@@ -162,6 +162,10 @@ def run_external(
     for placeholder in ("{test}", "{pred}"):
         if placeholder not in command_template:
             raise ValueError(f"command template is missing {placeholder}")
+    unknown = [metric for metric in metrics if metric not in DEFAULT_METRICS]
+    if unknown or not metrics:
+        problem = f"unknown metrics {', '.join(unknown)}" if unknown else "no metrics given"
+        raise ValueError(f"{problem}; known metrics: {', '.join(DEFAULT_METRICS)}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     workdir_path = Path(workdir) if workdir is not None else None

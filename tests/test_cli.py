@@ -1,6 +1,8 @@
 """End-to-end tests driving the command line through main()."""
 
+import argparse
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -168,6 +170,37 @@ class TestScore:
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "wd").exists()
+
+    @pytest.mark.parametrize(
+        "metrics, message",
+        [
+            ("token,bogus", "unknown metrics bogus; known metrics: token, sentence, oov"),
+            (",", "no metrics given; known metrics: token, sentence, oov"),
+        ],
+        ids=["unknown", "empty"],
+    )
+    def test_bad_metrics_fail_before_any_round(self, tmp_path, capsys, metrics, message):
+        corpus = tmp_path / "corpus.tsv"
+        self._write_corpus(corpus)
+        assert run("split", "--n", 12, "--k", 4, "--m", 2, "--seed", 5,
+                   "--out-prefix", tmp_path / "c") == 0
+        calls = tmp_path / "calls.log"
+        command = (f"sh -c 'echo x >> \"$0\"; cp \"$1\" \"$2\"' "
+                   f"{shlex.quote(str(calls))} {{test}} {{pred}}")
+
+        def score(metric_list: str) -> int:
+            return run("score", "--plan", tmp_path / "c.plan.json", "--corpus", corpus,
+                       "--dataset", "toy", "--system", "x", "--command", command,
+                       "--metrics", metric_list, "--workers", "2", "--out-prefix", tmp_path / "s")
+
+        capsys.readouterr()
+        assert score(metrics) == 2
+        assert message in capsys.readouterr().err
+        assert not calls.exists()
+        assert not (tmp_path / "s.scores.csv").exists()
+        # The counter works: a valid list runs the command once per round.
+        assert score("token") == 0
+        assert len(calls.read_text(encoding="utf-8").splitlines()) == 8
 
 
 class TestCompare:
@@ -494,6 +527,24 @@ class TestPlot:
         assert "'standardization_constant'" in err
         assert not (tmp_path / "fig.svg").exists()
 
+    @pytest.mark.parametrize("constant", ["0", "inf"])
+    def test_plot_rejects_a_bad_standardization_constant(
+        self, compare_artifacts, tmp_path, capsys, constant
+    ):
+        meta = compare_artifacts / "pair.chains.meta.txt"
+        edited = tmp_path / "edited.meta.txt"
+        edited.write_text(
+            re.sub(r"(?m)^standardization_constant=.*$", f"standardization_constant={constant}",
+                   meta.read_text(encoding="utf-8")),
+            encoding="utf-8",
+        )
+        capsys.readouterr()
+        rc = run("plot", "--chains", compare_artifacts / "pair.chains.csv", "--meta", edited,
+                 "--out-prefix", tmp_path / "fig")
+        assert rc == 2
+        assert "scaling constant must be finite and positive" in capsys.readouterr().err
+        assert not (tmp_path / "fig.svg").exists()
+
     def test_plot_needs_rope_when_sidecar_has_none(self, compare_artifacts, tmp_path, capsys):
         meta = compare_artifacts / "pair.chains.meta.txt"
         lines = meta.read_text(encoding="utf-8").splitlines(keepends=True)
@@ -536,3 +587,56 @@ class TestPlot:
         rc = run("plot", "--chains", tmp_path / "absent.chains.csv",
                  "--out-prefix", tmp_path / "fig")
         assert rc == 4
+
+
+class TestManifest:
+    @staticmethod
+    def subparsers() -> dict[str, argparse.ArgumentParser]:
+        parser = cli.build_parser()
+        action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return action.choices
+
+    def test_every_flag_is_recorded(self, tmp_path):
+        corpus = FIXTURES / "toy_corpus.tsv"
+        commands = {
+            "split": ("--n", 200, "--k", 4, "--m", 1, "--seed", 5),
+            "score": ("--plan", tmp_path / "split.plan.json", "--corpus", corpus,
+                      "--dataset", "toy", "--system", "copy", "--command", "cp {test} {pred}"),
+            "compare": ("--scores", DELTA3, "--a", "alpha", "--b", "beta", "--metric", "token",
+                        "--rope", "0.01", "--seed", "2", *FAST),
+            "rank": ("--scores", DELTA3, "--metric", "token", "--rope", "0.01", "--seed", "2",
+                     *FAST),
+            "plot": ("--chains", tmp_path / "compare.chains.csv", "--max-points", "100"),
+        }
+        subparsers = self.subparsers()
+        assert set(commands) == set(subparsers)
+        for name, flags in commands.items():
+            assert run(name, *flags, "--out-prefix", tmp_path / name) == 0, name
+            manifest = read_kv(tmp_path / f"{name}.manifest.txt")
+            assert manifest["command"] == name
+            dests = {a.dest for a in subparsers[name]._actions if a.dest != "help"}
+            params = {key[len("param["):-1] for key in manifest if key.startswith("param[")}
+            assert params == dests - {"seed"}, name
+            assert ("seed" in manifest) == ("seed" in dests), name
+        assert read_kv(tmp_path / "split.manifest.txt")["seed"] == "5"
+        score = read_kv(tmp_path / "score.manifest.txt")
+        assert score["param[command]"] == "cp {test} {pred}"
+        assert score["param[timeout]"] == score["param[workdir]"] == ""
+        compare = read_kv(tmp_path / "compare.manifest.txt")
+        assert compare["seed"] == "2"
+        assert compare["param[system_a]"] == "alpha"
+        assert compare["param[no_standardize]"] == "False"
+        assert compare["param[rope]"] == "0.01"
+        assert compare["param[rope_mode]"] == ""
+        assert compare["param[scores]"] == str(DELTA3)
+        assert compare[f"input[{DELTA3}]"].startswith("sha256:")
+
+    def test_nu_prior_typed_and_defaulted_read_the_same(self, one_dataset_csv, tmp_path):
+        recorded = []
+        for nu_prior in ((), ("--nu-prior", "2.0", "0.1"), ("--nu-prior", "2", "0.1")):
+            prefix = tmp_path / f"nu{len(recorded)}"
+            assert run("compare", "--scores", one_dataset_csv, "--a", "alpha", "--b", "beta",
+                       "--metric", "token", "--rope", "0.01", *nu_prior,
+                       "--out-prefix", prefix) == 0
+            recorded.append(read_kv(f"{prefix}.manifest.txt")["param[nu_prior]"])
+        assert recorded == ["2.0,0.1"] * 3
