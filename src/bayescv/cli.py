@@ -33,7 +33,7 @@ from .decision import (
     write_report_csv,
 )
 from .errors import BayescvError, CommandFailed, OutputUnreadable
-from .manifest import RunManifest, read_kv, write_kv, write_manifest
+from .manifest import RunManifest, file_digest, read_kv, write_kv, write_manifest
 from .metrics import read_corpus
 from .model import (
     RHAT_THRESHOLD,
@@ -184,9 +184,12 @@ def _output(args: argparse.Namespace, suffix: str) -> Path:
     return prefix.with_name(prefix.name + suffix)
 
 
-def _write_manifest(args: argparse.Namespace, inputs: list[str | Path]) -> Path:
+def _write_manifest(
+    args: argparse.Namespace, inputs: list[str | Path], digests: dict[str, str] | None = None
+) -> Path:
     """Write <out-prefix>.manifest.txt: every parsed flag of the subcommand
-    as param[<dest>] (--seed as seed=), and the digests of ``inputs``.
+    as param[<dest>] (--seed as seed=), and the digests of ``inputs``;
+    ``digests`` holds those already computed, by path.
 
     None renders empty and a list or tuple as its items joined by commas,
     so a typed flag and its default read the same.
@@ -198,7 +201,9 @@ def _write_manifest(args: argparse.Namespace, inputs: list[str | Path]) -> Path:
         if dest not in ("subcommand", "func", "seed")
     }
     path = _output(args, ".manifest.txt")
-    manifest = RunManifest.collect(args.subcommand, getattr(args, "seed", None), params, inputs)
+    manifest = RunManifest.collect(
+        args.subcommand, getattr(args, "seed", None), params, inputs, digests
+    )
     write_manifest(manifest, path)
     return path
 
@@ -299,7 +304,7 @@ def _setup_pair(
 
 
 def _finish_pair(
-    pair: _Pair, post: PosteriorChains | None, args: argparse.Namespace
+    pair: _Pair, post: PosteriorChains | None, args: argparse.Namespace, config: ModelConfig
 ) -> tuple[ReportRow, bool]:
     """Shared tail of compare and rank. Returns (row, converged).
 
@@ -312,9 +317,9 @@ def _finish_pair(
         # fall back to the closed-form correlated t posterior and sample
         # the decision counters from it.
         post_t = correlated_ttest(pair.series[0])
-        n_samples = args.chains * args.draws
+        n_samples = config.chains * config.samples_per_chain
         with _stage("tally"):
-            triple = ttest_triple(post_t, pair.rope, n_samples=n_samples, seed=args.seed)
+            triple = ttest_triple(post_t, pair.rope, n_samples=n_samples, seed=config.seed)
         notes["method"] = "correlated_ttest"
         notes["ttest_location"] = repr(post_t.location)
         notes["ttest_scale"] = repr(post_t.scale)
@@ -346,6 +351,9 @@ def _finish_pair(
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    # Built first, so bad sampler flags fail before any work, whichever
+    # path the pair takes.
+    config = _model_config(args)
     with _stage("load"):
         scores = ScoreMatrix.from_csvs(args.scores)
     manifest_path = _write_manifest(args, args.scores)
@@ -353,15 +361,18 @@ def cmd_compare(args: argparse.Namespace) -> int:
     post = None
     if len(pair.series) > 1:
         with _stage("fit"):
-            post = fit(pair.series, _model_config(args))
-    row, converged = _finish_pair(pair, post, args)
+            post = fit(pair.series, config)
+    row, converged = _finish_pair(pair, post, args, config)
     pair.notes["manifest"] = str(manifest_path)
     meta_path = _output(args, ".chains.meta.txt")
     if post is None:
         write_kv(meta_path, pair.notes)
     else:
+        chains_path = _output(args, ".chains.csv")
         with _stage("write chains"):
-            write_chains_csv(post, _output(args, ".chains.csv"), manifest=str(manifest_path))
+            write_chains_csv(post, chains_path, manifest=str(manifest_path))
+            # plot checks the chains against this before parsing any of it.
+            pair.notes["chains_sha256"] = file_digest(chains_path)
             write_chain_metadata(post, meta_path, extra=pair.notes)
     report_path = _output(args, ".report.csv")
     write_report_csv([row], report_path, manifest=str(manifest_path))
@@ -376,18 +387,21 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return EXIT_OK if converged else EXIT_NOT_CONVERGED
 
 
-def _fit_pairs(pairs: list[_Pair], args: argparse.Namespace) -> list[tuple[ReportRow, bool]]:
+def _fit_pairs(
+    pairs: list[_Pair], args: argparse.Namespace, config: ModelConfig
+) -> list[tuple[ReportRow, bool]]:
     """Fit hierarchical pairs of one size in lockstep and finish each.
 
     The posteriors die with this call, so a batch's draws are freed
     before the next batch is fitted.
     """
     with _stage("fit"):
-        posts = fit_many([pair.series for pair in pairs], _model_config(args))
-    return [_finish_pair(pair, post, args) for pair, post in zip(pairs, posts)]
+        posts = fit_many([pair.series for pair in pairs], config)
+    return [_finish_pair(pair, post, args, config) for pair, post in zip(pairs, posts)]
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
+    config = _model_config(args)
     scores = ScoreMatrix.from_csvs(args.scores)
     systems = sorted({key[1] for key in scores.entries if key[2] == args.metric})
     if len(systems) < 2:
@@ -409,7 +423,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
             by_size.setdefault(len(pair.series), []).append(i)
     fitted: dict[int, tuple[ReportRow, bool]] = {}
     for q, indices in by_size.items():
-        pair_bytes = args.chains * args.draws * (3 + 2 * q) * 8
+        pair_bytes = config.chains * config.samples_per_chain * (3 + 2 * q) * 8
         cap = max(1, _DRAW_BUDGET // pair_bytes)
         for part in np.array_split(indices, -(-len(indices) // cap)):
             batch = part.tolist()
@@ -417,13 +431,13 @@ def cmd_rank(args: argparse.Namespace) -> int:
                 f"fit batch: {len(batch)} pairs x {q} data sets, "
                 f"{len(batch) * pair_bytes / 1e6:.1f} MB of draws"
             )
-            fitted.update(zip(batch, _fit_pairs([pairs[i] for i in batch], args)))
+            fitted.update(zip(batch, _fit_pairs([pairs[i] for i in batch], args, config)))
 
     rows: list[ReportRow] = []
     verdicts: dict[tuple[str, str], DecisionTriple] = {}
     all_converged = True
     for i, pair in enumerate(pairs):
-        row, converged = fitted.get(i) or _finish_pair(pair, None, args)
+        row, converged = fitted.get(i) or _finish_pair(pair, None, args, config)
         rows.append(row)
         verdicts[(pair.system_a, pair.system_b)] = row.triple
         all_converged = all_converged and converged
@@ -449,21 +463,30 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
+    digests: dict[str, str] = {}
     if args.chains is not None:
         meta_path = Path(args.meta) if args.meta else Path(args.chains).with_suffix(".meta.txt")
-        with _stage("read chains"):
-            chains = read_chains_csv(args.chains)
+        # One pass over the bytes: checked against the sidecar below and
+        # recorded in the manifest.
+        with _stage("hash chains"):
+            digests[args.chains] = file_digest(args.chains)
         # The draws are on the standardized scale; only the sidecar holds
         # the constant that maps the rope onto it.
         if not meta_path.is_file():
             raise ValueError(f"chains metadata not found at {meta_path}; pass --meta")
         meta = read_kv(meta_path)
-        for key in ("standardization_constant", "chains", "draws_per_chain"):
+        for key in ("standardization_constant", "chains", "draws_per_chain", "chains_sha256"):
             if key not in meta:
                 raise ValueError(f"{meta_path} has no {key!r}; is it the sidecar of these chains?")
-        for name in ("delta0", "sigma0", "nu"):
-            if name not in chains:
-                raise ValueError(f"{args.chains}: missing draws for {name!r}")
+        # Only the population columns are parsed below, so the bytes of
+        # the whole file must be the ones compare wrote.
+        if meta["chains_sha256"] != digests[args.chains]:
+            raise ValueError(
+                f"{args.chains}: sha256 differs from chains_sha256 in {meta_path} "
+                "(damaged, or not the chains of that sidecar)"
+            )
+        with _stage("read chains"):
+            chains = read_chains_csv(args.chains, names=("delta0", "sigma0", "nu"))
         # A file cut after a whole chain still reads as a complete grid;
         # only the sidecar knows how many chains there were.
         shape = tuple(str(n) for n in chains["delta0"].shape)
@@ -495,7 +518,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
         label_b = rows[0].system_b if len(rows) == 1 else "left region"
         inputs = [args.report]
         title = args.title or (f"{label_a} vs {label_b}" if len(rows) == 1 else "pairwise triples")
-    manifest_path = _write_manifest(args, inputs)
+    manifest_path = _write_manifest(args, inputs, digests)
     with _stage("render"):
         svg = render_simplex_svg(
             points,

@@ -36,9 +36,15 @@ class RunManifest:
         seed: int | None,
         params: dict[str, object],
         input_paths: list[str | Path],
+        digests: dict[str, str] | None = None,
     ) -> "RunManifest":
-        """Digest the inputs and stamp the current time."""
-        inputs = {str(p): file_digest(p) for p in input_paths}
+        """Digest the inputs and stamp the current time.
+
+        ``digests`` maps input paths already hashed to their digests,
+        which are taken as they are.
+        """
+        known = digests or {}
+        inputs = {str(p): known.get(str(p)) or file_digest(p) for p in input_paths}
         stamped = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
         return cls(
             command=command,

@@ -28,6 +28,7 @@ import csv
 import json
 import math
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -615,12 +616,20 @@ def write_chains_csv(post: PosteriorChains, path: str | Path, manifest: str | No
         np.savetxt(handle, table, fmt="%.17g", delimiter=",")
 
 
-def read_chains_csv(path: str | Path) -> dict[str, np.ndarray]:
+def read_chains_csv(
+    path: str | Path, names: Sequence[str] | None = None
+) -> dict[str, np.ndarray]:
     """Inverse of write_chains_csv: parameter name -> (chains, draws) array.
 
     Rejects ragged or non-numeric rows, duplicate columns, a file that
     does not end in a newline (cut mid-row), and chain/draw columns that
     are not the complete chain-major grid (missing or reordered rows).
+
+    With ``names``, only the chain and draw columns and those parameters
+    are parsed, and only those parameters are returned, in that order; a
+    name the header lacks is rejected. Cells of the other columns are
+    never read, so damage there goes unseen: check the file's bytes first,
+    as ``plot`` does against the digest in the sidecar.
     """
     path = Path(path)
     with path.open("rb") as handle:
@@ -638,18 +647,22 @@ def read_chains_csv(path: str | Path) -> dict[str, np.ndarray]:
                 f"{path}: long-format chains file from an older bayescv; "
                 "re-run compare to regenerate it"
             )
-        names = header[2:]
-        if header[:2] != ["chain", "draw"] or not names:
+        params = header[2:]
+        if header[:2] != ["chain", "draw"] or not params:
             raise ValueError(f"{path}: expected header chain,draw,<parameters>, got {header}")
-        if len(set(names)) != len(names):
+        if len(set(params)) != len(params):
             raise ValueError(f"{path}: duplicate parameter columns in the header")
+        for name in names or ():
+            if name not in params:
+                raise ValueError(f"{path}: missing draws for {name!r}")
         if handle.tell() == size:
             raise ValueError(f"{path}: no draws found")
+        usecols = None if names is None else [0, 1] + [header.index(n) for n in names]
         try:
-            table = np.loadtxt(handle, delimiter=",", ndmin=2, encoding="utf-8")
+            table = np.loadtxt(handle, delimiter=",", ndmin=2, encoding="utf-8", usecols=usecols)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
-    if table.shape[1] != len(header):
+    if names is None and table.shape[1] != len(header):
         raise ValueError(f"{path}: expected {len(header)} columns, got {table.shape[1]}")
     rows = table.shape[0]
     chains = int(np.count_nonzero(table[:, 1] == 0))
@@ -663,7 +676,8 @@ def read_chains_csv(path: str | Path) -> dict[str, np.ndarray]:
             f"{path}: chain and draw columns are not a complete chain-major grid "
             "(missing or reordered rows)"
         )
-    return {name: table[:, j].reshape(chains, draws) for j, name in enumerate(names, start=2)}
+    columns = params if names is None else names
+    return {name: table[:, j].reshape(chains, draws) for j, name in enumerate(columns, start=2)}
 
 
 def write_chain_metadata(post: PosteriorChains, path: str | Path, extra: dict[str, str] | None = None) -> None:

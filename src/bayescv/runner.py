@@ -9,12 +9,14 @@ must write its tagged predictions in the same format and order. Only
 the rest. The template is split into arguments the way a POSIX shell
 would (``shlex.split``) before the paths go in, so a path with a space
 stays one argument. A template that does not split or that names an
-unknown placeholder, and a metric list that is empty or names an unknown
-metric, are rejected before any round writes a file.
+unknown placeholder, a metric list that is empty or names an unknown
+metric, and a timeout that is not finite and positive are rejected
+before any round writes a file.
 """
 
 from __future__ import annotations
 
+import math
 import shlex
 import subprocess
 import tempfile
@@ -168,6 +170,8 @@ def run_external(
         raise ValueError(f"{problem}; known metrics: {', '.join(DEFAULT_METRICS)}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if timeout is not None and not (timeout > 0 and math.isfinite(timeout)):
+        raise ValueError(f"timeout must be finite and > 0 seconds, got {timeout}")
     workdir_path = Path(workdir) if workdir is not None else None
     arg_templates = _split_template(command_template)
 

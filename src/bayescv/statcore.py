@@ -77,13 +77,17 @@ def betainc(a: ArrayLike, b: ArrayLike, x: ArrayLike) -> float | np.ndarray:
     updates only the entries that have not converged yet. All-scalar
     inputs give a float.
     """
-    a, b, x = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, x)))
+    a, b, x = (np.asarray(v, dtype=float) for v in (a, b, x))
     if not (np.all(a > 0.0) and np.all(b > 0.0)):
         raise ValueError(f"a and b must be positive, got a={a}, b={b}")
+    # log B(a, b) before x broadcasts a and b: std_t_cdf passes both tails
+    # of a draw against one a, so each draw's lgamma terms run once.
+    log_beta = _lgamma(a + b) - _lgamma(a) - _lgamma(b)
+    a, b, x, log_beta = np.broadcast_arrays(a, b, x, log_beta)
     out = np.where(x <= 0.0, 0.0, np.where(x >= 1.0, 1.0, np.nan))
     inside = (x > 0.0) & (x < 1.0)
-    a, b, x = a[inside], b[inside], x[inside]
-    front = np.exp(_lgamma(a + b) - _lgamma(a) - _lgamma(b) + a * np.log(x) + b * np.log1p(-x))
+    a, b, x, log_beta = a[inside], b[inside], x[inside], log_beta[inside]
+    front = np.exp(log_beta + a * np.log(x) + b * np.log1p(-x))
     # Past the split, I_x(a, b) = 1 - I_{1-x}(b, a): swap, then one fraction.
     swap = x >= (a + 1.0) / (a + b + 2.0)
     a, b, x = np.where(swap, b, a), np.where(swap, a, b), np.where(swap, 1.0 - x, x)
@@ -128,7 +132,7 @@ def std_t_cdf(z: ArrayLike, dof: ArrayLike) -> float | np.ndarray:
     need exact mirror symmetry (the decision counters) rely on this.
     z = 0 gives exactly 0.5, z = -inf/+inf give 0/1, and NaN stays NaN.
     """
-    z, dof = np.broadcast_arrays(np.asarray(z, dtype=float), np.asarray(dof, dtype=float))
+    z, dof = np.asarray(z, dtype=float), np.asarray(dof, dtype=float)
     tail = 0.5 * betainc(0.5 * dof, 0.5, dof / (dof + z * z))
     return _float_or_array(np.where(z < 0.0, tail, 1.0 - tail))
 

@@ -11,7 +11,7 @@ import pytest
 from bayescv import cli
 from bayescv.cli import main
 from bayescv.decision import read_report_csv, rope_from_differences
-from bayescv.manifest import read_kv
+from bayescv.manifest import file_digest, read_kv
 from bayescv.model import read_chains_csv
 from bayescv.scores import ScoreMatrix, assemble_differences
 
@@ -203,6 +203,22 @@ class TestScore:
         assert len(calls.read_text(encoding="utf-8").splitlines()) == 8
 
 
+    @pytest.mark.parametrize("timeout", ["0", "-1", "nan", "inf"])
+    def test_bad_timeout_fails_before_any_round(self, tmp_path, capsys, timeout):
+        corpus = tmp_path / "corpus.tsv"
+        self._write_corpus(corpus)
+        assert run("split", "--n", 12, "--k", 3, "--m", 1, "--seed", 5,
+                   "--out-prefix", tmp_path / "c") == 0
+        rc = run("score", "--plan", tmp_path / "c.plan.json", "--corpus", corpus,
+                 "--dataset", "toy", "--system", "x", "--command", "cp {test} {pred}",
+                 "--timeout", timeout, "--workdir", tmp_path / "wd",
+                 "--out-prefix", tmp_path / "s")
+        assert rc == 2
+        assert "timeout must be finite and > 0 seconds" in capsys.readouterr().err
+        assert not (tmp_path / "wd").exists()
+        assert not (tmp_path / "s.scores.csv").exists()
+
+
 class TestCompare:
     def test_hierarchical_clear_difference(self, tmp_path, capsys):
         prefix = tmp_path / "pair"
@@ -240,6 +256,22 @@ class TestCompare:
         assert not (tmp_path / "t.chains.csv").exists()
         rows = read_report_csv(tmp_path / "t.report.csv")
         assert rows[0].triple.n_samples == 4 * 5000
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--chains", "1"), ("--draws", "5"), ("--warmup", "-3")]
+    )
+    def test_single_dataset_rejects_bad_sampler_flags(
+        self, one_dataset_csv, tmp_path, capsys, flag, value
+    ):
+        # The t fallback runs no sampler, but its sample count comes from
+        # the same flags, so they are checked as on the hierarchical path.
+        rc = run("compare", "--scores", one_dataset_csv, "--a", "alpha", "--b", "beta",
+                 "--metric", "token", "--rope", "0.01", flag, value,
+                 "--out-prefix", tmp_path / "t")
+        assert rc == 2
+        assert "error: " in capsys.readouterr().err
+        assert not (tmp_path / "t.report.csv").exists()
+        assert not (tmp_path / "t.chains.meta.txt").exists()
 
     def test_self_comparison_is_all_rope(self, one_dataset_csv, tmp_path):
         rc = run("compare", "--scores", one_dataset_csv, "--a", "alpha", "--b", "alpha",
@@ -435,6 +467,18 @@ class TestRank:
         assert outputs["three"] == outputs["default"]
         assert outputs["default"][0] in (0, 3)
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--chains", "1"), ("--draws", "5"), ("--warmup", "-3")]
+    )
+    def test_single_dataset_rejects_bad_sampler_flags(
+        self, one_dataset_csv, tmp_path, flag, value
+    ):
+        rc = run("rank", "--scores", one_dataset_csv, "--metric", "token", "--rope", "0.01",
+                 flag, value, "--out-prefix", tmp_path / "r")
+        assert rc == 2
+        assert not (tmp_path / "r.pairs.csv").exists()
+        assert not (tmp_path / "r.ranking.txt").exists()
+
     def test_single_system_is_usage_error(self, one_dataset_csv, tmp_path):
         path = ScoreMatrix.from_csvs([one_dataset_csv])
         matrix = ScoreMatrix()
@@ -582,6 +626,90 @@ class TestPlot:
         path.write_text("".join(lines), encoding="utf-8")
         rc = run("plot", "--chains", path, "--out-prefix", tmp_path / "fig")
         assert rc == 2
+
+    @staticmethod
+    def _sidecar_for(chains: Path, meta: Path, out: Path) -> Path:
+        """A copy of ``meta`` whose chains_sha256 is the digest of ``chains``
+        as it is now, so plot gets past the digest to its later checks."""
+        out.write_text(
+            re.sub(r"(?m)^chains_sha256=.*$", f"chains_sha256={file_digest(chains)}",
+                   meta.read_text(encoding="utf-8")),
+            encoding="utf-8",
+        )
+        return out
+
+    def test_sidecar_records_the_chains_digest(self, compare_artifacts):
+        meta = read_kv(compare_artifacts / "pair.chains.meta.txt")
+        assert meta["chains_sha256"] == file_digest(compare_artifacts / "pair.chains.csv")
+
+    def test_plot_rejects_a_changed_digit_in_an_unplotted_cell(
+        self, compare_artifacts, tmp_path, capsys
+    ):
+        # plot never parses the sigma[...] columns; the digest still
+        # catches a change there that the full parse would accept.
+        path = compare_artifacts / "pair.chains.csv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        header = lines[1].rstrip("\n").split(",")
+        row = lines[2 + 700].rstrip("\n").split(",")
+        column = next(j for j, name in enumerate(header) if name.startswith("sigma["))
+        last = row[column][-1]
+        row[column] = row[column][:-1] + ("1" if last != "1" else "2")
+        lines[2 + 700] = ",".join(row) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        assert read_chains_csv(path)["delta0"].shape == (2, 1500)
+        capsys.readouterr()
+        rc = run("plot", "--chains", path, "--out-prefix", tmp_path / "fig")
+        assert rc == 2
+        assert "sha256 differs from chains_sha256" in capsys.readouterr().err
+        assert not (tmp_path / "fig.svg").exists()
+
+    def test_plot_requires_the_chains_digest(self, compare_artifacts, tmp_path, capsys):
+        meta = compare_artifacts / "pair.chains.meta.txt"
+        lines = meta.read_text(encoding="utf-8").splitlines(keepends=True)
+        stripped = tmp_path / "stripped.meta.txt"
+        stripped.write_text(
+            "".join(line for line in lines if not line.startswith("chains_sha256=")),
+            encoding="utf-8",
+        )
+        capsys.readouterr()
+        rc = run("plot", "--chains", compare_artifacts / "pair.chains.csv", "--meta", stripped,
+                 "--out-prefix", tmp_path / "fig")
+        assert rc == 2
+        assert "'chains_sha256'" in capsys.readouterr().err
+        assert not (tmp_path / "fig.svg").exists()
+
+    def test_plot_rejects_chains_cut_after_a_whole_chain_behind_a_matching_digest(
+        self, compare_artifacts, tmp_path, capsys
+    ):
+        path = compare_artifacts / "pair.chains.csv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(lines[: 2 + 1500]), encoding="utf-8")
+        meta = self._sidecar_for(path, compare_artifacts / "pair.chains.meta.txt",
+                                 tmp_path / "cut.meta.txt")
+        capsys.readouterr()
+        rc = run("plot", "--chains", path, "--meta", meta, "--out-prefix", tmp_path / "fig")
+        assert rc == 2
+        assert "1 chains x 1500 draws" in capsys.readouterr().err
+        assert not (tmp_path / "fig.svg").exists()
+
+    def test_plot_rejects_damaged_point_mass_draw_behind_a_matching_digest(
+        self, compare_artifacts, tmp_path, capsys
+    ):
+        path = compare_artifacts / "pair.chains.csv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        header = lines[1].rstrip("\n").split(",")
+        row = lines[2 + 700].rstrip("\n").split(",")
+        row[header.index("delta0")] = "nan"
+        row[header.index("sigma0")] = "0"
+        lines[2 + 700] = ",".join(row) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        meta = self._sidecar_for(path, compare_artifacts / "pair.chains.meta.txt",
+                                 tmp_path / "nan.meta.txt")
+        capsys.readouterr()
+        rc = run("plot", "--chains", path, "--meta", meta, "--out-prefix", tmp_path / "fig")
+        assert rc == 2
+        assert "draws need a finite delta0" in capsys.readouterr().err
+        assert not (tmp_path / "fig.svg").exists()
 
     def test_plot_missing_chains_is_io_error(self, tmp_path):
         rc = run("plot", "--chains", tmp_path / "absent.chains.csv",

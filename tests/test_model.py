@@ -380,6 +380,21 @@ class TestChainsIO:
             assert back[name].shape == expected.shape, name
             assert back[name].tobytes() == np.ascontiguousarray(expected).tobytes(), name
 
+    def test_named_columns_equal_the_full_read(self, tmp_path):
+        post = fit(generate(3, 2, 5, 0.01, 0.005, 5.0, 0.1, (0.01, 0.02), seed=15), FAST)
+        post.delta0[0, :3] = [1 / 3, -0.0, 5e-324]
+        path = tmp_path / "chains.csv"
+        write_chains_csv(post, path, manifest="m.txt")
+        full = read_chains_csv(path)
+        names = ("nu", "delta0", "sigma[ds01]")
+        part = read_chains_csv(path, names=names)
+        assert tuple(part) == names
+        for name in names:
+            assert part[name].shape == full[name].shape, name
+            assert part[name].tobytes() == full[name].tobytes(), name
+        with pytest.raises(ValueError, match="missing draws for 'sigma9'"):
+            read_chains_csv(path, names=("delta0", "sigma9"))
+
     def test_wide_layout(self, tmp_path):
         post = fit(generate(2, 2, 5, 0.01, 0.005, 5.0, 0.1, (0.01, 0.02), seed=15), FAST)
         path = tmp_path / "chains.csv"
