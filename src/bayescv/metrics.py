@@ -1,9 +1,16 @@
 """Tagging corpora and the three intrinsic accuracies.
 
 File format: UTF-8 text, one ``token<TAB>tag`` pair per line, a blank line
-ends a sentence, and the final blank line is optional. The accuracies
-compare a predicted corpus with the aligned gold corpus; the
-out-of-vocabulary accuracy counts only tokens outside a given
+ends a sentence, and the final blank line is optional. A line ends at
+LF, CRLF or a lone CR, as in text mode, and at nothing else (a form feed
+or U+2028 is part of a token). ``read_corpus`` decodes a file once,
+splits it into sentence blocks on blank lines and each block into cells
+with one split; each sentence keeps its block as its text instead of
+rendering it again, and a file with a bad block is walked line by line
+only to name the first bad line.
+
+The accuracies compare a predicted corpus with the aligned gold corpus;
+the out-of-vocabulary accuracy counts only tokens outside a given
 ``Vocabulary``, which the runner builds from each round's training data.
 """
 
@@ -12,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import eq
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NoReturn
 
 from .errors import NoOovTokens, ShapeMismatch, TokenMismatch
 
@@ -99,8 +106,15 @@ class TaggedCorpus:
         return sum(len(s) for s in self.sentences)
 
     def subset(self, indices: Iterable[int]) -> "TaggedCorpus":
-        """Sentences at the given indices, in the given order."""
-        return TaggedCorpus(tuple(self.sentences[i] for i in indices))
+        """Sentences at the given indices, in the given order.
+
+        An index array is turned into Python ints first, which index a
+        tuple faster than array scalars do.
+        """
+        if hasattr(indices, "tolist"):
+            indices = indices.tolist()
+        sentences = self.sentences
+        return TaggedCorpus(tuple([sentences[i] for i in indices]))
 
 
 @dataclass(frozen=True)
@@ -121,6 +135,10 @@ class Vocabulary:
 
 
 def _check_aligned(gold: TaggedCorpus, predicted: TaggedCorpus) -> None:
+    # One comparison of the token lists; the walk below runs only to name
+    # the first difference.
+    if [s.tokens for s in gold.sentences] == [s.tokens for s in predicted.sentences]:
+        return
     if gold.n_sentences != predicted.n_sentences:
         raise ShapeMismatch(
             f"gold has {gold.n_sentences} sentences, prediction has {predicted.n_sentences}"
@@ -168,27 +186,47 @@ def oov_accuracy(vocabulary: Vocabulary, gold: TaggedCorpus, predicted: TaggedCo
     return correct / total
 
 
+# Every byte value but tab, newline and carriage return. UTF-8 never uses
+# these three inside a multi-byte character, so deleting every other byte
+# of a file leaves its line structure: two tabs end up next to each other
+# only where one line holds both.
+_NOT_SEPARATOR = bytes(b for b in range(256) if b not in b"\t\n\r")
+
+
+def _parsed_sentence(tokens: tuple[str, ...], tags: tuple[str, ...], text: str) -> Sentence:
+    """A sentence whose fields and text the parser has already checked."""
+    sentence = object.__new__(Sentence)
+    sentence.__dict__.update(tokens=tokens, tags=tags, text=text)
+    return sentence
+
+
+def _raise_bad_line(path: Path, text: str) -> NoReturn:
+    """Raise for the first line that is neither blank nor token<TAB>tag."""
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        parts = line.split("\t")
+        if line and (len(parts) != 2 or not parts[0] or not parts[1]):
+            raise ValueError(f"{path}:{lineno}: expected 'token<TAB>tag', got {line!r}")
+    raise AssertionError(f"{path}: the block check rejected a file whose lines are well-formed")
+
+
 def read_corpus(path: str | Path) -> TaggedCorpus:
     """Parse a tagged corpus file. Raises ValueError with the line number on bad input."""
     path = Path(path)
+    data = path.read_bytes()
+    text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    # Once no line holds two tabs, a block with as many tabs as lines holds
+    # exactly one on each line.
+    if b"\t\t" in data.translate(None, _NOT_SEPARATOR):
+        _raise_bad_line(path, text)
     sentences: list[Sentence] = []
-    tokens: list[str] = []
-    tags: list[str] = []
-    with path.open("r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                if tokens:
-                    sentences.append(Sentence(tuple(tokens), tuple(tags)))
-                    tokens, tags = [], []
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0] or not parts[1]:
-                raise ValueError(f"{path}:{lineno}: expected 'token<TAB>tag', got {line!r}")
-            tokens.append(parts[0])
-            tags.append(parts[1])
-    if tokens:
-        sentences.append(Sentence(tuple(tokens), tuple(tags)))
+    for block in text.split("\n\n"):
+        block = block.strip("\n")
+        if not block:
+            continue
+        cells = block.replace("\n", "\t").split("\t")
+        if len(cells) != 2 * block.count("\n") + 2 or not all(cells):
+            _raise_bad_line(path, text)
+        sentences.append(_parsed_sentence(tuple(cells[0::2]), tuple(cells[1::2]), block + "\n\n"))
     if not sentences:
         raise ValueError(f"{path}: no sentences found")
     return TaggedCorpus(tuple(sentences))

@@ -6,12 +6,16 @@ gold tags, so trivial commands like ``cp {test} {pred}`` work; a real
 system must ignore the tag column), and ``{pred}`` is where the command
 must write its tagged predictions in the same format and order. Only
 ``{test}`` and ``{pred}`` are mandatory; a no-training baseline can skip
-the rest. The template is split into arguments the way a POSIX shell
+the rest. A prediction left in a kept round folder is deleted before the
+command runs. The command's standard output is discarded; its standard
+error is kept, as bytes, and shown (undecodable bytes replaced) when the
+command fails. The template is split into arguments the way a POSIX shell
 would (``shlex.split``) before the paths go in, so a path with a space
 stays one argument. A template that does not split or that names an
 unknown placeholder, a metric list that is empty or names an unknown
-metric, and a timeout that is not finite and positive are rejected
-before any round writes a file.
+metric, a timeout that is not finite and positive, and a plan with
+fewer than three folds or with an empty fold in some repetition are
+rejected before any round writes a file.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .errors import CommandFailed, NoOovTokens, OutputUnreadable, ShapeMismatch, TokenMismatch
 from .metrics import (
@@ -84,8 +90,12 @@ def _score_round(
         write_corpus(gold, paths["test"])
         names = {k: str(v) for k, v in paths.items()}
         argv = [arg.format(**names) for arg in arg_templates]
+        # A kept folder may hold the prediction of an earlier run.
+        paths["pred"].unlink(missing_ok=True)
         try:
-            proc = subprocess.run(argv, capture_output=True, text=True, timeout=timeout)
+            proc = subprocess.run(
+                argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, timeout=timeout
+            )
         except FileNotFoundError as exc:
             raise CommandFailed(f"round ({rep}, {fold}): cannot execute {argv[0]!r}: {exc}") from exc
         except subprocess.TimeoutExpired as exc:
@@ -94,7 +104,7 @@ def _score_round(
             raise CommandFailed(
                 f"round ({rep}, {fold}): command exited with {proc.returncode}: {shlex.join(argv)}",
                 returncode=proc.returncode,
-                stderr=proc.stderr[-2000:],
+                stderr=proc.stderr.decode("utf-8", errors="replace")[-2000:],
             )
         if not paths["pred"].exists():
             raise OutputUnreadable(f"round ({rep}, {fold}): command wrote no file at {paths['pred']}")
@@ -145,7 +155,8 @@ def run_external(
 ) -> ScoreMatrix:
     """Run a command over every (repetition, fold) round and score it.
 
-    The corpus must have exactly ``plan.n_items`` sentences. ``oov_vocab``
+    The corpus must have exactly ``plan.n_items`` sentences, and the plan
+    at least three folds, none of them empty in any repetition. ``oov_vocab``
     selects which portions define "in vocabulary": "train" (default) or
     "train+dev". Rounds run in up to ``workers`` threads; each round gets
     a private directory (a temporary one unless ``workdir`` is given, in
@@ -159,6 +170,18 @@ def run_external(
         raise ValueError(
             f"plan covers {plan.n_items} items but corpus has {corpus.n_sentences} sentences"
         )
+    if plan.k < 3:
+        raise ValueError(
+            f"scoring needs k >= 3 folds, got k = {plan.k}: each round evaluates on one fold, "
+            "validates on the next and trains on the rest"
+        )
+    for rep, row in enumerate(plan.assignments):
+        sizes = np.bincount(row, minlength=plan.k)
+        if not sizes.all():
+            raise ValueError(
+                f"repetition {rep} has no items in fold {int(np.argmin(sizes))}: every round "
+                "needs items to train, validate and evaluate on"
+            )
     if oov_vocab not in ("train", "train+dev"):
         raise ValueError(f"oov_vocab must be 'train' or 'train+dev', got {oov_vocab!r}")
     for placeholder in ("{test}", "{pred}"):

@@ -1,6 +1,7 @@
 """End-to-end tests driving the command line through main()."""
 
 import argparse
+import json
 import re
 import shlex
 from pathlib import Path
@@ -217,6 +218,64 @@ class TestScore:
         assert "timeout must be finite and > 0 seconds" in capsys.readouterr().err
         assert not (tmp_path / "wd").exists()
         assert not (tmp_path / "s.scores.csv").exists()
+
+    def _split_and_score(self, tmp_path, command, *extra, k=3, system="x"):
+        corpus = tmp_path / "corpus.tsv"
+        self._write_corpus(corpus)
+        assert run("split", "--n", 12, "--k", k, "--m", 1, "--seed", 5,
+                   "--out-prefix", tmp_path / "c") == 0
+        return run("score", "--plan", tmp_path / "c.plan.json", "--corpus", corpus,
+                   "--dataset", "toy", "--system", system, "--command", command,
+                   *extra, "--out-prefix", tmp_path / system)
+
+    def test_reused_workdir_does_not_score_stale_predictions(self, tmp_path, capsys):
+        workdir = tmp_path / "wd"
+        assert self._split_and_score(tmp_path, "cp {test} {pred}", "--workdir", workdir) == 0
+        capsys.readouterr()
+        rc = self._split_and_score(tmp_path, "true {test} {pred}", "--workdir", workdir,
+                                   system="broken")
+        assert rc == 4
+        assert "round (0, 0): command wrote no file" in capsys.readouterr().err
+        assert not (tmp_path / "broken.scores.csv").exists()
+
+    def test_undecodable_stdout_is_discarded(self, tmp_path):
+        command = "sh -c 'printf \"\\377\"; cp {test} {pred}'"
+        assert self._split_and_score(tmp_path, command, "--metrics", "token,sentence") == 0
+        matrix = ScoreMatrix.from_csvs([tmp_path / "x.scores.csv"])
+        assert len(matrix) == 3 * 2
+        assert all(v == 1.0 for v in matrix.entries.values())
+
+    def test_undecodable_stderr_still_names_the_round(self, tmp_path, capsys):
+        command = "sh -c 'printf \"\\377\" >&2; exit 1' {test} {pred}"
+        assert self._split_and_score(tmp_path, command) == 4
+        err = capsys.readouterr().err
+        assert "error: round (0, 0): command exited with 1: " in err
+        assert "\ufffd" in err
+
+    def test_plan_with_two_folds_fails_before_any_round(self, tmp_path, capsys):
+        rc = self._split_and_score(tmp_path, "cp {test} {pred}", "--workdir", tmp_path / "wd", k=2)
+        assert rc == 2
+        assert "scoring needs k >= 3 folds, got k = 2" in capsys.readouterr().err
+        assert not (tmp_path / "wd").exists()
+        assert not (tmp_path / "x.scores.csv").exists()
+
+    def test_plan_with_an_empty_fold_fails_before_any_round(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.tsv"
+        self._write_corpus(corpus)
+        assert run("split", "--n", 12, "--k", 4, "--m", 2, "--seed", 5,
+                   "--out-prefix", tmp_path / "c") == 0
+        # Move repetition 1's fold-2 items to fold 0, leaving fold 2 empty.
+        doc = json.loads((tmp_path / "c.plan.json").read_text(encoding="utf-8"))
+        doc["assignments"][1] = [0 if f == 2 else f for f in doc["assignments"][1]]
+        (tmp_path / "c.plan.json").write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        rc = run("score", "--plan", tmp_path / "c.plan.json", "--corpus", corpus,
+                 "--dataset", "toy", "--system", "x", "--command", "cp {test} {pred}",
+                 "--workdir", tmp_path / "wd", "--out-prefix", tmp_path / "x")
+        assert rc == 2
+        assert "repetition 1 has no items in fold 2" in capsys.readouterr().err
+        assert not (tmp_path / "wd").exists()
+        assert not (tmp_path / "x.scores.csv").exists()
 
 
 class TestCompare:

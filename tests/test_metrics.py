@@ -174,6 +174,12 @@ class TestCorpusContainer:
         assert sub.n_sentences == 1
         assert sub.sentences[0].tokens == ("dogs", "bark")
 
+    def test_subset_takes_an_index_array_or_any_iterable(self):
+        want = GOLD.subset([1, 0])
+        assert GOLD.subset(np.array([1, 0])) == want
+        assert GOLD.subset(iter((1, 0))) == want
+        assert GOLD.subset(i for i in (1, 0)) == want
+
     def test_subset_preserves_order_given(self):
         sub = GOLD.subset([1, 0])
         assert sub.sentences[0].tokens == ("dogs", "bark")
@@ -242,6 +248,33 @@ NON_ASCII = corpus(
 )
 
 
+def reference_read(path):
+    """The line-by-line parser ``read_corpus`` must match: same corpus,
+    same sentence texts, same error messages."""
+    path = Path(path)
+    sentences = []
+    tokens = []
+    tags = []
+    with path.open("r", encoding="utf-8") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            line = raw.rstrip("\n")
+            if not line:
+                if tokens:
+                    sentences.append(Sentence(tuple(tokens), tuple(tags)))
+                    tokens, tags = [], []
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2 or not parts[0] or not parts[1]:
+                raise ValueError(f"{path}:{lineno}: expected 'token<TAB>tag', got {line!r}")
+            tokens.append(parts[0])
+            tags.append(parts[1])
+    if tokens:
+        sentences.append(Sentence(tuple(tokens), tuple(tags)))
+    if not sentences:
+        raise ValueError(f"{path}: no sentences found")
+    return TaggedCorpus(tuple(sentences))
+
+
 class TestWriterMatchesReference:
     def assert_same_bytes(self, tmp_path, data):
         write_corpus(data, tmp_path / "got.tsv")
@@ -303,3 +336,107 @@ class TestSentenceErrorsName:
         with pytest.raises(ValueError) as info:
             Sentence(tokens, tags)
         assert str(info.value) == self.reference_message(tokens, tags)
+
+
+class TestReaderMatchesReference:
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"\n\n\na\tX\nb\tY\n\n\n\nc\tZ\n\n\n",
+            b"a\tX\nb\tY\n\nc\tZ",
+            b"a\tX\r\nb\tY\r\n\r\nc\tZ\r\n\r\n",
+            b"a\tX\rb\tY\r\rc\tZ\r",
+            b"a\tX\r\n\rb\tY\n\r\nc\tZ",
+            "\ufeffa\tX\nb\tY\n\n".encode("utf-8"),
+            "Größe\tNOUN\n東京\tPROPN\n\n😀\tSYM\nnaïve café\tADJ\n\n".encode("utf-8"),
+            "a\x0cb\tX\nc\tY\x0cZ\n\nd\u2028e\tX\u2029\n\n".encode("utf-8"),
+            b"a\tX \nb\t Y\n\n",
+            b"a\tX\n \t \n\n",
+        ],
+        ids=[
+            "blank_runs", "no_final_newline", "crlf", "lone_cr", "mixed_endings", "bom",
+            "non_ascii", "formfeed_and_line_separator", "spaces_in_tag", "whitespace_cells",
+        ],
+    )
+    def test_same_corpus_and_text(self, tmp_path, data):
+        path = tmp_path / "c.tsv"
+        path.write_bytes(data)
+        got, want = read_corpus(path), reference_read(path)
+        assert got == want
+        assert [s.text for s in got.sentences] == [s.text for s in want.sentences]
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"a\tX\nlonely\n\n",
+            b"a\tX\n\nb\tY\tZ\n",
+            b"\tX\n\n",
+            b"a\tX\nb\t\n\n",
+            b"a\tX\n  \n\nb\tY\n",
+            b"\n\n\n",
+            b"",
+            b"a\tX\nb\nc\tY\tZ\n\n",
+            b"a\tX\tY\nb\nc\tZ\n\n",
+            b"a\tX\r\nb\r\nc\tY\tZ\r\n",
+        ],
+        ids=[
+            "one_field", "three_fields", "empty_token", "empty_tag", "whitespace_only_line", "blank_lines_only", "empty_file",
+            "one_then_three_fields", "three_then_one_field", "one_then_three_fields_crlf",
+        ],
+    )
+    def test_same_error(self, tmp_path, data):
+        path = tmp_path / "bad.tsv"
+        path.write_bytes(data)
+        with pytest.raises(ValueError) as want:
+            reference_read(path)
+        with pytest.raises(ValueError) as got:
+            read_corpus(path)
+        assert str(got.value) == str(want.value)
+
+    def test_fixture_and_non_ascii_files(self, tmp_path):
+        write_corpus(NON_ASCII, tmp_path / "n.tsv")
+        for path in (Path(__file__).parent / "fixtures" / "toy_corpus.tsv", tmp_path / "n.tsv"):
+            got, want = read_corpus(path), reference_read(path)
+            assert got == want
+            assert [s.text for s in got.sentences] == [s.text for s in want.sentences]
+
+
+class TestAlignmentErrors:
+    # The walk the single comparison stands in for.
+    @staticmethod
+    def reference_error(gold, predicted):
+        if gold.n_sentences != predicted.n_sentences:
+            return ShapeMismatch(
+                f"gold has {gold.n_sentences} sentences, prediction has {predicted.n_sentences}"
+            )
+        for idx, (g, p) in enumerate(zip(gold.sentences, predicted.sentences)):
+            if len(g) != len(p):
+                return ShapeMismatch(f"sentence {idx}: gold has {len(g)} tokens, prediction has {len(p)}")
+            if g.tokens != p.tokens:
+                return TokenMismatch(f"sentence {idx}: tokens differ between gold and prediction")
+        return None
+
+    @pytest.mark.parametrize(
+        "predicted",
+        [
+            corpus([("the", "DET"), ("cat", "NOUN"), ("sat", "VERB")]),
+            corpus(
+                [("the", "DET"), ("cat", "NOUN"), ("sat", "VERB")],
+                [("dogs", "NOUN"), ("bark", "VERB")],
+                [("extra", "X")],
+            ),
+            corpus([("the", "DET"), ("cat", "NOUN"), ("sat", "VERB")], [("dogs", "NOUN")]),
+            corpus([("the", "DET"), ("cat", "NOUN"), ("sat", "VERB")], [("dogs", "NOUN"), ("meow", "VERB")]),
+            corpus([("a", "DET"), ("cat", "NOUN")], [("dogs", "NOUN"), ("meow", "VERB")]),
+        ],
+        ids=["fewer_sentences", "more_sentences", "shorter_sentence", "other_token", "first_differs"],
+    )
+    def test_same_exception_and_index(self, predicted):
+        want = self.reference_error(GOLD, predicted)
+        for accuracy in (token_accuracy, sentence_accuracy):
+            with pytest.raises(type(want)) as got:
+                accuracy(GOLD, predicted)
+            assert str(got.value) == str(want)
+        with pytest.raises(type(want)) as got:
+            oov_accuracy(Vocabulary(frozenset()), GOLD, predicted)
+        assert str(got.value) == str(want)
