@@ -18,6 +18,10 @@ updates delta0, sigma0 and nu of every chain as one array operation,
 then every delta_i of every chain at once (they are conditionally
 independent given the population parameters), then every sigma_i.
 
+The chain state, the kept draws, each ``PosteriorChains.draws`` and the
+chains CSV all hold the parameters as columns of one array, in
+``PosteriorChains.parameter_names`` order.
+
 For a single data set the posterior of the mean difference is available
 in closed form as a Student t; ``correlated_ttest`` returns it directly.
 """
@@ -89,13 +93,15 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.sigma_bar_factor <= 0:
-            raise ValueError("sigma_bar_factor must be positive")
-        if self.delta0_prior_halfwidth <= 0:
-            raise ValueError("delta0_prior_halfwidth must be positive")
         shape, rate = self.nu_prior
-        if shape <= 0 or rate <= 0:
-            raise ValueError("nu_prior shape and rate must be positive")
+        for name, value in (
+            ("sigma_bar_factor", self.sigma_bar_factor),
+            ("delta0_prior_halfwidth", self.delta0_prior_halfwidth),
+            ("nu_prior shape", shape),
+            ("nu_prior rate", rate),
+        ):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.chains < 2:
             raise ValueError(f"need at least 2 chains for diagnostics, got {self.chains}")
         if self.samples_per_chain < 1000:
@@ -108,23 +114,20 @@ class ModelConfig:
 
 @dataclass
 class PosteriorChains:
-    """Retained draws, one row per chain.
+    """Retained draws, shape (chains, draws, 3 + 2q).
 
-    Scalar parameters have shape (chains, draws); the per-dataset blocks
-    have shape (chains, draws, q) in ``dataset_ids`` order. All values are
-    on the standardized scale; multiply locations and scales by
-    ``standardization_constant`` to return to raw score differences.
-    ``acceptance`` is each parameter's acceptance rate over the kept
-    draws of all chains, ``step_size`` its final adapted proposal scale
-    averaged over chains.
+    The columns of ``draws`` follow ``parameter_names()``, as the chains
+    CSV does after ``chain,draw``. ``delta0``, ``sigma0``, ``nu`` (chains,
+    draws), ``deltas`` and ``sigmas`` (chains, draws, q) and ``draws_of``
+    are views of those columns. All values are on the standardized scale;
+    multiply locations and scales by ``standardization_constant`` to
+    return to raw score differences. ``acceptance`` is each parameter's
+    acceptance rate over the kept draws of all chains, ``step_size`` its
+    final adapted proposal scale averaged over chains.
     """
 
     dataset_ids: tuple[str, ...]
-    delta0: np.ndarray
-    sigma0: np.ndarray
-    nu: np.ndarray
-    deltas: np.ndarray
-    sigmas: np.ndarray
+    draws: np.ndarray
     standardization_constant: float
     config: ModelConfig
     diagnostics: dict[str, ParameterDiagnostics] = field(default_factory=dict)
@@ -133,16 +136,36 @@ class PosteriorChains:
     step_size: dict[str, float] = field(default_factory=dict)
 
     @property
+    def delta0(self) -> np.ndarray:
+        return self.draws[..., 0]
+
+    @property
+    def sigma0(self) -> np.ndarray:
+        return self.draws[..., 1]
+
+    @property
+    def nu(self) -> np.ndarray:
+        return self.draws[..., 2]
+
+    @property
+    def deltas(self) -> np.ndarray:
+        return self.draws[..., 3 : 3 + len(self.dataset_ids)]
+
+    @property
+    def sigmas(self) -> np.ndarray:
+        return self.draws[..., 3 + len(self.dataset_ids) :]
+
+    @property
     def n_chains(self) -> int:
-        return self.delta0.shape[0]
+        return self.draws.shape[0]
 
     @property
     def draws_per_chain(self) -> int:
-        return self.delta0.shape[1]
+        return self.draws.shape[1]
 
     @property
     def n_draws(self) -> int:
-        return self.delta0.size
+        return self.n_chains * self.draws_per_chain
 
     def parameter_names(self) -> list[str]:
         names = ["delta0", "sigma0", "nu"]
@@ -152,18 +175,10 @@ class PosteriorChains:
 
     def draws_of(self, name: str) -> np.ndarray:
         """Draws of one scalar parameter, shape (chains, draws)."""
-        if name == "delta0":
-            return self.delta0
-        if name == "sigma0":
-            return self.sigma0
-        if name == "nu":
-            return self.nu
-        for prefix, block in (("delta[", self.deltas), ("sigma[", self.sigmas)):
-            if name.startswith(prefix) and name.endswith("]"):
-                dataset = name[len(prefix) : -1]
-                if dataset in self.dataset_ids:
-                    return block[:, :, self.dataset_ids.index(dataset)]
-        raise KeyError(f"unknown parameter {name!r}")
+        names = self.parameter_names()
+        if name not in names:
+            raise KeyError(f"unknown parameter {name!r}")
+        return self.draws[..., names.index(name)]
 
 
 def correlated_ttest(series: DifferenceSeries) -> StudentT:
@@ -324,32 +339,20 @@ def _t_log_norm(nu: np.ndarray) -> np.ndarray:
     return np.array(values).reshape(nu.shape)
 
 
-@dataclass
-class _Run:
-    """What the lockstep kernel returns."""
-
-    delta0: np.ndarray  # (problems, chains, draws)
-    sigma0: np.ndarray
-    nu: np.ndarray
-    deltas: np.ndarray  # (problems, chains, draws, q)
-    sigmas: np.ndarray
-    accepted: np.ndarray  # (3 + 2q, problems, chains) accepts over the kept draws
-    log_steps: np.ndarray  # (3 + 2q, problems, chains) final adapted log scales
-
-
 # exp(steps * z) is taken for every parameter, though only the scale
 # proposals use it; a scale proposal that overflows lands outside its box.
 # A uniform variate of exactly 0 has log -inf, which accepts as u < alpha
 # would.
 @np.errstate(over="ignore", divide="ignore")
-def _lockstep(problems: list[_Problem], config: ModelConfig) -> _Run:
+def _lockstep(problems: list[_Problem], config: ModelConfig) -> tuple[np.ndarray, ...]:
     """Every chain of every problem, updated together one sweep at a time.
 
-    A lane is one chain of one problem. The population parameters are
-    arrays of shape (problems, chains), the per-dataset means and scales
-    arrays of shape (q, problems, chains), and per-parameter bookkeeping
-    (steps, log acceptance ratios, accepts) arrays of shape
-    (3 + 2q, problems, chains) in ``parameter_names`` order. Given the
+    A lane is one chain of one problem. The chain state is one array of
+    shape (3 + 2q, problems, chains) in ``parameter_names`` order: the
+    population parameters are its first three rows, each of shape
+    (problems, chains), and the per-dataset means and scales its two
+    (q, problems, chains) blocks. Per-parameter bookkeeping (steps, log
+    acceptance ratios, accepts) has the same shape. Given the
     population parameters the delta_i are conditionally independent, and
     so are the sigma_i, so each block is one Metropolis update over its
     whole array; the sweep order (delta0, sigma0, nu, all delta_i, all
@@ -360,12 +363,16 @@ def _lockstep(problems: list[_Problem], config: ModelConfig) -> _Run:
     then one random(3 + 2q) per sweep. All problems share the seed, so
     lanes with the same chain index use the same variates, and each
     problem's draws do not depend on which other problems run beside it.
+
+    Returns the kept draws (problems, chains, draws, 3 + 2q), then the
+    accepts over them and the final log step sizes (3 + 2q, problems, chains).
     """
     chains, warmup, keep = config.chains, config.warmup, config.samples_per_chain
     nu_shape, nu_rate = config.nu_prior
     q = len(problems[0].ids)
     n_params = 3 + 2 * q
     lanes = (len(problems), chains)
+    blk_d, blk_s = slice(3, 3 + q), slice(3 + q, n_params)
 
     def spread_over_lanes(values: list) -> np.ndarray:
         """Per-problem scalars to (problems, chains); per-problem q-vectors
@@ -392,16 +399,19 @@ def _lockstep(problems: list[_Problem], config: ModelConfig) -> _Run:
     rngs = [rng_fork(config.seed, c) for c in range(chains)]
     z0 = np.array([rng.standard_normal(2 * q + 2) for rng in rngs]).T
     nu0 = np.array([rng.uniform(math.log(2.0), math.log(10.0)) for rng in rngs])
-    deltas = means + 0.3 * sigma_init / np.sqrt(ns) * z0[:q, None, :]
-    sigmas = np.minimum(
+    # Every block update below writes its rows of the state in place.
+    state = np.empty((n_params,) + lanes)
+    delta0, sigma0, nu, deltas, sigmas = state[0], state[1], state[2], state[blk_d], state[blk_s]
+    deltas[...] = means + 0.3 * sigma_init / np.sqrt(ns) * z0[:q, None, :]
+    sigmas[...] = np.minimum(
         np.maximum(sigma_init * np.exp(0.3 * z0[q : 2 * q, None, :]), sigma_lo * 1.001),
         sigma_hi * 0.999,
     )
-    delta0 = np.clip(pooled_mean + 0.3 * spread * z0[2 * q], -halfwidth, halfwidth)
-    sigma0 = np.clip(
+    delta0[...] = np.clip(pooled_mean + 0.3 * spread * z0[2 * q], -halfwidth, halfwidth)
+    sigma0[...] = np.clip(
         spread * np.exp(0.3 * z0[2 * q + 1]), sigma0_lo * 1.001, sigma0_hi * 0.999
     )
-    nu = np.broadcast_to(np.exp(nu0), lanes).copy()
+    nu[...] = np.exp(nu0)
 
     log_steps = np.empty((n_params,) + lanes)
     log_steps[0] = np.log(spread)
@@ -410,15 +420,8 @@ def _lockstep(problems: list[_Problem], config: ModelConfig) -> _Run:
     log_steps[3 + q :] = np.log(2.4 / np.sqrt(2.0 * ns))
     steps = np.exp(log_steps)
 
-    out = _Run(
-        delta0=np.empty(lanes + (keep,)),
-        sigma0=np.empty(lanes + (keep,)),
-        nu=np.empty(lanes + (keep,)),
-        deltas=np.empty(lanes + (keep, q)),
-        sigmas=np.empty(lanes + (keep, q)),
-        accepted=np.zeros((n_params,) + lanes, dtype=np.int64),
-        log_steps=log_steps,
-    )
+    kept = np.empty(lanes + (keep, n_params))
+    accepted = np.zeros((n_params,) + lanes, dtype=np.int64)
 
     # Row c of z and u holds chain c's variates of the sweep; their
     # transposes broadcast over the problem axis.
@@ -428,7 +431,6 @@ def _lockstep(problems: list[_Problem], config: ModelConfig) -> _Run:
     log_u = np.empty((n_params,) + lanes)
     logr = np.empty((n_params,) + lanes)
     accept = np.empty((n_params,) + lanes, dtype=bool)
-    blk_d, blk_s = slice(3, 3 + q), slice(3 + q, n_params)
     two_c1s, minus_n_minus_1 = 2.0 * c1s, -(ns - 1.0)
 
     # Cached terms of the current state: half = (nu + 1) / 2,
@@ -518,14 +520,9 @@ def _lockstep(problems: list[_Problem], config: ModelConfig) -> _Run:
             log_steps += (t + 20.0) ** -0.6 * (alpha - _ADAPT_TARGET)
             np.exp(log_steps, out=steps)
         else:
-            row = t - warmup - 1
-            out.accepted += accept
-            out.delta0[..., row] = delta0
-            out.sigma0[..., row] = sigma0
-            out.nu[..., row] = nu
-            out.deltas[..., row, :] = deltas.transpose(1, 2, 0)
-            out.sigmas[..., row, :] = sigmas.transpose(1, 2, 0)
-    return out
+            accepted += accept
+            kept[..., t - warmup - 1, :] = state.transpose(1, 2, 0)
+    return kept, accepted, log_steps
 
 
 def _metropolis(
@@ -554,7 +551,9 @@ def fit_many(
     """``fit`` for several problems at once, all chains in one lockstep kernel.
 
     Every problem must have the same number of data sets. Each result is
-    the one ``fit`` gives for that problem alone, bit for bit.
+    the one ``fit`` gives for that problem alone, bit for bit. The results'
+    ``draws`` are views into one array of the whole batch, so its memory
+    is freed when the last of them is.
     """
     prepared = [_prepare(series, config) for series in problems]
     sizes = sorted({len(p.ids) for p in prepared})
@@ -562,26 +561,22 @@ def fit_many(
         raise ValueError(f"fit_many needs problems with equal numbers of data sets, got {sizes}")
     if not prepared:
         return []
-    run = _lockstep(prepared, config)
-    draws = config.chains * config.samples_per_chain
+    draws, accepted, log_steps = _lockstep(prepared, config)
+    n_kept = config.chains * config.samples_per_chain
     results = []
     for b, problem in enumerate(prepared):
         post = PosteriorChains(
             dataset_ids=problem.ids,
-            delta0=run.delta0[b],
-            sigma0=run.sigma0[b],
-            nu=run.nu[b],
-            deltas=run.deltas[b],
-            sigmas=run.sigmas[b],
+            draws=draws[b],
             standardization_constant=problem.constant,
             config=config,
         )
         names = post.parameter_names()
-        post.diagnostics = {name: diagnose(post.draws_of(name)) for name in names}
+        post.diagnostics = {name: diagnose(post.draws[..., j]) for j, name in enumerate(names)}
         post.converged = not unconverged(post.diagnostics)
-        accepted = run.accepted[:, b].sum(axis=1) / draws
-        steps = np.exp(run.log_steps[:, b]).mean(axis=1)
-        post.acceptance = {name: float(a) for name, a in zip(names, accepted)}
+        rates = accepted[:, b].sum(axis=1) / n_kept
+        steps = np.exp(log_steps[:, b]).mean(axis=1)
+        post.acceptance = {name: float(a) for name, a in zip(names, rates)}
         post.step_size = {name: float(s) for name, s in zip(names, steps)}
         results.append(post)
     return results
@@ -601,19 +596,20 @@ def write_chains_csv(post: PosteriorChains, path: str | Path, manifest: str | No
 
     The header is ``chain,draw`` followed by ``post.parameter_names()``;
     rows run chain-major. Values are written with ``%.17g``, which
-    round-trips every float64 exactly.
+    round-trips every float64 exactly. Rows are formatted one chain at a
+    time, so the largest temporary table holds one chain's draws.
     """
     names = post.parameter_names()
-    chains, draws = post.n_chains, post.draws_per_chain
-    table = np.column_stack(
-        [np.repeat(np.arange(chains), draws), np.tile(np.arange(draws), chains)]
-        + [post.draws_of(name).reshape(-1) for name in names]
-    )
+    table = np.empty((post.draws_per_chain, 2 + len(names)))
+    table[:, 1] = np.arange(post.draws_per_chain)
     with Path(path).open("w", encoding="utf-8", newline="") as handle:
         if manifest is not None:
             handle.write(f"# manifest: {manifest}\n")
         csv.writer(handle, lineterminator="\n").writerow(["chain", "draw", *names])
-        np.savetxt(handle, table, fmt="%.17g", delimiter=",")
+        for c, block in enumerate(post.draws):
+            table[:, 0] = c
+            table[:, 2:] = block
+            np.savetxt(handle, table, fmt="%.17g", delimiter=",")
 
 
 def read_chains_csv(

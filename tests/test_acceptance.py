@@ -49,11 +49,13 @@ def synthetic_chains(rng: np.random.Generator, draws: int) -> PosteriorChains:
     shape = (2, half)
     return PosteriorChains(
         dataset_ids=("d0",),
-        delta0=rng.normal(0.0, 1.2, size=shape),
-        sigma0=rng.uniform(0.05, 1.5, size=shape),
-        nu=rng.uniform(1.0, 30.0, size=shape),
-        deltas=np.zeros(shape + (1,)),
-        sigmas=np.ones(shape + (1,)),
+        draws=np.dstack([
+            rng.normal(0.0, 1.2, size=shape),
+            rng.uniform(0.05, 1.5, size=shape),
+            rng.uniform(1.0, 30.0, size=shape),
+            np.zeros(shape + (1,)),
+            np.ones(shape + (1,)),
+        ]),
         standardization_constant=1.0,
         config=ModelConfig(),
     )
@@ -62,11 +64,7 @@ def synthetic_chains(rng: np.random.Generator, draws: int) -> PosteriorChains:
 def negated(post: PosteriorChains) -> PosteriorChains:
     return PosteriorChains(
         dataset_ids=post.dataset_ids,
-        delta0=-post.delta0,
-        sigma0=post.sigma0,
-        nu=post.nu,
-        deltas=-post.deltas,
-        sigmas=post.sigmas,
+        draws=np.dstack([-post.delta0, post.sigma0, post.nu, -post.deltas, post.sigmas]),
         standardization_constant=post.standardization_constant,
         config=post.config,
     )

@@ -21,6 +21,19 @@ DELTA3 = FIXTURES / "delta3rope_scores.csv"
 
 FAST = ["--chains", "2", "--draws", "1500", "--warmup", "500"]
 
+# Prior flags that are not finite, and the knob the error names.
+NON_FINITE_PRIORS = [
+    pytest.param(flags, knob, id=" ".join(flags))
+    for flags, knob in (
+        (("--nu-prior", "nan", "0.1"), "nu_prior shape"),
+        (("--nu-prior", "2", "inf"), "nu_prior rate"),
+        (("--sigma-bar-factor", "inf"), "sigma_bar_factor"),
+        (("--sigma-bar-factor", "nan"), "sigma_bar_factor"),
+        (("--delta0-halfwidth", "inf"), "delta0_prior_halfwidth"),
+        (("--delta0-halfwidth", "nan"), "delta0_prior_halfwidth"),
+    )
+]
+
 
 def run(*args) -> int:
     return main([str(a) for a in args])
@@ -332,6 +345,19 @@ class TestCompare:
         assert not (tmp_path / "t.report.csv").exists()
         assert not (tmp_path / "t.chains.meta.txt").exists()
 
+    @pytest.mark.parametrize("flags, knob", NON_FINITE_PRIORS)
+    def test_non_finite_prior_is_usage_error(self, tmp_path, capsys, flags, knob):
+        # Rejected before any work: a NaN prior freezes nu or fails only
+        # after the whole fit, and an infinite one makes the prior improper.
+        prefix = tmp_path / "p"
+        rc = run("compare", "--scores", DELTA3, "--a", "alpha", "--b", "beta",
+                 "--metric", "token", "--rope", "0.01", *FAST, "--seed", "2", *flags,
+                 "--out-prefix", prefix)
+        assert rc == 2
+        assert f"error: {knob} must be finite and positive" in capsys.readouterr().err
+        for suffix in (".report.csv", ".chains.csv", ".chains.meta.txt", ".manifest.txt"):
+            assert not Path(f"{prefix}{suffix}").exists(), suffix
+
     def test_self_comparison_is_all_rope(self, one_dataset_csv, tmp_path):
         rc = run("compare", "--scores", one_dataset_csv, "--a", "alpha", "--b", "alpha",
                  "--metric", "token", "--rope", "0.01", "--out-prefix", tmp_path / "self")
@@ -537,6 +563,15 @@ class TestRank:
         assert rc == 2
         assert not (tmp_path / "r.pairs.csv").exists()
         assert not (tmp_path / "r.ranking.txt").exists()
+
+    @pytest.mark.parametrize("flags, knob", NON_FINITE_PRIORS)
+    def test_non_finite_prior_is_usage_error(self, three_system_csv, tmp_path, capsys, flags, knob):
+        rc = run("rank", "--scores", three_system_csv, "--metric", "token", "--rope", "0.01",
+                 *FAST, *flags, "--out-prefix", tmp_path / "r")
+        assert rc == 2
+        assert f"error: {knob} must be finite and positive" in capsys.readouterr().err
+        for suffix in (".pairs.csv", ".ranking.txt", ".manifest.txt"):
+            assert not (tmp_path / f"r{suffix}").exists(), suffix
 
     def test_single_system_is_usage_error(self, one_dataset_csv, tmp_path):
         path = ScoreMatrix.from_csvs([one_dataset_csv])

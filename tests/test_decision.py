@@ -52,11 +52,10 @@ def synthetic_chains(delta0, sigma0, nu, constant=1.0):
 
     return PosteriorChains(
         dataset_ids=("d0",),
-        delta0=as_chains(delta0),
-        sigma0=as_chains(sigma0),
-        nu=as_chains(nu),
-        deltas=np.zeros((2, half, q)),
-        sigmas=np.ones((2, half, q)),
+        draws=np.dstack([
+            as_chains(delta0), as_chains(sigma0), as_chains(nu),
+            np.zeros((2, half, q)), np.ones((2, half, q)),
+        ]),
         standardization_constant=constant,
         config=ModelConfig(),
     )

@@ -246,7 +246,7 @@ def reference_fit(series, config):
         dataset_ids=p.ids,
         standardization_constant=p.constant,
         config=config,
-        **{key: np.stack([r[key] for r in runs]) for key in DRAWS},
+        draws=np.dstack([np.stack([r[key] for r in runs]) for key in DRAWS]),
     )
     return post, runs
 

@@ -6,6 +6,7 @@ likelihood of statcore (which gate 1 checks against a dense oracle),
 sharing no code with the production kernel beyond that likelihood.
 """
 
+import csv
 import math
 
 import numpy as np
@@ -144,6 +145,21 @@ class TestModelConfigValidation:
             ModelConfig(sigma_bar_factor=0.0)
         with pytest.raises(ValueError):
             ModelConfig(nu_prior=(0.0, 0.1))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize(
+        "knob, make",
+        [
+            ("sigma_bar_factor", lambda v: {"sigma_bar_factor": v}),
+            ("delta0_prior_halfwidth", lambda v: {"delta0_prior_halfwidth": v}),
+            ("nu_prior shape", lambda v: {"nu_prior": (v, 0.1)}),
+            ("nu_prior rate", lambda v: {"nu_prior": (2.0, v)}),
+        ],
+        ids=["sigma_bar_factor", "delta0_prior_halfwidth", "nu_shape", "nu_rate"],
+    )
+    def test_priors_must_be_finite_and_positive(self, knob, make, value):
+        with pytest.raises(ValueError, match=f"^{knob} must be finite and positive"):
+            ModelConfig(**make(value))
 
 
 class TestFitBasics:
@@ -339,6 +355,33 @@ class TestAgainstIndependentSampler:
         assert abs(np.median(post.nu) - np.median(ref[:, 2])) < 6.0
 
 
+def reference_write_chains(post, path, manifest=None):
+    """The one-table writer ``write_chains_csv`` must match byte for byte."""
+    names = post.parameter_names()
+    chains, draws = post.n_chains, post.draws_per_chain
+    table = np.column_stack(
+        [np.repeat(np.arange(chains), draws), np.tile(np.arange(draws), chains)]
+        + [post.draws_of(name).reshape(-1) for name in names]
+    )
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        if manifest is not None:
+            handle.write(f"# manifest: {manifest}\n")
+        csv.writer(handle, lineterminator="\n").writerow(["chain", "draw", *names])
+        np.savetxt(handle, table, fmt="%.17g", delimiter=",")
+
+
+def hand_built(dataset_ids, chains, draws, seed=5):
+    """A posterior of random draws, with every column distinct."""
+    rng = np.random.default_rng(seed)
+    q = len(dataset_ids)
+    return PosteriorChains(
+        dataset_ids=tuple(dataset_ids),
+        draws=rng.normal(size=(chains, draws, 3 + 2 * q)) / 3.0,
+        standardization_constant=1.0,
+        config=ModelConfig(),
+    )
+
+
 def _joined(lines):
     return "\n".join(lines) + "\n"
 
@@ -364,6 +407,45 @@ CORRUPTIONS = {
 
 
 class TestChainsIO:
+    @pytest.mark.parametrize("case", ["fast_fit", "three_chains_q1", "quoted_ids"])
+    def test_writer_matches_the_one_table_writer(self, tmp_path, case):
+        if case == "fast_fit":
+            post = fit(generate(3, 2, 5, 0.01, 0.005, 5.0, 0.1, (0.01, 0.02), seed=15), FAST)
+        elif case == "three_chains_q1":
+            post = hand_built(["only"], chains=3, draws=7)
+        else:
+            post = hand_built(["a,b", 'x"y'], chains=2, draws=5)
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_chains_csv(post, got, manifest="m.txt")
+        reference_write_chains(post, want, manifest="m.txt")
+        assert got.read_bytes() == want.read_bytes()
+        back = read_chains_csv(got)
+        assert list(back) == post.parameter_names()
+        for j, name in enumerate(post.parameter_names()):
+            assert back[name].tobytes() == np.ascontiguousarray(post.draws[..., j]).tobytes(), name
+
+    def test_named_parameters_are_views_of_draws(self):
+        post = fit(generate(3, 2, 5, 0.01, 0.005, 5.0, 0.1, (0.01, 0.02), seed=15), FAST)
+        names = post.parameter_names()
+        q = len(post.dataset_ids)
+        assert post.draws.shape == (FAST.chains, FAST.samples_per_chain, 3 + 2 * q)
+        views = [("delta0", post.delta0), ("sigma0", post.sigma0), ("nu", post.nu)]
+        for i, dataset in enumerate(post.dataset_ids):
+            views += [(f"delta[{dataset}]", post.deltas[..., i])]
+            views += [(f"sigma[{dataset}]", post.sigmas[..., i])]
+        views += [(name, post.draws_of(name)) for name in names]
+        for name, view in views:
+            j = names.index(name)
+            column = post.draws[..., j]
+            assert view.shape == column.shape, name
+            assert np.shares_memory(view, column), name
+            assert np.array_equal(view, column), name
+            for other in (j - 1, j + 1):
+                if 0 <= other < len(names):
+                    assert not np.shares_memory(view, post.draws[..., other]), (name, other)
+        with pytest.raises(KeyError):
+            post.draws_of("delta[nope]")
+
     def test_csv_roundtrip(self, tmp_path):
         series = generate(3, 2, 5, 0.01, 0.005, 5.0, 0.1, (0.01, 0.02), seed=15)
         post = fit(series, FAST)
@@ -410,11 +492,13 @@ class TestChainsIO:
         rng = np.random.default_rng(5)
         post = PosteriorChains(
             dataset_ids=("a", "b", "c"),
-            delta0=rng.normal(size=(2, 4)),
-            sigma0=rng.random((2, 4)),
-            nu=1.0 + rng.random((2, 4)),
-            deltas=rng.normal(size=(2, 4, 3)),
-            sigmas=rng.random((2, 4, 3)),
+            draws=np.dstack([
+                rng.normal(size=(2, 4)),
+                rng.random((2, 4)),
+                1.0 + rng.random((2, 4)),
+                rng.normal(size=(2, 4, 3)),
+                rng.random((2, 4, 3)),
+            ]),
             standardization_constant=1.0,
             config=ModelConfig(),
         )
