@@ -463,6 +463,8 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
+    if args.max_points < 1:
+        raise ValueError(f"--max-points must be >= 1, got {args.max_points}")
     digests: dict[str, str] = {}
     if args.chains is not None:
         meta_path = Path(args.meta) if args.meta else Path(args.chains).with_suffix(".meta.txt")

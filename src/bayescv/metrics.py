@@ -11,12 +11,15 @@ only to name the first bad line.
 
 The accuracies compare a predicted corpus with the aligned gold corpus;
 the out-of-vocabulary accuracy counts only tokens outside a given
-``Vocabulary``, which the runner builds from each round's training data.
+``Vocabulary``. Only the gold tokens are looked up in it, so the runner
+passes the evaluation fold's token types that its training data also
+holds, not the whole training vocabulary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, compress
 from operator import eq
 from pathlib import Path
 from typing import Iterable, NoReturn
@@ -123,10 +126,6 @@ class Vocabulary:
 
     tokens: frozenset[str]
 
-    @classmethod
-    def from_corpus(cls, *corpora: TaggedCorpus) -> "Vocabulary":
-        return cls(frozenset().union(*[sent.tokens for corpus in corpora for sent in corpus.sentences]))
-
     def __contains__(self, token: str) -> bool:
         return token in self.tokens
 
@@ -153,9 +152,10 @@ def _check_aligned(gold: TaggedCorpus, predicted: TaggedCorpus) -> None:
 def token_accuracy(gold: TaggedCorpus, predicted: TaggedCorpus) -> float:
     """Fraction of tokens whose predicted tag equals the gold tag."""
     _check_aligned(gold, predicted)
+    # A whole sentence tagged right, the usual case, is one tuple comparison.
     correct = 0
     for g, p in zip(gold.sentences, predicted.sentences):
-        correct += sum(map(eq, g.tags, p.tags))
+        correct += len(g.tags) if g.tags == p.tags else sum(map(eq, g.tags, p.tags))
     return correct / gold.n_tokens
 
 
@@ -174,16 +174,12 @@ def oov_accuracy(vocabulary: Vocabulary, gold: TaggedCorpus, predicted: TaggedCo
     """
     _check_aligned(gold, predicted)
     known = vocabulary.tokens
-    correct = 0
-    total = 0
-    for g, p in zip(gold.sentences, predicted.sentences):
-        for tok, gt, pt in zip(g.tokens, g.tags, p.tags):
-            if tok not in known:
-                total += 1
-                correct += gt == pt
-    if total == 0:
+    oov = [tok not in known for sent in gold.sentences for tok in sent.tokens]
+    gold_tags = list(compress(chain.from_iterable([s.tags for s in gold.sentences]), oov))
+    if not gold_tags:
         raise NoOovTokens("every token is in the vocabulary")
-    return correct / total
+    predicted_tags = compress(chain.from_iterable([s.tags for s in predicted.sentences]), oov)
+    return sum(map(eq, gold_tags, predicted_tags)) / len(gold_tags)
 
 
 # Every byte value but tab, newline and carriage return. UTF-8 never uses

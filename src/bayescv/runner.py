@@ -15,15 +15,25 @@ stays one argument. A template that does not split or that names an
 unknown placeholder, a metric list that is empty or names an unknown
 metric, a timeout that is not finite and positive, and a plan with
 fewer than three folds or with an empty fold in some repetition are
-rejected before any round writes a file.
+rejected before any round writes a file, and so are a template whose
+format fields lack ``test`` or ``pred`` and a dataset or system id with
+a line break.
+
+The out-of-vocabulary accuracy looks up only evaluation tokens, so a
+round passes ``oov_accuracy`` the evaluation fold's token types that a
+training fold (or the dev fold, under "train+dev") also holds: the same
+membership as its training vocabulary, from a per-repetition index.
 """
 
 from __future__ import annotations
 
 import math
 import shlex
+import string
 import subprocess
 import tempfile
+import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Sequence
@@ -51,15 +61,55 @@ DEFAULT_METRICS = ("token", "sentence", "oov")
 def _split_template(command_template: str) -> list[str]:
     """Split the template into arguments, each formatted once with
     placeholder paths, so a bad template fails before any round runs."""
+    fields: set[str | None] = set()
     try:
         arg_templates = shlex.split(command_template)
         for arg in arg_templates:
             arg.format(train="train", dev="dev", test="test", pred="pred")
+            fields.update(name for _, name, _, _ in string.Formatter().parse(arg))
     except KeyError as exc:
         raise ValueError(f"unknown placeholder {exc} in command template {command_template!r}") from exc
     except (ValueError, IndexError, AttributeError) as exc:
         raise ValueError(f"bad command template {command_template!r}: {exc}") from exc
+    for name in ("test", "pred"):
+        if name not in fields:
+            raise ValueError(f"command template is missing {{{name}}}")
     return arg_templates
+
+
+class _FoldTypes:
+    """Each fold's token types, indexed once per repetition by its first
+    round to ask and dropped after its k-th, so only repetitions with
+    rounds in flight are held; a lock makes that safe under threads."""
+
+    def __init__(self, plan: SplitPlan, corpus: TaggedCorpus, oov_vocab: str) -> None:
+        self._plan, self._corpus = plan, corpus
+        self._with_dev = oov_vocab == "train+dev"
+        self._lock = threading.Lock()
+        self._held: dict[int, list[frozenset[str]]] = {}
+        self._taken: Counter[int] = Counter()
+
+    def _types(self, rep: int) -> list[frozenset[str]]:
+        with self._lock:
+            types = self._held.get(rep)
+            if types is None:
+                tokens: list[list[str]] = [[] for _ in range(self._plan.k)]
+                for sent, fold in zip(self._corpus.sentences, self._plan.assignments[rep].tolist()):
+                    tokens[fold].extend(sent.tokens)
+                types = self._held[rep] = [frozenset(t) for t in tokens]
+            self._taken[rep] += 1
+            if self._taken[rep] == self._plan.k:
+                del self._held[rep]
+        return types
+
+    def known(self, rep: int, eval_fold: int, dev_fold: int) -> Vocabulary:
+        """The evaluation fold's token types that also occur in a training
+        fold of the round, or in its dev fold under "train+dev"."""
+        types = self._types(rep)
+        unknown = (eval_fold,) if self._with_dev else (eval_fold, dev_fold)
+        test = types[eval_fold]
+        unseen = test.difference(*[t for fold, t in enumerate(types) if fold not in unknown])
+        return Vocabulary(test - unseen)
 
 
 def _score_round(
@@ -68,7 +118,7 @@ def _score_round(
     corpus: TaggedCorpus,
     arg_templates: Sequence[str],
     metrics: Sequence[str],
-    oov_vocab: str,
+    fold_types: _FoldTypes,
     workdir: Path | None,
     timeout: float | None,
 ) -> dict[str, float | None]:
@@ -112,8 +162,9 @@ def _score_round(
             predicted = read_corpus(paths["pred"])
         except ValueError as exc:
             raise OutputUnreadable(f"round ({rep}, {fold}): {exc}") from exc
-        vocab_corpora = (train, dev) if oov_vocab == "train+dev" else (train,)
-        vocabulary = Vocabulary.from_corpus(*vocab_corpora)
+        if "oov" in metrics:
+            # fold_roles took val_idx from the round's dev fold.
+            vocabulary = fold_types.known(rep, fold, int(plan.assignments[rep][val_idx[0]]))
         out: dict[str, float | None] = {}
         try:
             # run_external has checked the names: the last one left is oov.
@@ -184,9 +235,10 @@ def run_external(
             )
     if oov_vocab not in ("train", "train+dev"):
         raise ValueError(f"oov_vocab must be 'train' or 'train+dev', got {oov_vocab!r}")
-    for placeholder in ("{test}", "{pred}"):
-        if placeholder not in command_template:
-            raise ValueError(f"command template is missing {placeholder}")
+    for what, value in (("dataset", dataset_id), ("system", system_id)):
+        if "\n" in value or "\r" in value:
+            raise ValueError(f"{what} id {value!r} contains a line break")
+    arg_templates = _split_template(command_template)
     unknown = [metric for metric in metrics if metric not in DEFAULT_METRICS]
     if unknown or not metrics:
         problem = f"unknown metrics {', '.join(unknown)}" if unknown else "no metrics given"
@@ -196,13 +248,13 @@ def run_external(
     if timeout is not None and not (timeout > 0 and math.isfinite(timeout)):
         raise ValueError(f"timeout must be finite and > 0 seconds, got {timeout}")
     workdir_path = Path(workdir) if workdir is not None else None
-    arg_templates = _split_template(command_template)
+    fold_types = _FoldTypes(plan, corpus, oov_vocab)
 
     jobs = [(rep, fold) for rep in range(plan.m) for fold in range(plan.k)]
 
     def work(job: tuple[int, int]) -> tuple[tuple[int, int], dict[str, float | None]]:
         return job, _score_round(
-            job, plan, corpus, arg_templates, metrics, oov_vocab, workdir_path, timeout
+            job, plan, corpus, arg_templates, metrics, fold_types, workdir_path, timeout
         )
 
     results: dict[tuple[int, int], dict[str, float | None]] = {}

@@ -4,7 +4,8 @@ Scores live in a long-format CSV with header
 ``dataset,system,metric,repetition,fold,score`` where score is a decimal
 in [0, 1] or ``NA`` for an undefined value (for example out-of-vocabulary
 accuracy on a fold with no out-of-vocabulary tokens). Rows may appear in
-any order; a repeated key is an error.
+any order; a repeated key is an error, and so is a dataset, system or
+metric id with a line break.
 """
 
 from __future__ import annotations
@@ -50,6 +51,10 @@ class ScoreMatrix:
         score: float | None,
     ) -> None:
         key = (dataset, system, metric, repetition, fold)
+        # An id goes verbatim into sidecar and manifest lines.
+        ids = dataset + system + metric
+        if "\n" in ids or "\r" in ids:
+            raise ValueError(f"line break in an id of {key}")
         if key in self.entries:
             raise DuplicateScoreKey(f"duplicate score for {key}")
         if score is not None:

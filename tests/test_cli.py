@@ -170,8 +170,10 @@ class TestScore:
         [
             ("cp {test} {pred} {bogus}", "unknown placeholder 'bogus' in command template"),
             ("cp '{test} {pred}", "bad command template \"cp '{test} {pred}\": No closing quotation"),
+            # Doubled braces are a literal "{test}", not a field.
+            ("cp {{test}} {pred}", "command template is missing {test}"),
         ],
-        ids=["unknown_placeholder", "unclosed_quote"],
+        ids=["unknown_placeholder", "unclosed_quote", "escaped_braces"],
     )
     def test_bad_template_fails_before_any_round(self, tmp_path, capsys, command, message):
         corpus = tmp_path / "corpus.tsv"
@@ -184,6 +186,28 @@ class TestScore:
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "wd").exists()
+
+    def test_placeholder_with_a_conversion_is_a_field(self, tmp_path):
+        assert self._split_and_score(tmp_path, "cp {test!s} {pred}", "--metrics", "token") == 0
+        matrix = ScoreMatrix.from_csvs([tmp_path / "x.scores.csv"])
+        assert list(matrix.entries.values()) == [1.0] * 3
+
+    @pytest.mark.parametrize("flag", ["--dataset", "--system"])
+    def test_line_break_in_an_id_fails_before_any_round(self, tmp_path, capsys, flag):
+        corpus = tmp_path / "corpus.tsv"
+        self._write_corpus(corpus)
+        assert run("split", "--n", 12, "--k", 3, "--m", 1, "--seed", 5,
+                   "--out-prefix", tmp_path / "c") == 0
+        ids = {"--dataset": "toy", "--system": "x", flag: "alpha\nchains_sha256=0000"}
+        rc = run("score", "--plan", tmp_path / "c.plan.json", "--corpus", corpus,
+                 *[part for item in ids.items() for part in item],
+                 "--command", "cp {test} {pred}", "--workdir", tmp_path / "wd",
+                 "--out-prefix", tmp_path / "s")
+        assert rc == 2
+        assert f"{flag[2:]} id 'alpha\\nchains_sha256=0000' contains a line break" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "wd").exists()
+        assert not (tmp_path / "s.scores.csv").exists()
 
     @pytest.mark.parametrize(
         "metrics, message",
@@ -435,6 +459,21 @@ class TestCompare:
         assert outputs[0] == outputs[1] == outputs[2]
 
 
+    def test_line_break_in_a_system_id_rejected(self, tmp_path, capsys):
+        # Quoted, the id is one CSV field; written verbatim into the
+        # sidecar it would add a second chains_sha256 line.
+        bad = '"alpha\nchains_sha256=0000"'
+        scores = tmp_path / "bad.scores.csv"
+        scores.write_text(DELTA3.read_text(encoding="utf-8").replace(",alpha,", f",{bad},"),
+                          encoding="utf-8")
+        rc = run("compare", "--scores", scores, "--a", "alpha\nchains_sha256=0000", "--b", "beta",
+                 "--metric", "token", "--rope", "0.01", *FAST, "--out-prefix", tmp_path / "pair")
+        assert rc == 2
+        assert f"{scores}:2: line break in an id of ('ds00', 'alpha\\nchains_sha256=0000'" in (
+            capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == [scores]
+
+
 class TestRank:
     def test_planted_order_recovered(self, three_system_csv, tmp_path):
         prefix = tmp_path / "r"
@@ -634,6 +673,18 @@ class TestPlot:
         bare.write_bytes((compare_artifacts / "pair.chains.csv").read_bytes())
         rc = run("plot", "--chains", bare, "--out-prefix", tmp_path / "fig")
         assert rc == 2
+
+    @pytest.mark.parametrize("source", ["chains", "report"])
+    def test_max_points_checked_before_any_work(self, compare_artifacts, tmp_path, capsys, source):
+        capsys.readouterr()
+        rc = run("plot", f"--{source}", compare_artifacts / f"pair.{source}.csv",
+                 "--max-points", "0", "--out-prefix", tmp_path / "fig")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--max-points must be >= 1, got 0" in err
+        assert "stage" not in err
+        assert not (tmp_path / "fig.manifest.txt").exists()
+        assert not (tmp_path / "fig.svg").exists()
 
     def test_plot_requires_the_sidecar(self, compare_artifacts, tmp_path, capsys):
         # The draws are standardized; classifying them without the

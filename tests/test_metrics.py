@@ -24,6 +24,32 @@ def corpus(*sents):
     return TaggedCorpus.from_pairs(sents)
 
 
+def vocabulary_of(*corpora):
+    """The reference vocabulary: the union of the corpora's token sets."""
+    return Vocabulary(frozenset().union(*[s.tokens for c in corpora for s in c.sentences]))
+
+
+def reference_token_accuracy(gold, predicted):
+    """The per-token count ``token_accuracy`` must match."""
+    correct = 0
+    for g, p in zip(gold.sentences, predicted.sentences):
+        correct += sum(gt == pt for gt, pt in zip(g.tags, p.tags))
+    return correct / gold.n_tokens
+
+
+def reference_oov_accuracy(vocabulary, gold, predicted):
+    """The per-token count ``oov_accuracy`` must match; None where no
+    gold token is out of vocabulary."""
+    correct = 0
+    total = 0
+    for g, p in zip(gold.sentences, predicted.sentences):
+        for tok, gt, pt in zip(g.tokens, g.tags, p.tags):
+            if tok not in vocabulary.tokens:
+                total += 1
+                correct += gt == pt
+    return correct / total if total else None
+
+
 GOLD = corpus(
     [("the", "DET"), ("cat", "NOUN"), ("sat", "VERB")],
     [("dogs", "NOUN"), ("bark", "VERB")],
@@ -64,7 +90,7 @@ class TestHandCounts:
         assert oov_accuracy(vocab, GOLD, PRED) == 0.0
 
     def test_no_oov_tokens(self):
-        vocab = Vocabulary.from_corpus(GOLD)
+        vocab = vocabulary_of(GOLD)
         with pytest.raises(NoOovTokens):
             oov_accuracy(vocab, GOLD, PRED)
 
@@ -148,6 +174,38 @@ class TestInvariants:
         acc = token_accuracy(g, p)
         assert fractions.Fraction(acc).limit_denominator(21) == fractions.Fraction(9, 21)
 
+
+class TestAccuraciesMatchReference:
+    """Random gold/prediction pairs with mismatched tags, scored by the
+    per-token loops above."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_same_values(self, seed):
+        rng = np.random.default_rng([seed, 77])
+        tags = ["A", "B", "C"]
+        for _ in range(200):
+            gold_s, pred_s = [], []
+            for _ in range(int(rng.integers(1, 8))):
+                n_tok = int(rng.integers(1, 9))
+                toks = [f"w{rng.integers(30)}" for _ in range(n_tok)]
+                gtags = [tags[rng.integers(3)] for _ in range(n_tok)]
+                # About half the sentences are tagged right end to end.
+                wrong = rng.random() < 0.5
+                ptags = [
+                    tags[rng.integers(3)] if wrong and rng.random() < 0.4 else g for g in gtags
+                ]
+                gold_s.append(list(zip(toks, gtags)))
+                pred_s.append(list(zip(toks, ptags)))
+            g, p = corpus(*gold_s), corpus(*pred_s)
+            vocab = Vocabulary(frozenset(f"w{i}" for i in range(30) if rng.random() < 0.7))
+            assert token_accuracy(g, p) == reference_token_accuracy(g, p)
+            want = reference_oov_accuracy(vocab, g, p)
+            if want is None:
+                with pytest.raises(NoOovTokens):
+                    oov_accuracy(vocab, g, p)
+            else:
+                assert oov_accuracy(vocab, g, p) == want
+
     def test_sentence_order_does_not_matter_for_token_accuracy(self):
         g2 = corpus(
             [("dogs", "NOUN"), ("bark", "VERB")],
@@ -187,7 +245,8 @@ class TestCorpusContainer:
 
     def test_vocabulary_from_multiple_corpora(self):
         extra = corpus([("new", "ADJ")])
-        vocab = Vocabulary.from_corpus(GOLD, extra)
+        vocab = vocabulary_of(GOLD, extra)
+        assert len(vocab) == 6
         assert "new" in vocab
         assert "cat" in vocab
         assert "missing" not in vocab

@@ -5,13 +5,21 @@ import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from bayescv import runner
 from bayescv.errors import CommandFailed, OutputUnreadable
 from bayescv.metrics import TaggedCorpus, read_corpus
 from bayescv.runner import run_external
-from bayescv.splits import fold_roles, make_splits
-from test_metrics import reference_write
+from bayescv.splits import SplitPlan, fold_roles, make_splits
+from test_metrics import (
+    reference_oov_accuracy,
+    reference_read,
+    reference_token_accuracy,
+    reference_write,
+    vocabulary_of,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 COPY_COMMAND = "cp {test} {pred}"
@@ -124,6 +132,135 @@ class TestOovHandling:
         assert set(train_only.entries) == set(with_dev.entries)
 
 
+# Twelve sentences over four folds. In repetition 0 (fold = i % 4) "pair"
+# and "sees" occur only in folds 0 and 1, so round (0, 0) has them in its
+# evaluation and dev folds and nowhere else; "solo" occurs in one sentence
+# only; and fold 3 holds only tokens the training folds of round (0, 3)
+# have. Repetition 1 deals the sentences in blocks of three, which puts
+# both "pair" sentences in fold 0 alone.
+EXACT_SENTENCES = [
+    [("the", "DET"), ("pair", "NOUN"), ("runs", "VERB")],
+    [("a", "DET"), ("pair", "ADJ"), ("dog", "NOUN"), ("runs", "NOUN")],
+    [("the", "DET"), ("dog", "NOUN"), ("runs", "VERB")],
+    [("a", "DET"), ("dog", "NOUN")],
+    [("the", "DET"), ("cat", "NOUN"), ("runs", "NOUN")],
+    [("a", "DET"), ("cat", "NOUN"), ("sees", "VERB"), ("the", "DET"), ("dog", "NOUN")],
+    [("the", "DET"), ("solo", "ADJ"), ("cat", "NOUN")],
+    [("the", "DET"), ("cat", "NOUN"), ("runs", "VERB")],
+    [("a", "DET"), ("dog", "NOUN"), ("sees", "VERB"), ("a", "DET"), ("cat", "NOUN")],
+    [("the", "DET"), ("odd", "ADJ"), ("dog", "NOUN"), ("sees", "NOUN")],
+    [("a", "DET"), ("odd", "NOUN"), ("cat", "NOUN")],
+    [("a", "DET"), ("dog", "NOUN"), ("runs", "VERB"), ("the", "DET"), ("cat", "NOUN")],
+]
+EXACT_PLAN = SplitPlan(
+    n_items=12, k=4, m=2, seed=0,
+    assignments=np.array([[i % 4 for i in range(12)], [i // 3 for i in range(12)]]),
+)
+
+
+class FoldTypesSpy:
+    """Records, for every request of the runner's fold index, the
+    repetition, the index returned and how many repetitions were held."""
+
+    def __init__(self):
+        self.calls = []
+        self.instances = []
+
+    @classmethod
+    def install(cls, monkeypatch):
+        spy = cls()
+
+        class Spy(runner._FoldTypes):
+            def __init__(self, *args):
+                super().__init__(*args)
+                spy.instances.append(self)
+
+            def _types(self, rep):
+                types = super()._types(rep)
+                spy.calls.append((rep, types, len(self._held)))
+                return types
+
+        monkeypatch.setattr(runner, "_FoldTypes", Spy)
+        return spy
+
+    def assert_built_once_and_dropped(self, plan):
+        for rep in range(plan.m):
+            built = [types for r, types, _ in self.calls if r == rep]
+            assert len(built) == plan.k, rep
+            assert all(types is built[0] for types in built), rep
+        assert [instance._held for instance in self.instances] == [{}]
+
+
+class TestExactVocabulary:
+    """Every round's scores equal a reference that builds the vocabulary
+    of the round's training portion (and dev portion under train+dev)."""
+
+    LEXICON = f"{sys.executable} {FIXTURES / 'lexicon_tagger.py'} {{train}} {{test}} {{pred}}"
+
+    @staticmethod
+    def reference(corpus, workdir, oov_vocab):
+        scores = {}
+        for rep in range(EXACT_PLAN.m):
+            for fold in range(EXACT_PLAN.k):
+                train_idx, val_idx, eval_idx = fold_roles(EXACT_PLAN, rep, fold)
+                portions = [corpus.subset(train_idx)]
+                if oov_vocab == "train+dev":
+                    portions.append(corpus.subset(val_idx))
+                gold = corpus.subset(eval_idx)
+                predicted = reference_read(workdir / f"rep{rep:03d}_fold{fold:03d}" / "pred.tsv")
+                scores[(rep, fold)] = {
+                    "token": reference_token_accuracy(gold, predicted),
+                    "sentence": sum(g.tags == p.tags for g, p in zip(
+                        gold.sentences, predicted.sentences)) / gold.n_sentences,
+                    "oov": reference_oov_accuracy(vocabulary_of(*portions), gold, predicted),
+                }
+        return scores
+
+    def test_plan_has_the_cases(self):
+        corpus = TaggedCorpus.from_pairs(EXACT_SENTENCES)
+
+        def oov_tokens(rep, fold, with_dev):
+            train_idx, val_idx, eval_idx = fold_roles(EXACT_PLAN, rep, fold)
+            known = vocabulary_of(corpus.subset(train_idx), *(
+                [corpus.subset(val_idx)] if with_dev else []))
+            return {t for s in corpus.subset(eval_idx).sentences for t in s.tokens} - known.tokens
+
+        # OOV under train, known under train+dev.
+        assert oov_tokens(0, 0, False) == {"pair", "sees"}
+        assert oov_tokens(0, 0, True) == set()
+        # Only in the evaluation fold.
+        assert oov_tokens(0, 2, True) == {"solo"}
+        assert oov_tokens(1, 0, True) == {"pair"}
+        # No OOV token under either vocabulary.
+        assert oov_tokens(0, 3, False) == set()
+
+    @pytest.mark.parametrize("oov_vocab", ["train", "train+dev"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_scores_equal_the_reference(self, tmp_path, workers, oov_vocab):
+        corpus = TaggedCorpus.from_pairs(EXACT_SENTENCES)
+        matrix = run_external(
+            EXACT_PLAN, corpus, self.LEXICON, dataset_id="d", system_id="lex",
+            oov_vocab=oov_vocab, workers=workers, workdir=tmp_path,
+        )
+        want = self.reference(corpus, tmp_path, oov_vocab)
+        got = {}
+        for (_, _, metric, rep, fold), value in matrix.entries.items():
+            got.setdefault((rep, fold), {})[metric] = value
+        assert got == want
+        oov = {scores["oov"] for scores in want.values()}
+        assert None in oov and len(oov) > 2
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_index_built_once_and_held_only_while_in_flight(self, monkeypatch, workers):
+        spy = FoldTypesSpy.install(monkeypatch)
+        run_external(
+            EXACT_PLAN, TaggedCorpus.from_pairs(EXACT_SENTENCES), COPY_COMMAND,
+            dataset_id="d", system_id="copy", workers=workers,
+        )
+        spy.assert_built_once_and_dropped(EXACT_PLAN)
+        assert max(held for _, _, held in spy.calls) <= workers
+
+
 class TestFailureModes:
     def test_failing_command_raises_with_stderr(self, toy_corpus):
         plan = make_splits(200, 4, 1, seed=1)
@@ -162,10 +299,11 @@ class TestFailureModes:
                 dataset_id="toy", system_id="mis", metrics=("token",),
             )
 
-    def test_template_must_mention_placeholders(self, toy_plan, toy_corpus):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("template", ["true {train} {test}", "cp {{test}} {pred}"])
+    def test_template_must_mention_placeholders(self, toy_plan, toy_corpus, template):
+        with pytest.raises(ValueError, match="command template is missing"):
             run_external(
-                toy_plan, toy_corpus, "true {train} {test}",
+                toy_plan, toy_corpus, template,
                 dataset_id="toy", system_id="x", metrics=("token",),
             )
 
@@ -235,7 +373,7 @@ def fresh_corpus(n_sentences: int) -> TaggedCorpus:
 
 
 class TestThreadStress:
-    def test_many_workers_match_one(self, tmp_path):
+    def test_many_workers_match_one(self, tmp_path, monkeypatch):
         # More workers than cores and a tiny switch interval, so threads
         # interleave inside round preparation as often as they can.
         plan = make_splits(60, 5, 6, seed=17)
@@ -259,12 +397,15 @@ class TestThreadStress:
             finally:
                 sys.setswitchinterval(old)
 
+        spy = FoldTypesSpy.install(monkeypatch)
         thread = threading.Thread(target=stressed, daemon=True)
         start = time.monotonic()
         thread.start()
         thread.join(timeout=120)
         assert not thread.is_alive(), f"still running after {time.monotonic() - start:.0f} s"
         assert "many" in results, results.get("error")
+        # Every repetition's fold index was built once and dropped.
+        spy.assert_built_once_and_dropped(plan)
         one = run(1, tmp_path / "one")
         assert results["many"].entries == one.entries
         for folder in sorted((tmp_path / "one").iterdir()):

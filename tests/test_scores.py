@@ -36,6 +36,14 @@ class TestScoreMatrix:
         with pytest.raises(ValueError):
             m.add("d", "s", "token", -1, 0, 0.5)
 
+    @pytest.mark.parametrize("bad", ["a\nb", "a\rb", "a\r\nb"], ids=["lf", "cr", "crlf"])
+    @pytest.mark.parametrize("position", [0, 1, 2], ids=["dataset", "system", "metric"])
+    def test_line_break_in_an_id_rejected(self, bad, position):
+        ids = ["d", "s", "token"]
+        ids[position] = bad
+        with pytest.raises(ValueError, match="line break"):
+            ScoreMatrix().add(*ids, 0, 0, 0.5)
+
     def test_none_is_allowed(self):
         m = ScoreMatrix()
         m.add("d", "s", "oov", 0, 0, None)
