@@ -25,6 +25,7 @@ from .decision import (
     DecisionTriple,
     ReportRow,
     RopeInterval,
+    check_draws,
     rank,
     read_report_csv,
     rope_from_differences,
@@ -47,7 +48,7 @@ from .model import (
     write_chain_metadata,
     write_chains_csv,
 )
-from .plotting import draws_to_points, points_from_triples, render_simplex_svg
+from .plotting import draws_to_points, plotted_indices, points_from_triples, render_simplex_svg
 from .runner import DEFAULT_METRICS, run_external
 from .scores import DifferenceSeries, ScoreMatrix, assemble_differences
 from .splits import make_splits, read_plan, write_plan
@@ -67,6 +68,10 @@ EXIT_IO = 4
 # x86 machine, medians of 10 runs): 2 pairs per call took 9.3 s at
 # 50.2 MB peak RSS, this budget's 3 per call 6.8 s at 54.0 MB.
 _DRAW_BUDGET = 12_000_000
+
+# Sidecar keys of the triple compare counted, which plot --chains draws
+# unless --rope asks for a count under another rope.
+_COUNT_KEYS = ("n_left", "n_rope", "n_right")
 
 
 def _log(message: str) -> None:
@@ -364,6 +369,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
             post = fit(pair.series, config)
     row, converged = _finish_pair(pair, post, args, config)
     pair.notes["manifest"] = str(manifest_path)
+    t = row.triple
+    pair.notes.update(zip(_COUNT_KEYS, map(str, (t.n_left, t.n_rope, t.n_right))))
     meta_path = _output(args, ".chains.meta.txt")
     if post is None:
         write_kv(meta_path, pair.notes)
@@ -376,7 +383,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
             write_chain_metadata(post, meta_path, extra=pair.notes)
     report_path = _output(args, ".report.csv")
     write_report_csv([row], report_path, manifest=str(manifest_path))
-    t = row.triple
     _log(
         f"{args.system_a} vs {args.system_b} on {args.metric}: "
         f"p_left={t.p_left:.3f} p_rope={t.p_rope:.3f} p_right={t.p_right:.3f} "
@@ -477,7 +483,8 @@ def cmd_plot(args: argparse.Namespace) -> int:
         if not meta_path.is_file():
             raise ValueError(f"chains metadata not found at {meta_path}; pass --meta")
         meta = read_kv(meta_path)
-        for key in ("standardization_constant", "chains", "draws_per_chain", "chains_sha256"):
+        required = ("standardization_constant", "chains", "draws_per_chain", "chains_sha256")
+        for key in required + (_COUNT_KEYS if args.rope is None else ()):
             if key not in meta:
                 raise ValueError(f"{meta_path} has no {key!r}; is it the sidecar of these chains?")
         # Only the population columns are parsed below, so the bytes of
@@ -498,19 +505,33 @@ def cmd_plot(args: argparse.Namespace) -> int:
                 f"{args.chains}: {shape[0]} chains x {shape[1]} draws, but {meta_path} "
                 f"records {recorded[0]} x {recorded[1]} (truncated?)"
             )
+        draws = [chains[name].reshape(-1) for name in ("delta0", "sigma0", "nu")]
+        n_draws = draws[0].size
         rope_raw = args.rope
         if rope_raw is None:
             if "rope_halfwidth" not in meta:
                 raise ValueError("no --rope given and none recorded in the chain metadata")
             rope_raw = float(meta["rope_halfwidth"])
         rope = RopeInterval(rope_raw).scaled(float(meta["standardization_constant"]))
+        # Every parsed draw is checked. Without --rope only the plotted
+        # ones are classified: the sidecar's counts cover them all.
+        check_draws(*draws)
+        if args.rope is None:
+            counts = [meta[key] for key in _COUNT_KEYS]
+            digits = all(n.isascii() and n.isdigit() for n in counts)
+            if not digits or sum(map(int, counts)) != n_draws:
+                raise ValueError(
+                    f"{meta_path}: {', '.join(_COUNT_KEYS)} must be non-negative integers "
+                    f"summing to {n_draws} draws, got {', '.join(counts)}"
+                )
+            draws = [column[plotted_indices(n_draws, args.max_points)] for column in draws]
         label_a = meta.get("system_a", "system a")
         label_b = meta.get("system_b", "system b")
         inputs = [args.chains, str(meta_path)]
         with _stage("points"):
-            points, triple = draws_to_points(
-                chains["delta0"], chains["sigma0"], chains["nu"], rope.halfwidth
-            )
+            points, triple = draws_to_points(*draws, rope.halfwidth)
+        if args.rope is None:
+            triple = DecisionTriple(*map(int, counts))
         title = args.title or f"{label_a} vs {label_b}"
     else:
         rows = read_report_csv(args.report)
@@ -519,6 +540,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
         label_a = rows[0].system_a if len(rows) == 1 else "right region"
         label_b = rows[0].system_b if len(rows) == 1 else "left region"
         inputs = [args.report]
+        n_draws = len(rows)
         title = args.title or (f"{label_a} vs {label_b}" if len(rows) == 1 else "pairwise triples")
     manifest_path = _write_manifest(args, inputs, digests)
     with _stage("render"):
@@ -533,7 +555,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
         )
     svg_path = _output(args, ".svg")
     svg_path.write_text(svg, encoding="utf-8")
-    _log(f"plot: {svg_path} ({points.shape[0]} draws)")
+    _log(f"plot: {svg_path} ({n_draws} draws)")
     print(manifest_path)
     return EXIT_OK
 

@@ -30,6 +30,7 @@ __all__ = [
     "RopeInterval",
     "DecisionTriple",
     "verdict_of",
+    "check_draws",
     "region_probs",
     "classify_draws",
     "tally",
@@ -122,6 +123,19 @@ def verdict_of(p_left: float, p_rope: float, p_right: float) -> str:
     return VERDICTS[int(_winner(p_left, p_rope, p_right))]
 
 
+def check_draws(delta0: np.ndarray, sigma0: np.ndarray, nu: np.ndarray) -> None:
+    """ValueError naming the first draw, in the arrays' common shape, whose
+    delta0 is not finite, sigma0 not finite and >= 0, or nu not finite and > 0."""
+    valid = np.isfinite(delta0) & np.isfinite(sigma0) & (sigma0 >= 0.0)
+    valid &= np.isfinite(nu) & (nu > 0.0)
+    if not valid.all():
+        i = int(np.argmin(valid.reshape(-1)))
+        raise ValueError(
+            "draws need a finite delta0, a finite sigma0 >= 0 and a finite nu > 0, got "
+            f"delta0={delta0.flat[i]}, sigma0={sigma0.flat[i]}, nu={nu.flat[i]}"
+        )
+
+
 def region_probs(
     delta0: ArrayLike, sigma0: ArrayLike, nu: ArrayLike, rope: RopeInterval
 ) -> tuple[float, float, float] | tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -129,8 +143,7 @@ def region_probs(
 
     The inputs broadcast against each other. All-scalar inputs give a
     tuple of three floats, arrays a tuple of three arrays. Every draw must
-    have a finite delta0, a finite sigma0 >= 0 and a finite nu > 0, else
-    ValueError.
+    pass ``check_draws``.
 
     The left and right masses are computed as direct tail integrals that
     depend on the standardized offsets only through their squares, so
@@ -140,13 +153,7 @@ def region_probs(
     boundary.
     """
     d0, s0, nu = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (delta0, sigma0, nu)))
-    valid = np.isfinite(d0) & np.isfinite(s0) & (s0 >= 0.0) & np.isfinite(nu) & (nu > 0.0)
-    if not valid.all():
-        i = int(np.argmin(valid.reshape(-1)))
-        raise ValueError(
-            "draws need a finite delta0, a finite sigma0 >= 0 and a finite nu > 0, got "
-            f"delta0={d0.flat[i]}, sigma0={s0.flat[i]}, nu={nu.flat[i]}"
-        )
+    check_draws(d0, s0, nu)
     r = rope.halfwidth
     point = s0 == 0.0
     scale = np.where(point, 1.0, s0)

@@ -79,14 +79,21 @@ def write_manifest(manifest: RunManifest, path: str | Path) -> None:
 
 
 def write_kv(path: str | Path, values: dict[str, str]) -> None:
-    """Write one ``key=value`` line per entry, sorted by key."""
+    """Write one ``key=value`` line per entry, sorted by key.
+
+    A key or value with a line break would add a line of its own, so it
+    is a ValueError, raised before the file is opened.
+    """
+    for key, value in values.items():
+        if "\n" in key + value or "\r" in key + value:
+            raise ValueError(f"line break in {key}={value!r}, which {path} cannot hold")
     with Path(path).open("w", encoding="utf-8") as handle:
         for key in sorted(values):
             handle.write(f"{key}={values[key]}\n")
 
 
 def read_kv(path: str | Path) -> dict[str, str]:
-    """Inverse of write_kv; blank lines are skipped."""
+    """Inverse of write_kv; blank lines are skipped, a repeated key is a ValueError."""
     out: dict[str, str] = {}
     with Path(path).open("r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
@@ -96,5 +103,7 @@ def read_kv(path: str | Path) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
             key, _, value = line.partition("=")
+            if key in out:
+                raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
             out[key] = value
     return out

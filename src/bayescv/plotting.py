@@ -15,7 +15,7 @@ import numpy as np
 
 from .decision import DecisionTriple, RopeInterval, classify_draws, simplex_points
 
-__all__ = ["render_simplex_svg", "draws_to_points", "points_from_triples"]
+__all__ = ["render_simplex_svg", "draws_to_points", "points_from_triples", "plotted_indices"]
 
 _W = 640
 _H = 600
@@ -44,6 +44,16 @@ def draws_to_points(
     return simplex_points(p_rope, p_right), triple
 
 
+def plotted_indices(n: int, max_points: int) -> np.ndarray:
+    """Indices of the points a plot of ``n`` shows: all of them, or
+    ``max_points`` spaced by a deterministic even stride."""
+    if max_points < 1:
+        raise ValueError("max_points must be >= 1")
+    if n <= max_points:
+        return np.arange(n)
+    return np.linspace(0, n - 1, max_points).round().astype(int)
+
+
 def points_from_triples(triples: Sequence[DecisionTriple]) -> np.ndarray:
     return simplex_points([t.p_rope for t in triples], [t.p_right for t in triples])
 
@@ -61,19 +71,14 @@ def render_simplex_svg(
 ) -> str:
     """Render points (N, 2 simplex coordinates) into an SVG document string.
 
-    At most ``max_points`` points are drawn, thinned by a deterministic
-    even stride, so huge chains stay viewable and the file bounded. Corner
+    At most ``max_points`` points are drawn, those ``plotted_indices``
+    picks, so huge chains stay viewable and the file bounded. Corner
     annotations show the final probabilities when a triple is given.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 2:
         raise ValueError(f"points must have shape (n, 2), got {points.shape}")
-    if max_points < 1:
-        raise ValueError("max_points must be >= 1")
-    n = points.shape[0]
-    if n > max_points:
-        keep = np.linspace(0, n - 1, max_points).round().astype(int)
-        points = points[keep]
+    points = points[plotted_indices(points.shape[0], max_points)]
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',

@@ -16,8 +16,8 @@ unknown placeholder, a metric list that is empty or names an unknown
 metric, a timeout that is not finite and positive, and a plan with
 fewer than three folds or with an empty fold in some repetition are
 rejected before any round writes a file, and so are a template whose
-format fields lack ``test`` or ``pred`` and a dataset or system id with
-a line break.
+format fields lack ``test`` or ``pred``, and a template, dataset id or
+system id with a line break.
 
 The out-of-vocabulary accuracy looks up only evaluation tokens, so a
 round passes ``oov_accuracy`` the evaluation fold's token types that a
@@ -235,9 +235,12 @@ def run_external(
             )
     if oov_vocab not in ("train", "train+dev"):
         raise ValueError(f"oov_vocab must be 'train' or 'train+dev', got {oov_vocab!r}")
-    for what, value in (("dataset", dataset_id), ("system", system_id)):
+    # Each goes verbatim into a line of the score manifest.
+    for what, value in (
+        ("dataset id", dataset_id), ("system id", system_id), ("command template", command_template)
+    ):
         if "\n" in value or "\r" in value:
-            raise ValueError(f"{what} id {value!r} contains a line break")
+            raise ValueError(f"{what} {value!r} contains a line break")
     arg_templates = _split_template(command_template)
     unknown = [metric for metric in metrics if metric not in DEFAULT_METRICS]
     if unknown or not metrics:

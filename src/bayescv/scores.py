@@ -75,13 +75,18 @@ class ScoreMatrix:
         for path in paths:
             path = Path(path)
             with path.open("r", encoding="utf-8", newline="") as handle:
-                reader = csv.reader(line for line in handle if not line.startswith("#"))
-                header = next(reader, None)
+                # A comment line reads as an empty one, so reader.line_num
+                # counts the file's lines.
+                reader = csv.reader("" if line.startswith("#") else line for line in handle)
+                header = next(filter(None, reader), None)
                 if header is None or tuple(h.strip() for h in header) != SCORE_COLUMNS:
                     raise ValueError(
                         f"{path}: expected header {','.join(SCORE_COLUMNS)}, got {header}"
                     )
-                for lineno, row in enumerate(reader, start=2):
+                start = reader.line_num + 1
+                for row in reader:
+                    # A quoted line break spans lines: name the first.
+                    lineno, start = start, reader.line_num + 1
                     if not row:
                         continue
                     if len(row) != len(SCORE_COLUMNS):

@@ -12,8 +12,9 @@ import pytest
 from bayescv import cli
 from bayescv.cli import main
 from bayescv.decision import read_report_csv, rope_from_differences
-from bayescv.manifest import file_digest, read_kv
+from bayescv.manifest import file_digest, read_kv, write_kv
 from bayescv.model import read_chains_csv
+from bayescv.plotting import plotted_indices
 from bayescv.scores import ScoreMatrix, assemble_differences
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -209,6 +210,23 @@ class TestScore:
         assert not (tmp_path / "wd").exists()
         assert not (tmp_path / "s.scores.csv").exists()
 
+    def test_line_break_in_the_template_fails_before_any_round(self, tmp_path, capsys):
+        # shlex reads the break as a space, so the command itself would
+        # run; its second line would become a key=value line of the manifest.
+        corpus = tmp_path / "corpus.tsv"
+        self._write_corpus(corpus)
+        assert run("split", "--n", 12, "--k", 3, "--m", 1, "--seed", 5,
+                   "--out-prefix", tmp_path / "c") == 0
+        command = """sh -c 'cp "$0" "$1"' {test} {pred}\nchains_sha256=0000"""
+        rc = run("score", "--plan", tmp_path / "c.plan.json", "--corpus", corpus,
+                 "--dataset", "toy", "--system", "x", "--command", command,
+                 "--workdir", tmp_path / "wd", "--out-prefix", tmp_path / "s")
+        assert rc == 2
+        assert f"command template {command!r} contains a line break" in capsys.readouterr().err
+        assert not (tmp_path / "wd").exists()
+        assert not (tmp_path / "s.manifest.txt").exists()
+        assert not (tmp_path / "s.scores.csv").exists()
+
     @pytest.mark.parametrize(
         "metrics, message",
         [
@@ -352,6 +370,41 @@ class TestCompare:
         assert not (tmp_path / "t.chains.csv").exists()
         rows = read_report_csv(tmp_path / "t.report.csv")
         assert rows[0].triple.n_samples == 4 * 5000
+
+    def test_sidecar_counts_are_the_reported_triple(self, one_dataset_csv, tmp_path):
+        # A hierarchical pair and a single-dataset one, each with draws in
+        # more than one region.
+        for name, scores, rope in (("h", DELTA3, "0.03"), ("t", one_dataset_csv, "0.02")):
+            assert run("compare", "--scores", scores, "--a", "alpha", "--b", "beta",
+                       "--metric", "token", "--rope", rope, "--seed", "2", *FAST,
+                       "--out-prefix", tmp_path / name) == 0
+            meta = read_kv(tmp_path / f"{name}.chains.meta.txt")
+            (row,) = read_report_csv(tmp_path / f"{name}.report.csv")
+            t = row.triple
+            counts = [int(meta[key]) for key in ("n_left", "n_rope", "n_right")]
+            assert counts == [round(p * t.n_samples) for p in (t.p_left, t.p_rope, t.p_right)]
+            assert sorted(counts)[1] > 0, name
+
+    def test_sign_flipped_posterior_swaps_the_sidecar_counts(self, tmp_path, monkeypatch):
+        fit = cli.fit
+
+        def flipped_fit(series, config):
+            post = fit(series, config)
+            q = len(post.dataset_ids)
+            post.draws[..., [0, *range(3, 3 + q)]] *= -1.0
+            return post
+
+        counts = []
+        for name in ("plain", "flipped"):
+            if name == "flipped":
+                monkeypatch.setattr(cli, "fit", flipped_fit)
+            assert run("compare", "--scores", DELTA3, "--a", "alpha", "--b", "beta",
+                       "--metric", "token", "--rope", "0.03", "--seed", "2", *FAST,
+                       "--out-prefix", tmp_path / name) == 0
+            meta = read_kv(tmp_path / f"{name}.chains.meta.txt")
+            counts.append([meta[key] for key in ("n_left", "n_rope", "n_right")])
+        assert counts[1] == counts[0][::-1]
+        assert counts[0][0] != counts[0][2]
 
     @pytest.mark.parametrize(
         "flag, value", [("--chains", "1"), ("--draws", "5"), ("--warmup", "-3")]
@@ -856,6 +909,95 @@ class TestPlot:
         assert "draws need a finite delta0" in capsys.readouterr().err
         assert not (tmp_path / "fig.svg").exists()
 
+    def test_plot_draws_the_recorded_triple(self, tmp_path):
+        # Without --rope the plot classifies only the 200 draws it shows
+        # and takes the triple from the sidecar; with the recorded rope
+        # it counts all 3000 draws itself. Both give the same SVG.
+        assert run("compare", "--scores", DELTA3, "--a", "alpha", "--b", "beta",
+                   "--metric", "token", "--rope", "0.03", "--seed", "2", *FAST,
+                   "--out-prefix", tmp_path / "pair") == 0
+        rope = read_kv(tmp_path / "pair.chains.meta.txt")["rope_halfwidth"]
+        svgs = []
+        for name, flags in (("recorded", ()), ("counted", ("--rope", rope))):
+            assert run("plot", "--chains", tmp_path / "pair.chains.csv", *flags,
+                       "--max-points", "200", "--out-prefix", tmp_path / name) == 0
+            text = (tmp_path / f"{name}.svg").read_text(encoding="utf-8")
+            svgs.append([line for line in text.splitlines() if "<!-- manifest:" not in line])
+        assert svgs[0] == svgs[1]
+        assert sum(line.startswith("<circle") for line in svgs[0]) == 200
+        assert "P(rope)=0.000" not in "".join(svgs[0])
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda text: re.sub(r"(?m)^n_rope=.*\n", "", text), "has no 'n_rope'"),
+            (lambda text: re.sub(r"(?m)^n_left=0$", "n_left=-1", text), "got -1, 0, 3000"),
+            (lambda text: re.sub(r"(?m)^n_left=0$", "n_left=0.0", text), "got 0.0, 0, 3000"),
+            (lambda text: re.sub(r"(?m)^n_left=0$", "n_left=1", text), "summing to 3000 draws"),
+            (lambda text: text + "n_left=0\n", "repeated key 'n_left'"),
+        ],
+        ids=["missing", "negative", "non_integer", "wrong_sum", "repeated"],
+    )
+    def test_plot_rejects_bad_recorded_counts(
+        self, compare_artifacts, tmp_path, capsys, edit, message
+    ):
+        meta = compare_artifacts / "pair.chains.meta.txt"
+        text = meta.read_text(encoding="utf-8")
+        assert re.search(r"(?m)^n_left=0\nn_right=3000\nn_rope=0$", text)
+        edited = tmp_path / "edited.meta.txt"
+        edited.write_text(edit(text), encoding="utf-8")
+        capsys.readouterr()
+        rc = run("plot", "--chains", compare_artifacts / "pair.chains.csv", "--meta", edited,
+                 "--out-prefix", tmp_path / "fig")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(edited) in err
+        assert message in err
+        assert not (tmp_path / "fig.svg").exists()
+
+    def test_plot_with_a_rope_counts_the_draws_itself(self, compare_artifacts, tmp_path):
+        # A sidecar written before the counts existed still plots with --rope.
+        meta = compare_artifacts / "pair.chains.meta.txt"
+        stripped = tmp_path / "stripped.meta.txt"
+        stripped.write_text(
+            re.sub(r"(?m)^n_(left|rope|right)=.*\n", "", meta.read_text(encoding="utf-8")),
+            encoding="utf-8",
+        )
+        assert run("plot", "--chains", compare_artifacts / "pair.chains.csv", "--meta",
+                   stripped, "--rope", "0.01", "--out-prefix", tmp_path / "fig") == 0
+        assert "P(right)=1.000" in (tmp_path / "fig.svg").read_text(encoding="utf-8")
+
+    def test_plot_rejects_a_damaged_unplotted_draw_behind_a_matching_digest(
+        self, compare_artifacts, tmp_path, capsys
+    ):
+        # Only 200 of the 3000 draws are classified, but every one is checked.
+        shown = set(plotted_indices(3000, 200).tolist())
+        draw = next(i for i in range(700, 3000) if i not in shown)
+        path = compare_artifacts / "pair.chains.csv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        header = lines[1].rstrip("\n").split(",")
+        row = lines[2 + draw].rstrip("\n").split(",")
+        row[header.index("nu")] = "-1"
+        lines[2 + draw] = ",".join(row) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        meta = self._sidecar_for(path, compare_artifacts / "pair.chains.meta.txt",
+                                 tmp_path / "neg.meta.txt")
+        capsys.readouterr()
+        rc = run("plot", "--chains", path, "--meta", meta, "--max-points", "200",
+                 "--out-prefix", tmp_path / "fig")
+        assert rc == 2
+        assert "draws need a finite delta0" in capsys.readouterr().err
+        assert not (tmp_path / "fig.svg").exists()
+
+    def test_line_break_in_the_title_is_usage_error(self, compare_artifacts, tmp_path, capsys):
+        capsys.readouterr()
+        rc = run("plot", "--chains", compare_artifacts / "pair.chains.csv", "--title", "a\nb",
+                 "--out-prefix", tmp_path / "fig")
+        assert rc == 2
+        assert "line break in param[title]='a\\nb'" in capsys.readouterr().err
+        assert not (tmp_path / "fig.manifest.txt").exists()
+        assert not (tmp_path / "fig.svg").exists()
+
     def test_plot_missing_chains_is_io_error(self, tmp_path):
         rc = run("plot", "--chains", tmp_path / "absent.chains.csv",
                  "--out-prefix", tmp_path / "fig")
@@ -903,6 +1045,13 @@ class TestManifest:
         assert compare["param[rope_mode]"] == ""
         assert compare["param[scores]"] == str(DELTA3)
         assert compare[f"input[{DELTA3}]"].startswith("sha256:")
+
+    @pytest.mark.parametrize("key, value", [("a\nb", "1"), ("a", "1\r2")])
+    def test_key_value_files_reject_a_line_break(self, tmp_path, key, value):
+        path = tmp_path / "kv.txt"
+        with pytest.raises(ValueError, match="line break"):
+            write_kv(path, {"z": "ok", key: value})
+        assert not path.exists()
 
     def test_nu_prior_typed_and_defaulted_read_the_same(self, one_dataset_csv, tmp_path):
         recorded = []

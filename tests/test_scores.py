@@ -109,6 +109,27 @@ class TestScoreCsv:
         with pytest.raises(ValueError, match=":2"):
             ScoreMatrix.from_csvs([path])
 
+    def test_errors_name_the_physical_line(self, tmp_path):
+        # Line 1 is a comment, as in every file score writes.
+        path = tmp_path / "dup.csv"
+        path.write_text(
+            "# manifest: x\ndataset,system,metric,repetition,fold,score\n"
+            "d,s,token,0,0,0.5\nd,s,token,0,0,0.5\n"
+        )
+        with pytest.raises(DuplicateScoreKey, match=r"dup\.csv:4: duplicate score"):
+            ScoreMatrix.from_csvs([path])
+
+    def test_a_quoted_line_break_moves_later_line_numbers(self, tmp_path):
+        # The record on lines 3-4 holds a quoted line break; the bad row
+        # after it is on line 5.
+        path = tmp_path / "multi.csv"
+        path.write_text(
+            "# manifest: x\ndataset,system,metric,repetition,fold,score\n"
+            'd,s,token,0,0,"0.5\n"\nd,s,token,0,1,not-a-number\n'
+        )
+        with pytest.raises(ValueError, match=r"multi\.csv:5: could not convert"):
+            ScoreMatrix.from_csvs([path])
+
     def test_from_csvs_merges(self, tmp_path):
         m = small_matrix()
         pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
