@@ -4,16 +4,19 @@ Every command derives all randomness from --seed, writes a manifest next
 to its outputs, prints the manifest path to standard output, and reports
 progress and summaries on standard error. Exit codes: 0 success, 2 usage
 or validation problem, 3 the sampler did not converge (outputs are still
-written for inspection), 4 I/O or external-command failure.
+written for inspection), 4 I/O or external-command failure, or a dead
+rank worker process.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
+import os
 import sys
 import time
 from collections.abc import Callable, Iterator
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stderr
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
@@ -63,10 +66,14 @@ EXIT_IO = 4
 # keeps chains x draws x (3 + 2q) x 8 bytes, and one too large for the
 # budget on its own still gets a call. A lockstep sweep costs about the
 # same for one pair as for several, so fewer calls are faster, but every
-# pair in a call keeps its draws alive until the call returns. Ranking 4
+# pair in a call keeps its draws alive until the call returns. Each call
+# runs in a worker process, so the budget holds per process. Ranking 4
 # systems on 3 data sets with the default sampler (6 pairs at q=3, 2-core
-# x86 machine, medians of 10 runs): 2 pairs per call took 9.3 s at
-# 50.2 MB peak RSS, this budget's 3 per call 6.8 s at 54.0 MB.
+# x86 machine, medians of 10 runs): this budget's 2 calls of 3 took 6.3 s
+# at 53.8 MB peak RSS one after the other in one process, and 4.3 s at
+# 46.5 MB per process in 2 workers; summed over the 3 processes, RSS
+# peaked at 130 MB (median of 6 runs). One call of all 6 pairs peaks at
+# 57.5 MB in its worker.
 _DRAW_BUDGET = 12_000_000
 
 # Sidecar keys of the triple compare counted, which plot --chains draws
@@ -395,18 +402,34 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def _fit_pairs(
     pairs: list[_Pair], args: argparse.Namespace, config: ModelConfig
-) -> list[tuple[ReportRow, bool]]:
-    """Fit hierarchical pairs of one size in lockstep and finish each.
+) -> tuple[list[tuple[ReportRow, bool]], str]:
+    """Fit hierarchical pairs of one size in lockstep and finish each, in
+    a worker process of rank's pool.
 
-    The posteriors die with this call, so a batch's draws are freed
-    before the next batch is fitted.
+    Returns each pair's (row, converged) and what the batch logged, which
+    the parent writes to its own stderr in batch order. The posteriors
+    never leave the worker.
     """
-    with _stage("fit"):
-        posts = fit_many([pair.series for pair in pairs], config)
-    return [_finish_pair(pair, post, args, config) for pair, post in zip(pairs, posts)]
+    log = io.StringIO()
+    with redirect_stderr(log):
+        with _stage("fit"):
+            posts = fit_many([pair.series for pair in pairs], config)
+        rows = [_finish_pair(pair, post, args, config) for pair, post in zip(pairs, posts)]
+    return rows, log.getvalue()
+
+
+def _worker_count(n_batches: int) -> int:
+    """rank's worker processes: one per CPU this process may run on, at
+    most one per batch, and at least one."""
+    return max(1, min(n_batches, len(os.sched_getaffinity(0))))
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
+    # Imported here: about 25 ms that every other command would pay at
+    # start-up.
+    import multiprocessing
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
     config = _model_config(args)
     scores = ScoreMatrix.from_csvs(args.scores)
     systems = sorted({key[1] for key in scores.entries if key[2] == args.metric})
@@ -427,17 +450,46 @@ def cmd_rank(args: argparse.Namespace) -> int:
     for i, pair in enumerate(pairs):
         if len(pair.series) > 1:
             by_size.setdefault(len(pair.series), []).append(i)
-    fitted: dict[int, tuple[ReportRow, bool]] = {}
+    batches: list[tuple[list[int], str]] = []
     for q, indices in by_size.items():
         pair_bytes = config.chains * config.samples_per_chain * (3 + 2 * q) * 8
         cap = max(1, _DRAW_BUDGET // pair_bytes)
         for part in np.array_split(indices, -(-len(indices) // cap)):
-            batch = part.tolist()
-            _log(
-                f"fit batch: {len(batch)} pairs x {q} data sets, "
-                f"{len(batch) * pair_bytes / 1e6:.1f} MB of draws"
+            header = (
+                f"fit batch: {part.size} pairs x {q} data sets, "
+                f"{part.size * pair_bytes / 1e6:.1f} MB of draws"
             )
-            fitted.update(zip(batch, _fit_pairs([pairs[i] for i in batch], args, config)))
+            batches.append((part.tolist(), header))
+    # The batches run in worker processes, each holding only its own
+    # batch's draws, so the budget is per process. fork starts a worker
+    # without re-importing numpy; the CLI process runs no threads of its
+    # own. Each batch's stderr is written in batch order once it returns.
+    fitted: dict[int, tuple[ReportRow, bool]] = {}
+    pool = ProcessPoolExecutor(
+        _worker_count(len(batches)), mp_context=multiprocessing.get_context("fork")
+    )
+    n = 0  # the first batch without a result
+    try:
+        # submit raises too if a worker has already died.
+        futures = [
+            pool.submit(_fit_pairs, [pairs[i] for i in batch], args, config)
+            for batch, _ in batches
+        ]
+        for n, ((batch, header), future) in enumerate(zip(batches, futures)):
+            results, log = future.result()
+            _log(header)
+            sys.stderr.write(log)
+            fitted.update(zip(batch, results))
+    except BrokenProcessPool as exc:
+        names = ", ".join(f"{pairs[i].system_a} vs {pairs[i].system_b}" for i in batches[n][0])
+        raise CommandFailed(
+            f"a rank worker process died before fit batch {n + 1} of {len(batches)} "
+            f"finished ({names})"
+        ) from exc
+    finally:
+        # On an error, batches not yet started are dropped; the shutdown
+        # waits for every worker to exit.
+        pool.shutdown(cancel_futures=True)
 
     rows: list[ReportRow] = []
     verdicts: dict[tuple[str, str], DecisionTriple] = {}

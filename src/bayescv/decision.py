@@ -436,12 +436,16 @@ def read_report_csv(path: str | Path) -> list[ReportRow]:
     path = Path(path)
     rows: list[ReportRow] = []
     with path.open("r", encoding="utf-8", newline="") as handle:
-        lines = (line for line in handle if not line.startswith("#"))
-        reader = csv.reader(lines)
-        header = next(reader, None)
+        # A comment line reads as an empty one, so reader.line_num counts
+        # the file's lines.
+        reader = csv.reader("" if line.startswith("#") else line for line in handle)
+        header = next(filter(None, reader), None)
         if header is None or tuple(header) != REPORT_COLUMNS:
             raise ValueError(f"{path}: expected header {','.join(REPORT_COLUMNS)}, got {header}")
-        for lineno, row in enumerate(reader, start=2):
+        start = reader.line_num + 1
+        for row in reader:
+            # A quoted line break spans lines: name the first.
+            lineno, start = start, reader.line_num + 1
             if not row:
                 continue
             if len(row) != len(REPORT_COLUMNS):

@@ -2,6 +2,8 @@
 
 import argparse
 import json
+import multiprocessing
+import os
 import re
 import shlex
 from pathlib import Path
@@ -643,6 +645,62 @@ class TestRank:
         assert outputs["single"] == outputs["default"]
         assert outputs["three"] == outputs["default"]
         assert outputs["default"][0] in (0, 3)
+
+    def test_output_does_not_depend_on_worker_count(
+        self, seven_pair_csv, tmp_path, monkeypatch, capsys
+    ):
+        # One pair per batch: 7 batches, more than either pool has workers.
+        monkeypatch.setattr(cli, "_DRAW_BUDGET", 1)
+        outputs = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(cli, "_worker_count", lambda n_batches: workers)
+            work = tmp_path / f"workers{workers}"
+            work.mkdir()
+            monkeypatch.chdir(work)
+            capsys.readouterr()
+            rc = run("rank", "--scores", seven_pair_csv, "--metric", "token",
+                     "--rope", "0.01", "--seed", "6", *FAST, "--out-prefix", "r")
+            # Stage wall times are the only part of stderr that may vary.
+            err = [
+                re.sub(r"^(stage [^:]+): \d+\.\d\d s$", r"\1: - s", line)
+                for line in capsys.readouterr().err.splitlines()
+            ]
+            assert sum(line.startswith("fit batch: ") for line in err) == 7
+            outputs[workers] = (
+                rc,
+                (work / "r.pairs.csv").read_bytes(),
+                (work / "r.ranking.txt").read_bytes(),
+                err,
+            )
+        assert outputs[2] == outputs[1]
+
+    def test_one_worker_per_usable_cpu_and_batch(self):
+        cpus = len(os.sched_getaffinity(0))
+        assert cli._worker_count(100) == cpus
+        assert cli._worker_count(1) == 1
+        # No hierarchical pair: a pool that is never given work.
+        assert cli._worker_count(0) == 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_dead_worker_exits_with_io_error(
+        self, seven_pair_csv, tmp_path, monkeypatch, capsys, workers
+    ):
+        def die(series, config):
+            os._exit(1)
+
+        monkeypatch.setattr(cli, "fit_many", die)
+        monkeypatch.setattr(cli, "_DRAW_BUDGET", 1)
+        monkeypatch.setattr(cli, "_worker_count", lambda n_batches: workers)
+        capsys.readouterr()
+        rc = run("rank", "--scores", seven_pair_csv, "--metric", "token", "--rope", "0.01",
+                 *FAST, "--out-prefix", tmp_path / "r")
+        err = capsys.readouterr().err.splitlines()
+        assert rc == cli.EXIT_IO
+        assert [line for line in err if line.startswith("error:")] == [
+            "error: a rank worker process died before fit batch 1 of 7 finished (a1 vs a2)"
+        ]
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "r.pairs.csv").exists()
 
     @pytest.mark.parametrize(
         "flag, value", [("--chains", "1"), ("--draws", "5"), ("--warmup", "-3")]

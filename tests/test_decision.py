@@ -417,6 +417,16 @@ class TestReportCsv:
         with pytest.raises(ValueError):
             read_report_csv(path)
 
+    def test_errors_name_the_physical_line(self, tmp_path):
+        # Line 1 is the manifest comment every written report starts with.
+        path = tmp_path / "rep.csv"
+        write_report_csv(self.rows(), path, manifest="x")
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[2] = lines[2].rsplit(",", 1)[0] + ",x\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(ValueError, match=r"rep\.csv:3: could not convert string to float"):
+            read_report_csv(path)
+
 
 class TestRopeFromDifferences:
     def test_half_central_interval(self):
