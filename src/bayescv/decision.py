@@ -7,12 +7,13 @@ second. ``region_probs`` integrates the population t of every posterior
 draw over the three regions in one array kernel; ``tally`` counts the
 per-draw argmax verdicts of those masses, and the plot places the same
 masses on the simplex. ``rank`` assembles pairwise verdicts into a partial
-order.
+order. ``write_report_csv`` and ``read_report_csv`` keep the triples in a
+CSV table written and read by ``manifest.write_table`` and
+``manifest.read_table``.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,6 +23,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .errors import MissingPair
+from .manifest import read_table, write_table
 from .model import PosteriorChains
 from .scores import DifferenceSeries
 from .statcore import StudentT, rng_fork, std_t_cdf, t_sample
@@ -410,67 +412,48 @@ def write_report_csv(rows: Sequence[ReportRow], path: str | Path, manifest: str 
     ratios, so a reader can reconstruct the integers from p * n_samples.
     An optional leading comment line records the producing manifest.
     """
-    with Path(path).open("w", encoding="utf-8", newline="") as handle:
-        if manifest is not None:
-            handle.write(f"# manifest: {manifest}\n")
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(REPORT_COLUMNS)
-        for row in rows:
-            t = row.triple
-            writer.writerow(
-                [
-                    row.system_a,
-                    row.system_b,
-                    row.metric,
-                    repr(t.p_left),
-                    repr(t.p_rope),
-                    repr(t.p_right),
-                    t.verdict,
-                    t.n_samples,
-                    repr(row.rope_halfwidth),
-                ]
-            )
+    cells = (
+        [
+            row.system_a,
+            row.system_b,
+            row.metric,
+            repr(row.triple.p_left),
+            repr(row.triple.p_rope),
+            repr(row.triple.p_right),
+            row.triple.verdict,
+            row.triple.n_samples,
+            repr(row.rope_halfwidth),
+        ]
+        for row in rows
+    )
+    write_table(path, REPORT_COLUMNS, cells, manifest)
 
 
 def read_report_csv(path: str | Path) -> list[ReportRow]:
     path = Path(path)
     rows: list[ReportRow] = []
-    with path.open("r", encoding="utf-8", newline="") as handle:
-        # A comment line reads as an empty one, so reader.line_num counts
-        # the file's lines.
-        reader = csv.reader("" if line.startswith("#") else line for line in handle)
-        header = next(filter(None, reader), None)
-        if header is None or tuple(header) != REPORT_COLUMNS:
-            raise ValueError(f"{path}: expected header {','.join(REPORT_COLUMNS)}, got {header}")
-        start = reader.line_num + 1
-        for row in reader:
-            # A quoted line break spans lines: name the first.
-            lineno, start = start, reader.line_num + 1
-            if not row:
-                continue
-            if len(row) != len(REPORT_COLUMNS):
-                raise ValueError(f"{path}:{lineno}: expected {len(REPORT_COLUMNS)} fields")
-            try:
-                n_samples = int(row[7])
-                triple = DecisionTriple(
-                    n_left=round(float(row[3]) * n_samples),
-                    n_rope=round(float(row[4]) * n_samples),
-                    n_right=round(float(row[5]) * n_samples),
-                )
-                halfwidth = float(row[8])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            if triple.n_samples != n_samples:
-                raise ValueError(f"{path}:{lineno}: probabilities do not match n_samples")
-            rows.append(
-                ReportRow(
-                    system_a=row[0],
-                    system_b=row[1],
-                    metric=row[2],
-                    triple=triple,
-                    rope_halfwidth=halfwidth,
-                )
+    for lineno, row in read_table(path, REPORT_COLUMNS):
+        try:
+            n_samples = int(row[7])
+            triple = DecisionTriple(
+                n_left=round(float(row[3]) * n_samples),
+                n_rope=round(float(row[4]) * n_samples),
+                n_right=round(float(row[5]) * n_samples),
             )
+            halfwidth = float(row[8])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+        if triple.n_samples != n_samples:
+            raise ValueError(f"{path}:{lineno}: probabilities do not match n_samples")
+        rows.append(
+            ReportRow(
+                system_a=row[0],
+                system_b=row[1],
+                metric=row[2],
+                triple=triple,
+                rope_halfwidth=halfwidth,
+            )
+        )
     if not rows:
         raise ValueError(f"{path}: no comparison rows found")
     return rows

@@ -6,18 +6,33 @@ toolkit version, and a UTC timestamp. Data outputs carry a reference back
 to the manifest path (a comment line, a JSON key, or a metadata entry,
 depending on the format), and every command prints the manifest path to
 standard output.
+
+The two plain-text formats of the toolkit live here too: key=value files
+(``write_kv``/``read_kv``: manifests and chains sidecars) and CSV tables
+headed by an optional ``# manifest:`` comment (``write_table``/
+``read_table``: score files and comparison reports).
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
 
-__all__ = ["RunManifest", "file_digest", "write_manifest", "write_kv", "read_kv"]
+__all__ = [
+    "RunManifest",
+    "file_digest",
+    "write_manifest",
+    "write_kv",
+    "read_kv",
+    "write_table",
+    "read_table",
+]
 
 
 @dataclass(frozen=True)
@@ -107,3 +122,43 @@ def read_kv(path: str | Path) -> dict[str, str]:
                 raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
             out[key] = value
     return out
+
+
+def write_table(
+    path: str | Path, columns: Sequence[str], rows: Iterable[Sequence], manifest: str | None = None
+) -> None:
+    """Write a CSV table: an optional ``# manifest: <manifest>`` line, the
+    header ``columns``, then one line per row, each ending in ``\n``."""
+    with Path(path).open("w", encoding="utf-8", newline="") as handle:
+        if manifest is not None:
+            handle.write(f"# manifest: {manifest}\n")
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
+
+
+def read_table(path: str | Path, columns: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
+    """Inverse of write_table: ``(line, row)`` for each non-blank row, where
+    ``line`` is the file line the row starts on.
+
+    The header must equal ``columns`` once its cells are stripped of
+    surrounding whitespace, and a row of another width is a ValueError
+    naming ``path:line``. The file stays open until the generator ends.
+    """
+    path = Path(path)
+    with path.open("r", encoding="utf-8", newline="") as handle:
+        # A comment line reads as an empty one, so reader.line_num counts
+        # the file's lines.
+        reader = csv.reader("" if line.startswith("#") else line for line in handle)
+        header = next(filter(None, reader), None)
+        if header is None or tuple(h.strip() for h in header) != tuple(columns):
+            raise ValueError(f"{path}: expected header {','.join(columns)}, got {header}")
+        start = reader.line_num + 1
+        for row in reader:
+            # A quoted line break spans lines: name the first.
+            lineno, start = start, reader.line_num + 1
+            if not row:
+                continue
+            if len(row) != len(columns):
+                raise ValueError(f"{path}:{lineno}: expected {len(columns)} fields")
+            yield lineno, row

@@ -5,12 +5,13 @@ Scores live in a long-format CSV with header
 in [0, 1] or ``NA`` for an undefined value (for example out-of-vocabulary
 accuracy on a fold with no out-of-vocabulary tokens). Rows may appear in
 any order; a repeated key is an error, and so is a dataset, system or
-metric id with a line break.
+metric id with a line break. ``manifest.write_table`` and
+``manifest.read_table`` write and read the table, headed by an optional
+``# manifest:`` comment line.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -18,6 +19,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DuplicateScoreKey, NoSharedKeys
+from .manifest import read_table, write_table
 
 __all__ = [
     "ScoreMatrix",
@@ -72,52 +74,25 @@ class ScoreMatrix:
     def from_csvs(cls, paths: Iterable[str | Path]) -> "ScoreMatrix":
         """Read and merge one or more score files."""
         out = cls()
-        for path in paths:
-            path = Path(path)
-            with path.open("r", encoding="utf-8", newline="") as handle:
-                # A comment line reads as an empty one, so reader.line_num
-                # counts the file's lines.
-                reader = csv.reader("" if line.startswith("#") else line for line in handle)
-                header = next(filter(None, reader), None)
-                if header is None or tuple(h.strip() for h in header) != SCORE_COLUMNS:
-                    raise ValueError(
-                        f"{path}: expected header {','.join(SCORE_COLUMNS)}, got {header}"
-                    )
-                start = reader.line_num + 1
-                for row in reader:
-                    # A quoted line break spans lines: name the first.
-                    lineno, start = start, reader.line_num + 1
-                    if not row:
-                        continue
-                    if len(row) != len(SCORE_COLUMNS):
-                        raise ValueError(f"{path}:{lineno}: expected {len(SCORE_COLUMNS)} fields")
-                    dataset, system, metric, rep_s, fold_s, score_s = row
-                    try:
-                        rep = int(rep_s)
-                        fold = int(fold_s)
-                        score = None if score_s == "NA" else float(score_s)
-                    except ValueError as exc:
-                        raise ValueError(f"{path}:{lineno}: {exc}") from exc
-                    try:
-                        out.add(dataset, system, metric, rep, fold, score)
-                    except (DuplicateScoreKey, ValueError) as exc:
-                        raise type(exc)(f"{path}:{lineno}: {exc}") from exc
+        for path in map(Path, paths):
+            for lineno, row in read_table(path, SCORE_COLUMNS):
+                dataset, system, metric, rep_s, fold_s, score_s = row
+                try:
+                    rep = int(rep_s)
+                    fold = int(fold_s)
+                    score = None if score_s == "NA" else float(score_s)
+                    out.add(dataset, system, metric, rep, fold, score)
+                except (DuplicateScoreKey, ValueError) as exc:
+                    raise type(exc)(f"{path}:{lineno}: {exc}") from exc
         return out
 
     def to_csv(self, path: str | Path, manifest: str | None = None) -> None:
         """Write rows sorted by key, so identical matrices give identical files."""
-        path = Path(path)
-        with path.open("w", encoding="utf-8", newline="") as handle:
-            if manifest is not None:
-                handle.write(f"# manifest: {manifest}\n")
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(SCORE_COLUMNS)
-            for key in sorted(self.entries):
-                dataset, system, metric, rep, fold = key
-                value = self.entries[key]
-                writer.writerow(
-                    [dataset, system, metric, rep, fold, "NA" if value is None else repr(value)]
-                )
+        rows = (
+            [*key, "NA" if value is None else repr(value)]
+            for key, value in sorted(self.entries.items())
+        )
+        write_table(path, SCORE_COLUMNS, rows, manifest)
 
 
 @dataclass(frozen=True)
