@@ -46,6 +46,7 @@ from .model import (
     correlated_ttest,
     fit,
     fit_many,
+    orientation,
     read_chains_csv,
     unconverged,
     write_chain_metadata,
@@ -55,6 +56,7 @@ from .plotting import draws_to_points, plotted_indices, points_from_triples, ren
 from .runner import DEFAULT_METRICS, run_external
 from .scores import DifferenceSeries, ScoreMatrix, assemble_differences
 from .splits import make_splits, read_plan, write_plan
+from .statcore import StudentT
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -330,8 +332,14 @@ def _finish_pair(
         # the decision counters from it.
         post_t = correlated_ttest(pair.series[0])
         n_samples = config.chains * config.samples_per_chain
+        # Sampled in the data's orientation and mirrored back, so swapping
+        # the systems gives the flipped triple bit for bit.
+        sign = orientation(pair.series)
+        oriented = StudentT(sign * post_t.location, post_t.scale, post_t.dof)
         with _stage("tally"):
-            triple = ttest_triple(post_t, pair.rope, n_samples=n_samples, seed=config.seed)
+            triple = ttest_triple(oriented, pair.rope, n_samples=n_samples, seed=config.seed)
+        if sign < 0:
+            triple = triple.flipped()
         notes["method"] = "correlated_ttest"
         notes["ttest_location"] = repr(post_t.location)
         notes["ttest_scale"] = repr(post_t.scale)
@@ -468,23 +476,36 @@ def cmd_rank(args: argparse.Namespace) -> int:
     pool = ProcessPoolExecutor(
         _worker_count(len(batches)), mp_context=multiprocessing.get_context("fork")
     )
-    n = 0  # the first batch without a result
+    futures = []
     try:
-        # submit raises too if a worker has already died.
-        futures = [
-            pool.submit(_fit_pairs, [pairs[i] for i in batch], args, config)
-            for batch, _ in batches
-        ]
-        for n, ((batch, header), future) in enumerate(zip(batches, futures)):
+        for batch, _ in batches:
+            # submit raises too if a worker has already died.
+            futures.append(pool.submit(_fit_pairs, [pairs[i] for i in batch], args, config))
+        for (batch, header), future in zip(batches, futures):
             results, log = future.result()
             _log(header)
             sys.stderr.write(log)
             fitted.update(zip(batch, results))
     except BrokenProcessPool as exc:
-        names = ", ".join(f"{pairs[i].system_a} vs {pairs[i].system_b}" for i in batches[n][0])
+        # The pool fails every unfinished batch alike, so all of them are
+        # named: which one's worker died is not known. A batch that ended
+        # with its own error is named with that error.
+        errors = [future.exception() for future in futures]
+        lost = [j for j, error in enumerate(errors) if isinstance(error, BrokenProcessPool)]
+        lost += range(len(futures), len(batches))
+        names = "; ".join(
+            ", ".join(f"{pairs[i].system_a} vs {pairs[i].system_b}" for i in batches[j][0])
+            for j in lost
+        )
+        failed = "".join(
+            f"; fit batch {j + 1} of {len(batches)} failed: {error}"
+            for j, error in enumerate(errors)
+            if error is not None and j not in lost
+        )
         raise CommandFailed(
-            f"a rank worker process died before fit batch {n + 1} of {len(batches)} "
-            f"finished ({names})"
+            f"a rank worker process died before fit batch{'es' if len(lost) > 1 else ''} "
+            f"{', '.join(str(j + 1) for j in lost)} of {len(batches)} finished ({names})"
+            f"{failed}"
         ) from exc
     finally:
         # On an error, batches not yet started are dropped; the shutdown

@@ -445,6 +445,8 @@ def read_report_csv(path: str | Path) -> list[ReportRow]:
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
         if triple.n_samples != n_samples:
             raise ValueError(f"{path}:{lineno}: probabilities do not match n_samples")
+        if row[6] != triple.verdict:
+            raise ValueError(f"{path}:{lineno}: verdict {row[6]!r} does not match the probabilities")
         rows.append(
             ReportRow(
                 system_a=row[0],

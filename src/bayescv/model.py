@@ -52,6 +52,7 @@ __all__ = [
     "fit_many",
     "generate",
     "correlated_ttest",
+    "orientation",
     "write_chains_csv",
     "read_chains_csv",
     "write_chain_metadata",
@@ -251,13 +252,15 @@ class _Problem:
     """Constants of one fit: the sufficient statistics and prior bounds.
 
     Per-dataset tuples run in ``ids`` order. ``stats`` holds each
-    series' ``cs_stats`` on the standardized scale. ``pooled_mean`` and
+    series' ``cs_stats`` on the standardized scale, of the data times
+    ``sign`` (see ``orientation``). ``pooled_mean`` and
     ``spread`` (the spread of the dataset means, at least 3 * sigma0_lo)
     center and scale the initial delta0 and sigma0.
     """
 
     ids: tuple[str, ...]
     constant: float
+    sign: float
     stats: tuple[tuple[float, float, float, float, float], ...]
     sigma_lo: tuple[float, ...]
     sigma_hi: tuple[float, ...]
@@ -267,6 +270,13 @@ class _Problem:
     halfwidth: float
     pooled_mean: float
     spread: float
+
+
+def orientation(series: list[DifferenceSeries]) -> float:
+    """-1.0 if the first nonzero difference, in series order, is negative,
+    else 1.0: the sign that makes data and its negation the same numbers."""
+    first = next((x[0] for x in (s.x[s.x != 0.0] for s in series) if x.size), 0.0)
+    return -1.0 if first < 0.0 else 1.0
 
 
 def _prepare(series: list[DifferenceSeries], config: ModelConfig) -> _Problem:
@@ -288,10 +298,12 @@ def _prepare(series: list[DifferenceSeries], config: ModelConfig) -> _Problem:
         if mean_std > 0.0 and math.isfinite(mean_std):
             constant = mean_std
 
+    sign = orientation(series)
     stats = []
     stds = []
     for s in series:
-        x = s.x / constant
+        # A problem and its negation reach the sampler as the same numbers.
+        x = sign * s.x / constant
         stats.append(cs_stats(x, s.rho))
         stds.append(float(x.std(ddof=1)) if s.n > 1 else 0.0)
 
@@ -310,6 +322,7 @@ def _prepare(series: list[DifferenceSeries], config: ModelConfig) -> _Problem:
     return _Problem(
         ids=ids,
         constant=constant,
+        sign=sign,
         stats=tuple(stats),
         sigma_lo=sigma_lo,
         sigma_hi=tuple(config.sigma_bar_factor * s for s in s_eff),
@@ -551,9 +564,11 @@ def fit_many(
     """``fit`` for several problems at once, all chains in one lockstep kernel.
 
     Every problem must have the same number of data sets. Each result is
-    the one ``fit`` gives for that problem alone, bit for bit. The results'
-    ``draws`` are views into one array of the whole batch, so its memory
-    is freed when the last of them is.
+    the one ``fit`` gives for that problem alone, bit for bit, and a
+    problem's negation gives exactly negated location draws (delta0 and
+    every delta_i) and equal scale draws. The results' ``draws`` are
+    views into one array of the whole batch, so its memory is freed when
+    the last of them is.
     """
     prepared = [_prepare(series, config) for series in problems]
     sizes = sorted({len(p.ids) for p in prepared})
@@ -565,6 +580,10 @@ def fit_many(
     n_kept = config.chains * config.samples_per_chain
     results = []
     for b, problem in enumerate(prepared):
+        if problem.sign < 0.0:
+            # Back to the data's orientation, in place: delta0, then every delta_i.
+            draws[b][..., 0] *= -1.0
+            draws[b][..., 3 : 3 + sizes[0]] *= -1.0
         post = PosteriorChains(
             dataset_ids=problem.ids,
             draws=draws[b],

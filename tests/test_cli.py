@@ -6,10 +6,12 @@ import multiprocessing
 import os
 import re
 import shlex
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 
 from bayescv import cli
 from bayescv.cli import main
@@ -408,6 +410,31 @@ class TestCompare:
         assert counts[1] == counts[0][::-1]
         assert counts[0][0] != counts[0][2]
 
+    @pytest.mark.parametrize("method", ["hierarchical", "correlated_ttest"])
+    def test_swapped_systems_mirror_bit_for_bit(self, one_dataset_csv, tmp_path, method):
+        scores, rope = (DELTA3, "0.03") if method == "hierarchical" else (one_dataset_csv, "0.02")
+        for name, a, b in (("ab", "alpha", "beta"), ("ba", "beta", "alpha")):
+            assert run("compare", "--scores", scores, "--a", a, "--b", b, "--metric", "token",
+                       "--rope", rope, "--seed", "2", *FAST, "--out-prefix", tmp_path / name) == 0
+        ab, ba = (read_kv(tmp_path / f"{name}.chains.meta.txt") for name in ("ab", "ba"))
+        assert ab["method"] == method
+        counts = [[meta[key] for key in ("n_left", "n_rope", "n_right")] for meta in (ab, ba)]
+        assert counts[1] == counts[0][::-1]
+        assert counts[0][0] != counts[0][2]
+        (row_ab,), (row_ba,) = (read_report_csv(tmp_path / f"{n}.report.csv") for n in ("ab", "ba"))
+        assert (row_ba.system_a, row_ba.system_b) == (row_ab.system_b, row_ab.system_a)
+        assert row_ba.triple == row_ab.triple.flipped()
+        if method == "correlated_ttest":
+            assert float(ba["ttest_location"]) == -float(ab["ttest_location"])
+            return
+        chains_ab, chains_ba = (read_chains_csv(tmp_path / f"{n}.chains.csv") for n in ("ab", "ba"))
+        for name, draws in chains_ab.items():
+            # delta0 and delta[...] are locations; sigma0, nu and sigma[...] scales.
+            assert_array_equal(chains_ba[name], -draws if name.startswith("delta") else draws)
+        for key in ab:
+            if key.startswith(("r_hat[", "ess[")):
+                assert ba[key] == ab[key], key
+
     @pytest.mark.parametrize(
         "flag, value", [("--chains", "1"), ("--draws", "5"), ("--warmup", "-3")]
     )
@@ -696,11 +723,72 @@ class TestRank:
                  *FAST, "--out-prefix", tmp_path / "r")
         err = capsys.readouterr().err.splitlines()
         assert rc == cli.EXIT_IO
+        # The pool fails every unfinished batch alike: all seven are named.
         assert [line for line in err if line.startswith("error:")] == [
-            "error: a rank worker process died before fit batch 1 of 7 finished (a1 vs a2)"
+            "error: a rank worker process died before fit batches 1, 2, 3, 4, 5, 6, 7 of 7 "
+            "finished (a1 vs a2; a1 vs full; a2 vs full; b1 vs b2; b1 vs full; b2 vs full; "
+            "c1 vs full)"
         ]
         assert multiprocessing.active_children() == []
         assert not (tmp_path / "r.pairs.csv").exists()
+
+    def test_dead_worker_names_only_the_unfinished_batches(
+        self, seven_pair_csv, tmp_path, monkeypatch, capsys
+    ):
+        fit_many = cli.fit_many
+
+        def die_on_the_last_batch(problems, config):
+            if [s.dataset_id for s in problems[0]] == ["d1", "d2"]:
+                os._exit(1)
+            return fit_many(problems, config)
+
+        monkeypatch.setattr(cli, "fit_many", die_on_the_last_batch)
+        monkeypatch.setattr(cli, "_DRAW_BUDGET", 1)
+        # One worker fits the batches in order, so the first six finish.
+        monkeypatch.setattr(cli, "_worker_count", lambda n_batches: 1)
+        capsys.readouterr()
+        rc = run("rank", "--scores", seven_pair_csv, "--metric", "token", "--rope", "0.01",
+                 *FAST, "--out-prefix", tmp_path / "r")
+        err = capsys.readouterr().err.splitlines()
+        assert rc == cli.EXIT_IO
+        assert [line for line in err if line.startswith("error:")] == [
+            "error: a rank worker process died before fit batch 7 of 7 finished (c1 vs full)"
+        ]
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_keeps_the_error_of_a_batch_that_failed(
+        self, seven_pair_csv, tmp_path, monkeypatch, capsys
+    ):
+        fit_many = cli.fit_many
+        failed = tmp_path / "batch7.failed"
+
+        def fail_last_then_die_on_first(problems, config):
+            ids = [s.dataset_id for s in problems[0]]
+            if ids == ["d1", "d2"]:
+                failed.touch()
+                raise ValueError("batch seven is bad")
+            if ids == ["d0", "d1"] and problems[0][0].x.mean() < 0:  # a1 vs a2
+                deadline = time.monotonic() + 60
+                while not failed.exists() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                time.sleep(1.0)  # let batch 7's error reach the parent first
+                os._exit(1)
+            return fit_many(problems, config)
+
+        monkeypatch.setattr(cli, "fit_many", fail_last_then_die_on_first)
+        monkeypatch.setattr(cli, "_DRAW_BUDGET", 1)
+        # One worker holds batch 1 while the other fits batches 2 to 7.
+        monkeypatch.setattr(cli, "_worker_count", lambda n_batches: 2)
+        capsys.readouterr()
+        rc = run("rank", "--scores", seven_pair_csv, "--metric", "token", "--rope", "0.01",
+                 *FAST, "--out-prefix", tmp_path / "r")
+        err = capsys.readouterr().err.splitlines()
+        assert rc == cli.EXIT_IO
+        assert [line for line in err if line.startswith("error:")] == [
+            "error: a rank worker process died before fit batch 1 of 7 finished (a1 vs a2); "
+            "fit batch 7 of 7 failed: batch seven is bad"
+        ]
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize(
         "flag, value", [("--chains", "1"), ("--draws", "5"), ("--warmup", "-3")]

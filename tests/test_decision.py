@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 
 from bayescv.decision import (
     DecisionTriple,
+    REPORT_COLUMNS,
     ReportRow,
     RopeInterval,
     rank,
@@ -425,6 +426,35 @@ class TestReportCsv:
         lines[2] = lines[2].rsplit(",", 1)[0] + ",x\n"
         path.write_text("".join(lines), encoding="utf-8")
         with pytest.raises(ValueError, match=r"rep\.csv:3: could not convert string to float"):
+            read_report_csv(path)
+
+    def test_a_quoted_line_break_moves_later_line_numbers(self, tmp_path):
+        # The record on lines 3-4 holds a quoted line break in its metric;
+        # the bad row after it is on line 5.
+        path = tmp_path / "multi.csv"
+        path.write_text(
+            "# manifest: x\n" + ",".join(REPORT_COLUMNS) + "\n"
+            'a,b,"tok\nen",0.1,0.8,0.1,rope,10,0.01\n'
+            "a,c,token,0.1,0.8,0.1,rope,10,x\n"
+        )
+        with pytest.raises(ValueError, match=r"multi\.csv:5: could not convert"):
+            read_report_csv(path)
+
+    def test_header_cells_may_carry_surrounding_spaces(self, tmp_path):
+        path = tmp_path / "r.csv"
+        write_report_csv(self.rows(), path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[0] = ", ".join(REPORT_COLUMNS) + " \n"
+        path.write_text("".join(lines))
+        assert [r.triple for r in read_report_csv(path)] == [r.triple for r in self.rows()]
+
+    def test_a_verdict_other_than_the_probabilities_give_is_rejected(self, tmp_path):
+        path = tmp_path / "rep.csv"
+        write_report_csv(self.rows(), path, manifest="x")
+        text = path.read_text()
+        assert "alpha,gamma,token,1.0,0.0,0.0,left," in text
+        path.write_text(text.replace(",left,", ",right,"))
+        with pytest.raises(ValueError, match=r"rep\.csv:4: verdict 'right' does not match"):
             read_report_csv(path)
 
 

@@ -232,7 +232,12 @@ def run_chain(
 
 
 def reference_fit(series, config):
-    """All chains of ``run_chain``, stacked like ``PosteriorChains``."""
+    """All chains of ``run_chain``, stacked like ``PosteriorChains``.
+
+    ``run_chain`` samples the data as ``_prepare`` orients it; the
+    locations are multiplied by ``p.sign`` back into the data's
+    orientation, as ``fit`` does.
+    """
     p = _prepare(series, config)
     runs = [
         run_chain(
@@ -246,7 +251,10 @@ def reference_fit(series, config):
         dataset_ids=p.ids,
         standardization_constant=p.constant,
         config=config,
-        draws=np.dstack([np.stack([r[key] for r in runs]) for key in DRAWS]),
+        draws=np.dstack([
+            np.stack([r[key] for r in runs]) * (p.sign if key in ("delta0", "deltas") else 1.0)
+            for key in DRAWS
+        ]),
     )
     return post, runs
 

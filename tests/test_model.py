@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from bayescv.errors import TooFewDatasets
 from bayescv.manifest import read_kv
@@ -21,7 +21,9 @@ from bayescv.model import (
     PosteriorChains,
     correlated_ttest,
     fit,
+    fit_many,
     generate,
+    orientation,
     read_chains_csv,
     write_chain_metadata,
     write_chains_csv,
@@ -225,6 +227,35 @@ class TestEquivariance:
             qf = np.quantile(post_f.delta0, p)
             qr = np.quantile(post_r.delta0, 1.0 - p)
             assert abs(qf + qr) < 0.3 * sd + 1e-3
+
+    def test_sign_flip_negates_the_draws_bit_for_bit(self):
+        # Rounding leaves ties (zero differences) in the data; its first
+        # nonzero difference is negative, so it is the one fitted negated.
+        series = [
+            DifferenceSeries(s.dataset_id, np.round(s.x, 2), s.rho, s.n, s.m, s.k)
+            for s in generate(3, 2, 5, -0.01, 0.005, 5.0, 0.1, (0.01, 0.02), seed=12)
+        ]
+        flipped = [
+            DifferenceSeries(s.dataset_id, -s.x, s.rho, s.n, s.m, s.k) for s in series
+        ]
+        assert np.any(series[0].x == 0.0)
+        assert (orientation(series), orientation(flipped)) == (-1.0, 1.0)
+        cfg = ModelConfig(chains=2, samples_per_chain=1000, warmup=200, seed=4)
+        post, post_f = fit(series, cfg), fit(flipped, cfg)
+        assert_array_equal(post_f.delta0, -post.delta0)
+        assert_array_equal(post_f.deltas, -post.deltas)
+        for name in ("sigma0", "nu", "sigmas"):
+            assert_array_equal(getattr(post_f, name), getattr(post, name))
+        assert post_f.diagnostics == post.diagnostics
+        assert post_f.acceptance == post.acceptance
+        # Batched together, each orientation still gets its own draws.
+        batched = fit_many([series, flipped], cfg)
+        assert_array_equal(batched[0].draws, post.draws)
+        assert_array_equal(batched[1].draws, post_f.draws)
+
+    def test_all_zero_data_has_positive_orientation(self):
+        zero = DifferenceSeries("d", np.zeros(4), 0.1, 4, 2, 2)
+        assert orientation([zero, zero]) == 1.0
 
     def test_rescaling_data_rescales_posterior(self):
         # With standardization on, multiplying every difference by 10
