@@ -416,18 +416,19 @@ class TestCompare:
         for name, a, b in (("ab", "alpha", "beta"), ("ba", "beta", "alpha")):
             assert run("compare", "--scores", scores, "--a", a, "--b", b, "--metric", "token",
                        "--rope", rope, "--seed", "2", *FAST, "--out-prefix", tmp_path / name) == 0
-        ab, ba = (read_kv(tmp_path / f"{name}.chains.meta.txt") for name in ("ab", "ba"))
+        ab_ba = ("ab", "ba")
+        ab, ba = (read_kv(tmp_path / f"{name}.chains.meta.txt") for name in ab_ba)
         assert ab["method"] == method
         counts = [[meta[key] for key in ("n_left", "n_rope", "n_right")] for meta in (ab, ba)]
         assert counts[1] == counts[0][::-1]
         assert counts[0][0] != counts[0][2]
-        (row_ab,), (row_ba,) = (read_report_csv(tmp_path / f"{n}.report.csv") for n in ("ab", "ba"))
+        (row_ab,), (row_ba,) = (read_report_csv(tmp_path / f"{n}.report.csv") for n in ab_ba)
         assert (row_ba.system_a, row_ba.system_b) == (row_ab.system_b, row_ab.system_a)
         assert row_ba.triple == row_ab.triple.flipped()
         if method == "correlated_ttest":
             assert float(ba["ttest_location"]) == -float(ab["ttest_location"])
             return
-        chains_ab, chains_ba = (read_chains_csv(tmp_path / f"{n}.chains.csv") for n in ("ab", "ba"))
+        chains_ab, chains_ba = (read_chains_csv(tmp_path / f"{n}.chains.csv") for n in ab_ba)
         for name, draws in chains_ab.items():
             # delta0 and delta[...] are locations; sigma0, nu and sigma[...] scales.
             assert_array_equal(chains_ba[name], -draws if name.startswith("delta") else draws)
