@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 from .decision import DecisionTriple, RopeInterval, rank, region_probs, tally
 from .errors import BayescvError
-from .metrics import TaggedCorpus, Vocabulary, oov_accuracy, sentence_accuracy, token_accuracy
+from .metrics import TaggedCorpus, oov_accuracy, sentence_accuracy, token_accuracy
 from .model import ModelConfig, PosteriorChains, correlated_ttest, fit, generate
 from .scores import DifferenceSeries, ScoreMatrix, assemble_differences
 from .splits import SplitPlan, fold_roles, make_splits
@@ -29,7 +29,6 @@ __all__ = [
     "SplitPlan",
     "StudentT",
     "TaggedCorpus",
-    "Vocabulary",
     "assemble_differences",
     "correlated_ttest",
     "fit",

@@ -183,7 +183,6 @@ def _add_compare_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--warmup", type=int, default=defaults.warmup)
     parser.add_argument("--seed", type=int, default=defaults.seed)
-    parser.add_argument("--no-standardize", action="store_true")
     parser.add_argument("--sigma-bar-factor", type=float, default=defaults.sigma_bar_factor)
     parser.add_argument(
         "--delta0-halfwidth", type=float, default=defaults.delta0_prior_halfwidth
@@ -275,7 +274,6 @@ def _model_config(args: argparse.Namespace) -> ModelConfig:
         sigma_bar_factor=args.sigma_bar_factor,
         delta0_prior_halfwidth=args.delta0_halfwidth,
         nu_prior=tuple(args.nu_prior),
-        standardize=not args.no_standardize,
         chains=args.chains,
         samples_per_chain=args.draws,
         warmup=args.warmup,

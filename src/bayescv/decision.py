@@ -461,17 +461,16 @@ def read_report_csv(path: str | Path) -> list[ReportRow]:
     return rows
 
 
-def rope_from_differences(series: list[DifferenceSeries], coverage: float = 0.95) -> RopeInterval:
-    """Half the width of the central ``coverage`` interval of the pooled differences.
+def rope_from_differences(series: list[DifferenceSeries]) -> RopeInterval:
+    """Half the width of the central 95% interval of the pooled differences.
 
     A data-driven rope on the raw score scale, for callers that prefer not
     to fix a halfwidth a priori.
     """
     if not series:
         raise ValueError("need at least one difference series")
-    if not 0.0 < coverage < 1.0:
-        raise ValueError(f"coverage must be in (0, 1), got {coverage}")
     pooled = np.concatenate([s.x for s in series])
-    alpha = (1.0 - coverage) / 2.0
+    # Not the literal 0.025, which is another double.
+    alpha = (1.0 - 0.95) / 2.0
     lo, hi = np.quantile(pooled, [alpha, 1.0 - alpha])
     return RopeInterval(halfwidth=float((hi - lo) / 2.0))

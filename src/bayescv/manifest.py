@@ -146,7 +146,8 @@ def read_table(path: str | Path, columns: Sequence[str]) -> Iterator[tuple[int, 
     naming ``path:line``. The file stays open until the generator ends.
     """
     path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as handle:
+    # utf-8-sig drops the byte-order mark that spreadsheet programs write.
+    with path.open("r", encoding="utf-8-sig", newline="") as handle:
         # A comment line reads as an empty one, so reader.line_num counts
         # the file's lines.
         reader = csv.reader("" if line.startswith("#") else line for line in handle)

@@ -10,10 +10,10 @@ rendering it again, and a file with a bad block is walked line by line
 only to name the first bad line.
 
 The accuracies compare a predicted corpus with the aligned gold corpus;
-the out-of-vocabulary accuracy counts only tokens outside a given
-``Vocabulary``. Only the gold tokens are looked up in it, so the runner
-passes the evaluation fold's token types that its training data also
-holds, not the whole training vocabulary.
+the out-of-vocabulary accuracy counts only tokens outside a given set of
+known token forms. Only the gold tokens are looked up in it, so the
+runner passes the evaluation fold's token types that its training data
+also holds, not the whole training vocabulary.
 """
 
 from __future__ import annotations
@@ -22,14 +22,13 @@ from dataclasses import dataclass, field
 from itertools import chain, compress
 from operator import eq
 from pathlib import Path
-from typing import Iterable, NoReturn
+from typing import AbstractSet, Iterable, NoReturn
 
 from .errors import NoOovTokens, ShapeMismatch, TokenMismatch
 
 __all__ = [
     "Sentence",
     "TaggedCorpus",
-    "Vocabulary",
     "token_accuracy",
     "sentence_accuracy",
     "oov_accuracy",
@@ -120,19 +119,6 @@ class TaggedCorpus:
         return TaggedCorpus(tuple([sentences[i] for i in indices]))
 
 
-@dataclass(frozen=True)
-class Vocabulary:
-    """A set of known token forms."""
-
-    tokens: frozenset[str]
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.tokens
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-
 def _check_aligned(gold: TaggedCorpus, predicted: TaggedCorpus) -> None:
     # One comparison of the token lists; the walk below runs only to name
     # the first difference.
@@ -166,14 +152,13 @@ def sentence_accuracy(gold: TaggedCorpus, predicted: TaggedCorpus) -> float:
     return correct / gold.n_sentences
 
 
-def oov_accuracy(vocabulary: Vocabulary, gold: TaggedCorpus, predicted: TaggedCorpus) -> float:
-    """Token accuracy restricted to tokens outside the vocabulary.
+def oov_accuracy(known: AbstractSet[str], gold: TaggedCorpus, predicted: TaggedCorpus) -> float:
+    """Token accuracy restricted to gold tokens not in ``known``.
 
     Raises NoOovTokens when every gold token is in-vocabulary, because the
     metric has no defined value there.
     """
     _check_aligned(gold, predicted)
-    known = vocabulary.tokens
     oov = [tok not in known for sent in gold.sentences for tok in sent.tokens]
     gold_tags = list(compress(chain.from_iterable([s.tags for s in gold.sentences]), oov))
     if not gold_tags:
@@ -209,7 +194,8 @@ def read_corpus(path: str | Path) -> TaggedCorpus:
     """Parse a tagged corpus file. Raises ValueError with the line number on bad input."""
     path = Path(path)
     data = path.read_bytes()
-    text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    # utf-8-sig drops the byte-order mark that spreadsheet programs write.
+    text = data.decode("utf-8-sig").replace("\r\n", "\n").replace("\r", "\n")
     # Once no line holds two tabs, a block with as many tabs as lines holds
     # exactly one on each line.
     if b"\t\t" in data.translate(None, _NOT_SEPARATOR):

@@ -87,7 +87,6 @@ class ModelConfig:
     sigma_bar_factor: float = 1000.0
     delta0_prior_halfwidth: float = 1.0
     nu_prior: tuple[float, float] = (2.0, 0.1)
-    standardize: bool = True
     chains: int = 4
     samples_per_chain: int = 12500
     warmup: int = 2000
@@ -241,9 +240,7 @@ def generate(
         x = delta_i + sigma_i * (
             math.sqrt(1.0 - rho) * (z - zbar) + math.sqrt(1.0 + (n - 1) * rho) * zbar
         )
-        out.append(
-            DifferenceSeries(dataset_id=f"ds{i:0{width}d}", x=x, rho=rho, n=n, m=m, k=k)
-        )
+        out.append(DifferenceSeries(dataset_id=f"ds{i:0{width}d}", x=x, rho=rho))
     return out
 
 
@@ -291,12 +288,13 @@ def _prepare(series: list[DifferenceSeries], config: ModelConfig) -> _Problem:
     if len(set(ids)) != q:
         raise ValueError("dataset ids must be unique")
 
+    # Every prior bound, start value and proposal scale below is relative
+    # to the data's spread, so dividing by this constant changes only the
+    # units the draws are stored in.
     raw_stds = [float(s.x.std(ddof=1)) if s.n > 1 else 0.0 for s in series]
-    constant = 1.0
-    if config.standardize:
-        mean_std = sum(raw_stds) / q
-        if mean_std > 0.0 and math.isfinite(mean_std):
-            constant = mean_std
+    constant = sum(raw_stds) / q
+    if not (constant > 0.0 and math.isfinite(constant)):
+        constant = 1.0
 
     sign = orientation(series)
     stats = []
@@ -333,7 +331,7 @@ def _prepare(series: list[DifferenceSeries], config: ModelConfig) -> _Problem:
         sigma0_hi=config.sigma_bar_factor * pooled,
         # The delta0 box prior is meant in raw score units (differences of
         # [0, 1] metrics can never leave [-1, 1]), so it shrinks together
-        # with the data under standardization.
+        # with the data.
         halfwidth=config.delta0_prior_halfwidth / constant,
         pooled_mean=pooled_mean,
         spread=max(spread, 3.0 * sigma0_lo),
@@ -551,9 +549,9 @@ def fit(series: list[DifferenceSeries], config: ModelConfig = ModelConfig()) -> 
     """Sample the joint posterior for two or more data sets.
 
     Raises TooFewDatasets for fewer than two series (use correlated_ttest
-    there). When standardization is on, all differences are divided by the
-    mean per-dataset standard deviation before sampling; the constant is
-    recorded on the result.
+    there). All differences are divided by the mean per-dataset standard
+    deviation (1.0 when that is 0 or not finite) before sampling; the
+    constant is recorded on the result.
     """
     return fit_many([series], config)[0]
 
@@ -704,7 +702,6 @@ def write_chain_metadata(post: PosteriorChains, path: str | Path, extra: dict[st
         "draws_per_chain": str(post.draws_per_chain),
         "warmup": str(cfg.warmup),
         "seed": str(cfg.seed),
-        "standardize": str(cfg.standardize).lower(),
         "standardization_constant": repr(post.standardization_constant),
         "sigma_bar_factor": repr(cfg.sigma_bar_factor),
         "delta0_prior_halfwidth": repr(cfg.delta0_prior_halfwidth),

@@ -63,7 +63,6 @@ def render_simplex_svg(
     *,
     label_left: str,
     label_right: str,
-    label_rope: str = "rope",
     triple: DecisionTriple | None = None,
     title: str | None = None,
     manifest: str | None = None,
@@ -105,7 +104,7 @@ def render_simplex_svg(
     anchor = [
         (label_left, _px(0.0), _Y0 + 26.0, "start"),
         (label_right, _px(1.0), _Y0 + 26.0, "end"),
-        (label_rope, _px(0.5), _TOP_Y - 14.0, "middle"),
+        ("rope", _px(0.5), _TOP_Y - 14.0, "middle"),
     ]
     for text, x, y, align in anchor:
         lines.append(

@@ -43,7 +43,6 @@ import numpy as np
 from .errors import CommandFailed, NoOovTokens, OutputUnreadable, ShapeMismatch, TokenMismatch
 from .metrics import (
     TaggedCorpus,
-    Vocabulary,
     oov_accuracy,
     read_corpus,
     sentence_accuracy,
@@ -102,14 +101,14 @@ class _FoldTypes:
                 del self._held[rep]
         return types
 
-    def known(self, rep: int, eval_fold: int, dev_fold: int) -> Vocabulary:
+    def known(self, rep: int, eval_fold: int, dev_fold: int) -> frozenset[str]:
         """The evaluation fold's token types that also occur in a training
         fold of the round, or in its dev fold under "train+dev"."""
         types = self._types(rep)
         unknown = (eval_fold,) if self._with_dev else (eval_fold, dev_fold)
         test = types[eval_fold]
         unseen = test.difference(*[t for fold, t in enumerate(types) if fold not in unknown])
-        return Vocabulary(test - unseen)
+        return test - unseen
 
 
 def _score_round(
@@ -164,7 +163,7 @@ def _score_round(
             raise OutputUnreadable(f"round ({rep}, {fold}): {exc}") from exc
         if "oov" in metrics:
             # fold_roles took val_idx from the round's dev fold.
-            vocabulary = fold_types.known(rep, fold, int(plan.assignments[rep][val_idx[0]]))
+            known = fold_types.known(rep, fold, int(plan.assignments[rep][val_idx[0]]))
         out: dict[str, float | None] = {}
         try:
             # run_external has checked the names: the last one left is oov.
@@ -175,7 +174,7 @@ def _score_round(
                     out[metric] = sentence_accuracy(gold, predicted)
                 else:
                     try:
-                        out[metric] = oov_accuracy(vocabulary, gold, predicted)
+                        out[metric] = oov_accuracy(known, gold, predicted)
                     except NoOovTokens:
                         out[metric] = None
         except (ShapeMismatch, TokenMismatch) as exc:
@@ -255,28 +254,19 @@ def run_external(
 
     jobs = [(rep, fold) for rep in range(plan.m) for fold in range(plan.k)]
 
-    def work(job: tuple[int, int]) -> tuple[tuple[int, int], dict[str, float | None]]:
-        return job, _score_round(
+    def work(job: tuple[int, int]) -> dict[str, float | None]:
+        return _score_round(
             job, plan, corpus, arg_templates, metrics, fold_types, workdir_path, timeout
         )
 
-    results: dict[tuple[int, int], dict[str, float | None]] = {}
-
-    def record(job: tuple[int, int], scored: dict[str, float | None]) -> None:
-        results[job] = scored
-        if progress is not None:
-            progress(len(results), len(jobs))
-
-    if workers == 1:
-        for job in jobs:
-            record(*work(job))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for job, scored in pool.map(work, jobs):
-                record(job, scored)
-
     matrix = ScoreMatrix()
-    for rep, fold in jobs:
-        for metric, value in results[(rep, fold)].items():
-            matrix.add(dataset_id, system_id, metric, rep, fold, value)
+    # map yields in job order and, on the first error, cancels the rounds
+    # not yet started.
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        rounds = zip(jobs, pool.map(work, jobs))
+        for done, ((rep, fold), scored) in enumerate(rounds, start=1):
+            for metric, value in scored.items():
+                matrix.add(dataset_id, system_id, metric, rep, fold, value)
+            if progress is not None:
+                progress(done, len(jobs))
     return matrix

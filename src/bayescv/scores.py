@@ -101,27 +101,26 @@ class DifferenceSeries:
 
     ``x[j]`` is score(system a) - score(system b) on the j-th shared cell;
     ``rho`` is the assumed correlation between cells induced by overlapping
-    training sets. m and k describe the originating CV design, n == len(x)
-    can be smaller than m*k when undefined cells were dropped.
+    training sets. ``n`` is len(x), which can be smaller than the number of
+    rounds when undefined cells were dropped.
     """
 
     dataset_id: str
     x: np.ndarray
     rho: float
-    n: int
-    m: int
-    k: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        if self.x.ndim != 1 or self.x.shape[0] != self.n or self.n < 1:
-            raise ValueError(f"x must be 1-d with length n={self.n}, got shape {self.x.shape}")
+        if self.x.ndim != 1 or self.n < 1:
+            raise ValueError(f"x must be 1-d and non-empty, got shape {self.x.shape}")
         lo = -1.0 / (self.n - 1) if self.n > 1 else -1.0
         if not (lo < self.rho < 1.0):
             raise ValueError(f"rho={self.rho} outside ({lo}, 1) for n={self.n}")
-        if self.m < 1 or self.k < 1:
-            raise ValueError(f"m and k must be >= 1, got m={self.m}, k={self.k}")
         self.x.setflags(write=False)
+
+    @property
+    def n(self) -> int:
+        return self.x.shape[0]
 
 
 def assemble_differences(
@@ -157,7 +156,6 @@ def assemble_differences(
         shared = sorted(set(cells_a) & set(cells_b))
         if not shared:
             continue
-        m = 1 + max(rep for rep, _ in shared)
         k = 1 + max(fold for _, fold in shared)
         kept = [
             cells_a[cell] - cells_b[cell]  # type: ignore[operator]
@@ -167,11 +165,7 @@ def assemble_differences(
         if not kept:
             continue
         rho_val = rho if rho is not None else 1.0 / k
-        series.append(
-            DifferenceSeries(
-                dataset_id=dataset, x=np.asarray(kept), rho=rho_val, n=len(kept), m=m, k=k
-            )
-        )
+        series.append(DifferenceSeries(dataset_id=dataset, x=np.asarray(kept), rho=rho_val))
     if not series:
         raise NoSharedKeys(
             f"no shared scores between {system_a!r} and {system_b!r} for metric {metric!r}"

@@ -50,13 +50,13 @@ def build_toy_corpus(n_sentences: int = 200, seed: int = 123) -> TaggedCorpus:
     return TaggedCorpus(tuple(sentences))
 
 
-def scores_from_series(series, base: float, system_a: str, system_b: str) -> ScoreMatrix:
-    """Map difference series onto a pair of systems: a = base + x/2,
-    b = base - x/2, so a - b reproduces x exactly."""
+def scores_from_series(series, k: int, base: float, system_a: str, system_b: str) -> ScoreMatrix:
+    """Map difference series of a k-fold design onto a pair of systems:
+    a = base + x/2, b = base - x/2, so a - b reproduces x exactly."""
     matrix = ScoreMatrix()
     for s in series:
         for idx, x in enumerate(s.x):
-            rep, fold = divmod(idx, s.k)
+            rep, fold = divmod(idx, k)
             a = base + x / 2.0
             b = base - x / 2.0
             if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
@@ -75,14 +75,14 @@ def main() -> None:
         q=8, m=5, k=10, delta0=0.03, sigma0=0.005, nu=5.0,
         rho=0.1, sigma_range=(0.01, 0.02), seed=2024,
     )
-    scores_from_series(series, 0.85, "alpha", "beta").to_csv(HERE / "delta3rope_scores.csv")
+    scores_from_series(series, 10, 0.85, "alpha", "beta").to_csv(HERE / "delta3rope_scores.csv")
 
     # Differences centred on zero with small spread: no winner.
     series = generate(
         q=2, m=5, k=10, delta0=0.0, sigma0=0.002, nu=5.0,
         rho=0.1, sigma_range=(0.005, 0.01), seed=77,
     )
-    scores_from_series(series, 0.5, "alpha", "beta").to_csv(HERE / "null_scores.csv")
+    scores_from_series(series, 10, 0.5, "alpha", "beta").to_csv(HERE / "null_scores.csv")
     print("fixtures written to", HERE)
 
 

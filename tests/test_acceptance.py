@@ -25,7 +25,7 @@ from bayescv.decision import (
     tally,
     ttest_triple,
 )
-from bayescv.metrics import TaggedCorpus, Vocabulary, oov_accuracy, sentence_accuracy, token_accuracy
+from bayescv.metrics import TaggedCorpus, oov_accuracy, sentence_accuracy, token_accuracy
 from bayescv.model import ModelConfig, PosteriorChains, correlated_ttest, fit, generate
 from bayescv.scores import DifferenceSeries, ScoreMatrix
 from bayescv.statcore import StudentT, cs_loglik, cs_stats, t_cdf
@@ -275,9 +275,9 @@ def test_acceptance_7_metrics_exactness():
     ])
     assert token_accuracy(gold, pred) == 4.0 / 5.0
     assert sentence_accuracy(gold, pred) == 1.0 / 2.0
-    vocab = Vocabulary(frozenset({"the", "cat", "sat"}))
+    vocab = frozenset({"the", "cat", "sat"})
     assert oov_accuracy(vocab, gold, pred) == 2.0 / 2.0
-    vocab_wide = Vocabulary(frozenset({"the", "sat", "dogs", "bark"}))
+    vocab_wide = frozenset({"the", "sat", "dogs", "bark"})
     assert oov_accuracy(vocab_wide, gold, pred) == 0.0 / 1.0
 
     # With every sentence the same length, perfect sentences contribute
@@ -327,7 +327,7 @@ def test_acceptance_8_scale_invariance():
     triple = tally(post, RopeInterval(0.01))
 
     scaled = [
-        DifferenceSeries(dataset_id=s.dataset_id, x=s.x * 10.0, rho=s.rho, n=s.n, m=s.m, k=s.k)
+        DifferenceSeries(dataset_id=s.dataset_id, x=s.x * 10.0, rho=s.rho)
         for s in series
     ]
     post10 = fit(scaled, config=config)

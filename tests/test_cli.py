@@ -452,6 +452,15 @@ class TestCompare:
         assert not (tmp_path / "t.report.csv").exists()
         assert not (tmp_path / "t.chains.meta.txt").exists()
 
+    def test_standardization_cannot_be_turned_off(self, tmp_path, capsys):
+        # The draws are always stored on the standardized scale.
+        rc = run("compare", "--scores", DELTA3, "--a", "alpha", "--b", "beta",
+                 "--metric", "token", "--rope", "0.01", *FAST, "--no-standardize",
+                 "--out-prefix", tmp_path / "p")
+        assert rc == 2
+        assert "unrecognized arguments: --no-standardize" in capsys.readouterr().err
+        assert not (tmp_path / "p.report.csv").exists()
+
     @pytest.mark.parametrize("flags, knob", NON_FINITE_PRIORS)
     def test_non_finite_prior_is_usage_error(self, tmp_path, capsys, flags, knob):
         # Rejected before any work: a NaN prior freezes nu or fails only
@@ -1187,7 +1196,7 @@ class TestManifest:
         compare = read_kv(tmp_path / "compare.manifest.txt")
         assert compare["seed"] == "2"
         assert compare["param[system_a]"] == "alpha"
-        assert compare["param[no_standardize]"] == "False"
+        assert "param[no_standardize]" not in compare
         assert compare["param[rope]"] == "0.01"
         assert compare["param[rope_mode]"] == ""
         assert compare["param[scores]"] == str(DELTA3)

@@ -401,6 +401,18 @@ class TestReportCsv:
         assert path.read_text().startswith("# manifest: m.txt\n")
         assert len(read_report_csv(path)) == 2
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        # Before the comment line, so it still reads as one, and line
+        # numbers still count from it.
+        path = tmp_path / "r.csv"
+        write_report_csv(self.rows(), path, manifest="m.txt")
+        text = path.read_text(encoding="utf-8")
+        path.write_text("\ufeff" + text, encoding="utf-8")
+        assert [r.triple for r in read_report_csv(path)] == [r.triple for r in self.rows()]
+        path.write_text("\ufeff" + text.replace(",left,", ",right,"), encoding="utf-8")
+        with pytest.raises(ValueError, match=r"r\.csv:4: verdict 'right' does not match"):
+            read_report_csv(path)
+
     def test_header_written(self, tmp_path):
         path = tmp_path / "r.csv"
         write_report_csv(self.rows(), path)
@@ -461,14 +473,14 @@ class TestReportCsv:
 class TestRopeFromDifferences:
     def test_half_central_interval(self):
         x = np.linspace(-1.0, 1.0, 201)
-        series = [DifferenceSeries("d", x, rho=0.1, n=201, m=1, k=201)]
-        rope = rope_from_differences(series, coverage=0.95)
+        series = [DifferenceSeries("d", x, rho=0.1)]
+        rope = rope_from_differences(series)
         lo, hi = np.quantile(x, [0.025, 0.975])
         assert rope.halfwidth == pytest.approx((hi - lo) / 2)
 
     def test_pools_datasets(self):
-        a = DifferenceSeries("a", np.full(50, -0.2), rho=0.1, n=50, m=1, k=50)
-        b = DifferenceSeries("b", np.full(50, 0.2), rho=0.1, n=50, m=1, k=50)
+        a = DifferenceSeries("a", np.full(50, -0.2), rho=0.1)
+        b = DifferenceSeries("b", np.full(50, 0.2), rho=0.1)
         rope = rope_from_differences([a, b])
         assert 0.15 < rope.halfwidth <= 0.2
 
@@ -480,9 +492,7 @@ class TestEndToEndTally:
         post = fit(series, ModelConfig(chains=2, samples_per_chain=2000, warmup=800, seed=21))
         triple = tally(post, RopeInterval(0.01))
         assert triple.p_right > 0.95
-        flipped_series = [
-            DifferenceSeries(s.dataset_id, -s.x, s.rho, s.n, s.m, s.k) for s in series
-        ]
+        flipped_series = [DifferenceSeries(s.dataset_id, -s.x, s.rho) for s in series]
         post2 = fit(flipped_series, ModelConfig(chains=2, samples_per_chain=2000, warmup=800, seed=21))
         triple2 = tally(post2, RopeInterval(0.01))
         assert triple2.p_left > 0.95

@@ -298,7 +298,7 @@ def test_stacked_problems_match_separate_fits():
     ]
     # Different dataset ids in one problem must not matter either.
     problems[1] = [
-        type(s)(dataset_id=f"x{i}", x=s.x, rho=s.rho, n=s.n, m=s.m, k=s.k)
+        type(s)(dataset_id=f"x{i}", x=s.x, rho=s.rho)
         for i, s in enumerate(problems[1])
     ]
     stacked = fit_many(problems, FAST)

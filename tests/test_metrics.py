@@ -11,7 +11,6 @@ from bayescv.errors import NoOovTokens, ShapeMismatch, TokenMismatch
 from bayescv.metrics import (
     Sentence,
     TaggedCorpus,
-    Vocabulary,
     oov_accuracy,
     read_corpus,
     sentence_accuracy,
@@ -26,7 +25,7 @@ def corpus(*sents):
 
 def vocabulary_of(*corpora):
     """The reference vocabulary: the union of the corpora's token sets."""
-    return Vocabulary(frozenset().union(*[s.tokens for c in corpora for s in c.sentences]))
+    return frozenset().union(*[s.tokens for c in corpora for s in c.sentences])
 
 
 def reference_token_accuracy(gold, predicted):
@@ -44,7 +43,7 @@ def reference_oov_accuracy(vocabulary, gold, predicted):
     total = 0
     for g, p in zip(gold.sentences, predicted.sentences):
         for tok, gt, pt in zip(g.tokens, g.tags, p.tags):
-            if tok not in vocabulary.tokens:
+            if tok not in vocabulary:
                 total += 1
                 correct += gt == pt
     return correct / total if total else None
@@ -79,13 +78,13 @@ class TestHandCounts:
         assert sentence_accuracy(GOLD, GOLD) == 1.0
 
     def test_oov_hand_count(self):
-        vocab = Vocabulary(frozenset({"the", "cat", "sat"}))
+        vocab = frozenset({"the", "cat", "sat"})
         # OOV positions: "dogs" and "bark"; prediction gets both right,
         # so restricting to OOV tokens gives 2/2 even though "cat" is wrong.
         assert oov_accuracy(vocab, GOLD, PRED) == 1.0
 
     def test_oov_partial(self):
-        vocab = Vocabulary(frozenset({"the", "sat", "dogs", "bark"}))
+        vocab = frozenset({"the", "sat", "dogs", "bark"})
         # Only "cat" is OOV and it is mistagged.
         assert oov_accuracy(vocab, GOLD, PRED) == 0.0
 
@@ -197,7 +196,7 @@ class TestAccuraciesMatchReference:
                 gold_s.append(list(zip(toks, gtags)))
                 pred_s.append(list(zip(toks, ptags)))
             g, p = corpus(*gold_s), corpus(*pred_s)
-            vocab = Vocabulary(frozenset(f"w{i}" for i in range(30) if rng.random() < 0.7))
+            vocab = frozenset(f"w{i}" for i in range(30) if rng.random() < 0.7)
             assert token_accuracy(g, p) == reference_token_accuracy(g, p)
             want = reference_oov_accuracy(vocab, g, p)
             if want is None:
@@ -218,7 +217,7 @@ class TestAccuraciesMatchReference:
         assert token_accuracy(g2, p2) == token_accuracy(GOLD, PRED)
 
     def test_empty_vocabulary_makes_every_token_oov(self):
-        vocab = Vocabulary(frozenset())
+        vocab = frozenset()
         assert oov_accuracy(vocab, GOLD, PRED) == token_accuracy(GOLD, PRED)
 
 
@@ -257,6 +256,14 @@ class TestCorpusIO:
         path = tmp_path / "c.tsv"
         write_corpus(GOLD, path)
         again = read_corpus(path)
+        assert again == GOLD
+
+    def test_byte_order_mark_is_not_part_of_the_first_token(self, tmp_path):
+        path = tmp_path / "c.tsv"
+        write_corpus(GOLD, path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        again = read_corpus(path)
+        assert again.sentences[0].tokens[0] == "the"
         assert again == GOLD
 
     def test_parse_error_carries_line_number(self, tmp_path):
@@ -314,7 +321,7 @@ def reference_read(path):
     sentences = []
     tokens = []
     tags = []
-    with path.open("r", encoding="utf-8") as handle:
+    with path.open("r", encoding="utf-8-sig") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.rstrip("\n")
             if not line:
@@ -497,5 +504,5 @@ class TestAlignmentErrors:
                 accuracy(GOLD, predicted)
             assert str(got.value) == str(want)
         with pytest.raises(type(want)) as got:
-            oov_accuracy(Vocabulary(frozenset()), GOLD, predicted)
+            oov_accuracy(frozenset(), GOLD, predicted)
         assert str(got.value) == str(want)

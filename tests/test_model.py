@@ -14,6 +14,7 @@ import pytest
 import scipy.stats
 from numpy.testing import assert_allclose, assert_array_equal
 
+from bayescv.decision import RopeInterval, tally
 from bayescv.errors import TooFewDatasets
 from bayescv.manifest import read_kv
 from bayescv.model import (
@@ -35,11 +36,8 @@ from oracles import t_logpdf
 FAST = ModelConfig(chains=2, samples_per_chain=1500, warmup=800, seed=3)
 
 
-def series_from(x, rho=0.1, m=None, k=None, dataset_id="d"):
-    x = np.asarray(x, dtype=float)
-    k = k or len(x)
-    m = m or 1
-    return DifferenceSeries(dataset_id=dataset_id, x=x, rho=rho, n=len(x), m=m, k=k)
+def series_from(x, rho=0.1, dataset_id="d"):
+    return DifferenceSeries(dataset_id=dataset_id, x=np.asarray(x, dtype=float), rho=rho)
 
 
 class TestGenerate:
@@ -54,7 +52,7 @@ class TestGenerate:
         out = generate(12, 4, 5, 0.0, 0.01, 4.0, 0.05, (0.005, 0.01), seed=0)
         assert [s.dataset_id for s in out] == [f"ds{i:02d}" for i in range(12)]
         for s in out:
-            assert s.n == 20 and s.m == 4 and s.k == 5 and s.rho == 0.05
+            assert s.n == 20 and s.rho == 0.05
 
     def test_zero_population_scale_pins_all_means(self):
         out = generate(6, 2, 5, 0.02, 0.0, 5.0, 0.1, (0.0, 0.0), seed=4)
@@ -204,8 +202,8 @@ class TestFitBasics:
 
     def test_all_zero_differences(self):
         zero = [
-            series_from(np.zeros(20), dataset_id="a", m=4, k=5),
-            series_from(np.zeros(20), dataset_id="b", m=4, k=5),
+            series_from(np.zeros(20), dataset_id="a"),
+            series_from(np.zeros(20), dataset_id="b"),
         ]
         post = fit(zero, FAST)
         assert post.converged
@@ -216,9 +214,7 @@ class TestFitBasics:
 class TestEquivariance:
     def test_sign_flip_mirrors_posterior(self):
         series = generate(6, 4, 5, 0.02, 0.004, 6.0, 0.1, (0.01, 0.02), seed=6)
-        flipped = [
-            DifferenceSeries(s.dataset_id, -s.x, s.rho, s.n, s.m, s.k) for s in series
-        ]
+        flipped = [DifferenceSeries(s.dataset_id, -s.x, s.rho) for s in series]
         cfg = ModelConfig(chains=2, samples_per_chain=4000, warmup=1000, seed=7)
         post_f = fit(series, cfg)
         post_r = fit(flipped, cfg)
@@ -232,12 +228,10 @@ class TestEquivariance:
         # Rounding leaves ties (zero differences) in the data; its first
         # nonzero difference is negative, so it is the one fitted negated.
         series = [
-            DifferenceSeries(s.dataset_id, np.round(s.x, 2), s.rho, s.n, s.m, s.k)
+            DifferenceSeries(s.dataset_id, np.round(s.x, 2), s.rho)
             for s in generate(3, 2, 5, -0.01, 0.005, 5.0, 0.1, (0.01, 0.02), seed=12)
         ]
-        flipped = [
-            DifferenceSeries(s.dataset_id, -s.x, s.rho, s.n, s.m, s.k) for s in series
-        ]
+        flipped = [DifferenceSeries(s.dataset_id, -s.x, s.rho) for s in series]
         assert np.any(series[0].x == 0.0)
         assert (orientation(series), orientation(flipped)) == (-1.0, 1.0)
         cfg = ModelConfig(chains=2, samples_per_chain=1000, warmup=200, seed=4)
@@ -254,7 +248,7 @@ class TestEquivariance:
         assert_array_equal(batched[1].draws, post_f.draws)
 
     def test_all_zero_data_has_positive_orientation(self):
-        zero = DifferenceSeries("d", np.zeros(4), 0.1, 4, 2, 2)
+        zero = DifferenceSeries("d", np.zeros(4), 0.1)
         assert orientation([zero, zero]) == 1.0
 
     def test_rescaling_data_rescales_posterior(self):
@@ -264,10 +258,7 @@ class TestEquivariance:
         # amplified by the accept/reject feedback, so trajectories are
         # only distributionally equal, not bitwise: compare quantiles.
         series = generate(3, 2, 5, 0.01, 0.005, 5.0, 0.1, (0.01, 0.02), seed=10)
-        big = [
-            DifferenceSeries(s.dataset_id, 10.0 * s.x, s.rho, s.n, s.m, s.k)
-            for s in series
-        ]
+        big = [DifferenceSeries(s.dataset_id, 10.0 * s.x, s.rho) for s in series]
         cfg = ModelConfig(chains=2, samples_per_chain=8000, warmup=1000, seed=3)
         post1 = fit(series, cfg)
         post10 = fit(big, cfg)
@@ -283,14 +274,23 @@ class TestEquivariance:
         raw10 = np.median(post10.delta0) * post10.standardization_constant
         assert raw10 == pytest.approx(10.0 * raw1, rel=0.3)
 
-    def test_standardize_off_keeps_raw_scale(self):
-        series = generate(2, 2, 5, 0.001, 0.0005, 5.0, 0.1, (0.001, 0.002), seed=11)
-        cfg = ModelConfig(
-            chains=2, samples_per_chain=1500, warmup=800, seed=3, standardize=False
+    @pytest.mark.parametrize("power", [2, 3, -3, 10])
+    def test_power_of_two_rescaling_is_exact(self, power):
+        # Scaling by 2**power is exact in floating point, so the data, the
+        # delta0 box and the rope scaled together reach the sampler as the
+        # same standardized numbers: equal draws, bit for bit.
+        factor = 2.0**power
+        series = generate(3, 2, 5, 0.01, 0.005, 5.0, 0.1, (0.01, 0.02), seed=10)
+        scaled = [DifferenceSeries(s.dataset_id, factor * s.x, s.rho) for s in series]
+        cfg = ModelConfig(chains=2, samples_per_chain=1000, warmup=200, seed=3)
+        cfg_scaled = ModelConfig(
+            chains=2, samples_per_chain=1000, warmup=200, seed=3, delta0_prior_halfwidth=factor
         )
-        post = fit(series, cfg)
-        assert post.standardization_constant == 1.0
-        assert np.abs(post.delta0.mean()) < 0.01
+        post, post_scaled = fit(series, cfg), fit(scaled, cfg_scaled)
+        assert_array_equal(post_scaled.draws, post.draws)
+        assert post_scaled.standardization_constant == factor * post.standardization_constant
+        rope = 0.3 * post.standardization_constant
+        assert tally(post_scaled, RopeInterval(factor * rope)) == tally(post, RopeInterval(rope))
 
 
 def reference_posterior(series, *, halfwidth, nu_shape, nu_rate, caps, sigma0_cap,
@@ -352,10 +352,7 @@ class TestAgainstIndependentSampler:
         assert post.converged
 
         constant = post.standardization_constant
-        std_series = [
-            DifferenceSeries(s.dataset_id, s.x / constant, s.rho, s.n, s.m, s.k)
-            for s in series
-        ]
+        std_series = [DifferenceSeries(s.dataset_id, s.x / constant, s.rho) for s in series]
         stds = [float(s.x.std(ddof=1)) for s in std_series]
         mean_std = sum(stds) / len(stds)
         start = (

@@ -117,15 +117,13 @@ class TestRenderSimplexSvg:
         assert f'<circle cx="320.0000" cy="{top:.4f}"' in svg
 
     def test_triangle_outline_and_labels(self):
-        svg = render_simplex_svg(
-            corner_points()[:1], label_left="sysA", label_right="sysB", label_rope="tie"
-        )
+        svg = render_simplex_svg(corner_points()[:1], label_left="sysA", label_right="sysB")
         assert svg.startswith('<?xml version="1.0" encoding="UTF-8"?>\n<svg ')
         assert svg.endswith("</svg>\n")
         assert 'd="M 80.0000 520.0000 L 560.0000 520.0000 L 320.0000' in svg
         assert ">sysA</text>" in svg
         assert ">sysB</text>" in svg
-        assert ">tie</text>" in svg
+        assert ">rope</text>" in svg
 
     def test_probability_annotations_only_with_triple(self):
         points = corner_points()[:1]

@@ -223,7 +223,7 @@ class TestExactVocabulary:
             train_idx, val_idx, eval_idx = fold_roles(EXACT_PLAN, rep, fold)
             known = vocabulary_of(corpus.subset(train_idx), *(
                 [corpus.subset(val_idx)] if with_dev else []))
-            return {t for s in corpus.subset(eval_idx).sentences for t in s.tokens} - known.tokens
+            return {t for s in corpus.subset(eval_idx).sentences for t in s.tokens} - known
 
         # OOV under train, known under train+dev.
         assert oov_tokens(0, 0, False) == {"pair", "sees"}

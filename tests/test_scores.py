@@ -95,6 +95,14 @@ class TestScoreCsv:
         assert first == "# manifest: manifest.txt"
         assert ScoreMatrix.from_csvs([path]).entries == m.entries
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        # Spreadsheet programs start a UTF-8 CSV with a byte-order mark.
+        m = small_matrix()
+        path = tmp_path / "s.csv"
+        m.to_csv(path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert ScoreMatrix.from_csvs([path]).entries == m.entries
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("dataset,system,metric,rep,fold,score\n")
@@ -147,7 +155,7 @@ class TestAssembleDifferences:
         series = assemble_differences(small_matrix(), "sysa", "sysb", "token")
         assert [s.dataset_id for s in series] == ["d1", "d2"]
         d1, d2 = series
-        assert d1.n == 6 and d1.m == 2 and d1.k == 3
+        assert d1.n == 6
         assert_allclose(d1.x, 0.02)
         assert_allclose(d2.x, -0.005)
 
@@ -202,20 +210,21 @@ class TestAssembleDifferences:
 
 class TestDifferenceSeries:
     def test_rho_bound_depends_on_n(self):
-        DifferenceSeries("d", np.zeros(3), rho=-0.4, n=3, m=1, k=3)
+        DifferenceSeries("d", np.zeros(3), rho=-0.4)
         with pytest.raises(ValueError):
-            DifferenceSeries("d", np.zeros(3), rho=-0.5, n=3, m=1, k=3)
+            DifferenceSeries("d", np.zeros(3), rho=-0.5)
         with pytest.raises(ValueError):
-            DifferenceSeries("d", np.zeros(3), rho=1.0, n=3, m=1, k=3)
+            DifferenceSeries("d", np.zeros(3), rho=1.0)
 
     def test_x_is_frozen(self):
-        s = DifferenceSeries("d", np.zeros(3), rho=0.1, n=3, m=1, k=3)
+        s = DifferenceSeries("d", np.zeros(3), rho=0.1)
         with pytest.raises(ValueError):
             s.x[0] = 1.0
 
     def test_length_checked(self):
-        with pytest.raises(ValueError):
-            DifferenceSeries("d", np.zeros(3), rho=0.1, n=4, m=1, k=4)
+        assert DifferenceSeries("d", np.zeros(3), rho=0.1).n == 3
+        with pytest.raises(ValueError, match="non-empty"):
+            DifferenceSeries("d", np.zeros(0), rho=0.1)
 
 
 class TestRhoHeuristic:

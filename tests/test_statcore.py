@@ -173,17 +173,17 @@ class TestCompoundSymmetry:
         # The likelihood's input comes from a DifferenceSeries, which
         # rejects any rho that breaks positive definiteness.
         with pytest.raises(ValueError):
-            DifferenceSeries("d", np.zeros(5), rho=1.0, n=5, m=1, k=5)
+            DifferenceSeries("d", np.zeros(5), rho=1.0)
         with pytest.raises(ValueError):
-            DifferenceSeries("d", np.zeros(5), rho=-0.25 - 1e-9, n=5, m=1, k=5)
-        DifferenceSeries("d", np.zeros(5), rho=-0.24, n=5, m=1, k=5)
+            DifferenceSeries("d", np.zeros(5), rho=-0.25 - 1e-9)
+        DifferenceSeries("d", np.zeros(5), rho=-0.24)
 
     def test_shape_validation(self):
-        # ... and any x that is not a 1-d vector of length n.
+        # ... and any x that is not a non-empty 1-d vector.
         with pytest.raises(ValueError):
-            DifferenceSeries("d", np.zeros(4), rho=0.1, n=3, m=1, k=3)
+            DifferenceSeries("d", np.zeros(0), rho=0.1)
         with pytest.raises(ValueError):
-            DifferenceSeries("d", np.zeros((3, 1)), rho=0.1, n=3, m=1, k=3)
+            DifferenceSeries("d", np.zeros((3, 1)), rho=0.1)
 
     def test_independent_case_reduces_to_univariate(self):
         x = np.array([0.1, -0.4, 0.9, 0.0, 1.1])
