@@ -16,7 +16,7 @@ from .metrics import TaggedCorpus, oov_accuracy, sentence_accuracy, token_accura
 from .model import ModelConfig, PosteriorChains, correlated_ttest, fit, generate
 from .scores import DifferenceSeries, ScoreMatrix, assemble_differences
 from .splits import SplitPlan, fold_roles, make_splits
-from .statcore import StudentT, rng_fork, t_cdf, t_sample
+from .statcore import StudentT, rng_fork, t_sample
 
 __all__ = [
     "BayescvError",
@@ -40,7 +40,6 @@ __all__ = [
     "region_probs",
     "rng_fork",
     "sentence_accuracy",
-    "t_cdf",
     "t_sample",
     "tally",
     "token_accuracy",

@@ -374,8 +374,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     config = _model_config(args)
     with _stage("load"):
         scores = ScoreMatrix.from_csvs(args.scores)
-    manifest_path = _write_manifest(args, args.scores)
     pair = _setup_pair(scores, args.system_a, args.system_b, args)
+    manifest_path = _write_manifest(args, args.scores)
     post = None
     if len(pair.series) > 1:
         with _stage("fit"):
@@ -443,11 +443,11 @@ def cmd_rank(args: argparse.Namespace) -> int:
         raise ValueError(
             f"ranking needs at least two systems with {args.metric!r} scores, found {systems}"
         )
-    manifest_path = _write_manifest(args, args.scores)
     pairs = [
         _setup_pair(scores, system_a, system_b, args)
         for system_a, system_b in combinations(systems, 2)
     ]
+    manifest_path = _write_manifest(args, args.scores)
     # n same-size pairs run as ceil(n / cap) batches whose sizes differ by
     # at most one: as few calls as full batches of cap need, at a lower
     # peak. Every pair uses the same seed, so its draws do not depend on

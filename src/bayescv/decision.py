@@ -22,7 +22,6 @@ from typing import Mapping, Sequence
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .errors import MissingPair
 from .manifest import read_table, write_table
 from .model import PosteriorChains
 from .scores import DifferenceSeries
@@ -140,12 +139,12 @@ def check_draws(delta0: np.ndarray, sigma0: np.ndarray, nu: np.ndarray) -> None:
 
 def region_probs(
     delta0: ArrayLike, sigma0: ArrayLike, nu: ArrayLike, rope: RopeInterval
-) -> tuple[float, float, float] | tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mass of t(delta0, sigma0, nu) left of, inside, and right of the rope.
 
-    The inputs broadcast against each other. All-scalar inputs give a
-    tuple of three floats, arrays a tuple of three arrays. Every draw must
-    pass ``check_draws``.
+    The inputs broadcast against each other, and each of the three arrays
+    has their common shape (0-d for scalars). Every draw must pass
+    ``check_draws``.
 
     The left and right masses are computed as direct tail integrals that
     depend on the standardized offsets only through their squares, so
@@ -164,8 +163,6 @@ def region_probs(
     p_left = np.where(point, d0 < -r, p_left)
     p_right = np.where(point, d0 > r, p_right)
     p_rope = np.maximum(1.0 - (p_left + p_right), 0.0)
-    if p_rope.ndim == 0:
-        return (float(p_left), float(p_rope), float(p_right))
     return (p_left, p_rope, p_right)
 
 
@@ -246,7 +243,6 @@ class RankResult:
     or a directed cycle) leave ``chain`` as None and list the conflicts.
     """
 
-    systems: tuple[str, ...]
     labels: tuple[tuple[str, str, str], ...]
     classes: tuple[tuple[str, ...], ...]
     chain: str | None
@@ -264,7 +260,7 @@ def rank(verdicts: Mapping[tuple[str, str], str | DecisionTriple]) -> RankResult
     means b wins, "right" means a wins, "rope" means practically
     equivalent) or to the DecisionTriple itself. Every unordered pair of
     the mentioned systems must appear exactly once in either orientation;
-    otherwise MissingPair (or ValueError for duplicates) is raised.
+    otherwise ValueError is raised.
     """
     systems = sorted({name for pair in verdicts for name in pair})
     if len(systems) < 2:
@@ -299,7 +295,7 @@ def rank(verdicts: Mapping[tuple[str, str], str | DecisionTriple]) -> RankResult
         if frozenset((a, b)) not in seen
     ]
     if missing:
-        raise MissingPair(f"no verdict for pairs: {missing}")
+        raise ValueError(f"no verdict for pairs: {missing}")
 
     # Union equivalent systems, then check every strict edge respects the
     # grouping and the classes form an acyclic tournament.
@@ -364,7 +360,6 @@ def rank(verdicts: Mapping[tuple[str, str], str | DecisionTriple]) -> RankResult
     label_graph = tuple(sorted(labels))
     if conflicts:
         return RankResult(
-            systems=tuple(systems),
             labels=label_graph,
             classes=tuple(sorted(classes.values())),
             chain=None,
@@ -373,7 +368,6 @@ def rank(verdicts: Mapping[tuple[str, str], str | DecisionTriple]) -> RankResult
     ordered_classes = tuple(classes[root] for root in order)
     chain = " < ".join(" ≈ ".join(group) for group in ordered_classes)
     return RankResult(
-        systems=tuple(systems),
         labels=label_graph,
         classes=ordered_classes,
         chain=chain,

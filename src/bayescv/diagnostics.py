@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ParameterDiagnostics", "split_r_hat", "effective_sample_size", "diagnose"]
+__all__ = ["ParameterDiagnostics", "diagnose"]
 
 
 @dataclass(frozen=True)
@@ -33,14 +33,13 @@ def _split_halves(chains: np.ndarray) -> np.ndarray:
     return np.vstack([chains[:, :half], chains[:, half:n]])
 
 
-def split_r_hat(chains: np.ndarray) -> float:
-    """Potential scale reduction over split chains.
+def _r_hat(split: np.ndarray) -> float:
+    """Potential scale reduction over the split chains.
 
     Values near 1 indicate the chains agree; NaN is returned when the
     draws are constant, where the statistic is undefined.
     """
-    split = _split_halves(chains)
-    m, n = split.shape
+    n = split.shape[1]
     chain_means = split.mean(axis=1)
     chain_vars = split.var(axis=1, ddof=1)
     within = chain_vars.mean()
@@ -61,7 +60,7 @@ def _autocovariance(row: np.ndarray) -> np.ndarray:
     return acov / n
 
 
-def effective_sample_size(chains: np.ndarray) -> float:
+def _ess(split: np.ndarray) -> float:
     """Effective sample size of the pooled split chains.
 
     Per-chain autocovariances are combined into a multi-chain
@@ -69,7 +68,6 @@ def effective_sample_size(chains: np.ndarray) -> float:
     monotone, and the result is capped at the actual draw count. Constant
     chains give NaN.
     """
-    split = _split_halves(chains)
     m, n = split.shape
     acov = np.vstack([_autocovariance(row) for row in split])
     chain_vars = acov[:, 0] * n / (n - 1)
@@ -97,4 +95,10 @@ def effective_sample_size(chains: np.ndarray) -> float:
 
 
 def diagnose(chains: np.ndarray) -> ParameterDiagnostics:
-    return ParameterDiagnostics(r_hat=split_r_hat(chains), ess=effective_sample_size(chains))
+    """Split R-hat and effective sample size of (n_chains, n_draws) draws.
+
+    Each chain is halved once, dropping an odd last draw; at least 4
+    draws per chain are needed.
+    """
+    split = _split_halves(chains)
+    return ParameterDiagnostics(r_hat=_r_hat(split), ess=_ess(split))

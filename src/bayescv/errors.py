@@ -1,8 +1,9 @@
 """Exception types shared across the toolkit.
 
-Everything raised on purpose derives from :class:`BayescvError`, so callers
-(notably the command line front end) can tell expected failures apart from
-genuine bugs.
+Invalid input raises ValueError. The types here are the failures that a
+caller tells apart: corpora that do not align, an undefined
+out-of-vocabulary accuracy, and external work that failed or left
+unreadable output. All derive from :class:`BayescvError`.
 """
 
 
@@ -22,14 +23,6 @@ class NoOovTokens(BayescvError):
     """Out-of-vocabulary accuracy is undefined: every token is in-vocabulary."""
 
 
-class TooFewItems(BayescvError):
-    """Fewer items than folds requested."""
-
-
-class IndexOutOfRange(BayescvError):
-    """Repetition or fold index outside the plan."""
-
-
 class CommandFailed(BayescvError):
     """An external command exited with a nonzero status."""
 
@@ -41,19 +34,3 @@ class CommandFailed(BayescvError):
 
 class OutputUnreadable(BayescvError):
     """A prediction file is missing, malformed, or misaligned with the gold."""
-
-
-class DuplicateScoreKey(BayescvError):
-    """The same (dataset, system, metric, repetition, fold) appears twice."""
-
-
-class NoSharedKeys(BayescvError):
-    """Two systems have no overlapping scores to pair up."""
-
-
-class TooFewDatasets(BayescvError):
-    """The hierarchical model needs at least two data sets."""
-
-
-class MissingPair(BayescvError):
-    """A ranking was requested but some pair was never compared."""

@@ -40,7 +40,6 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import ParameterDiagnostics, diagnose
-from .errors import TooFewDatasets
 from .manifest import write_kv
 from .scores import DifferenceSeries
 from .statcore import StudentT, cs_quad_form, cs_stats, rng_fork, t_sample
@@ -117,13 +116,13 @@ class PosteriorChains:
     """Retained draws, shape (chains, draws, 3 + 2q).
 
     The columns of ``draws`` follow ``parameter_names()``, as the chains
-    CSV does after ``chain,draw``. ``delta0``, ``sigma0``, ``nu`` (chains,
-    draws), ``deltas`` and ``sigmas`` (chains, draws, q) and ``draws_of``
-    are views of those columns. All values are on the standardized scale;
-    multiply locations and scales by ``standardization_constant`` to
-    return to raw score differences. ``acceptance`` is each parameter's
-    acceptance rate over the kept draws of all chains, ``step_size`` its
-    final adapted proposal scale averaged over chains.
+    CSV does after ``chain,draw``; ``delta0``, ``sigma0`` and ``nu``
+    (chains, draws) are views of the first three. All values are on the
+    standardized scale; multiply locations and scales by
+    ``standardization_constant`` to return to raw score differences.
+    ``acceptance`` is each parameter's acceptance rate over the kept draws
+    of all chains, ``step_size`` its final adapted proposal scale averaged
+    over chains.
     """
 
     dataset_ids: tuple[str, ...]
@@ -148,14 +147,6 @@ class PosteriorChains:
         return self.draws[..., 2]
 
     @property
-    def deltas(self) -> np.ndarray:
-        return self.draws[..., 3 : 3 + len(self.dataset_ids)]
-
-    @property
-    def sigmas(self) -> np.ndarray:
-        return self.draws[..., 3 + len(self.dataset_ids) :]
-
-    @property
     def n_chains(self) -> int:
         return self.draws.shape[0]
 
@@ -163,22 +154,11 @@ class PosteriorChains:
     def draws_per_chain(self) -> int:
         return self.draws.shape[1]
 
-    @property
-    def n_draws(self) -> int:
-        return self.n_chains * self.draws_per_chain
-
     def parameter_names(self) -> list[str]:
         names = ["delta0", "sigma0", "nu"]
         names += [f"delta[{d}]" for d in self.dataset_ids]
         names += [f"sigma[{d}]" for d in self.dataset_ids]
         return names
-
-    def draws_of(self, name: str) -> np.ndarray:
-        """Draws of one scalar parameter, shape (chains, draws)."""
-        names = self.parameter_names()
-        if name not in names:
-            raise KeyError(f"unknown parameter {name!r}")
-        return self.draws[..., names.index(name)]
 
 
 def correlated_ttest(series: DifferenceSeries) -> StudentT:
@@ -280,7 +260,7 @@ def _prepare(series: list[DifferenceSeries], config: ModelConfig) -> _Problem:
     """Validate one problem's series and compute its sampler constants."""
     q = len(series)
     if q < 2:
-        raise TooFewDatasets(
+        raise ValueError(
             f"the hierarchical model needs at least 2 data sets, got {q}; "
             "use correlated_ttest for a single series"
         )
@@ -548,7 +528,7 @@ def _metropolis(
 def fit(series: list[DifferenceSeries], config: ModelConfig = ModelConfig()) -> PosteriorChains:
     """Sample the joint posterior for two or more data sets.
 
-    Raises TooFewDatasets for fewer than two series (use correlated_ttest
+    Raises ValueError for fewer than two series (use correlated_ttest
     there). All differences are divided by the mean per-dataset standard
     deviation (1.0 when that is 0 or not finite) before sampling; the
     constant is recorded on the result.

@@ -18,7 +18,6 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DuplicateScoreKey, NoSharedKeys
 from .manifest import read_table, write_table
 
 __all__ = [
@@ -58,7 +57,7 @@ class ScoreMatrix:
         if "\n" in ids or "\r" in ids:
             raise ValueError(f"line break in an id of {key}")
         if key in self.entries:
-            raise DuplicateScoreKey(f"duplicate score for {key}")
+            raise ValueError(f"duplicate score for {key}")
         if score is not None:
             score = float(score)
             if not 0.0 <= score <= 1.0:
@@ -82,8 +81,8 @@ class ScoreMatrix:
                     fold = int(fold_s)
                     score = None if score_s == "NA" else float(score_s)
                     out.add(dataset, system, metric, rep, fold, score)
-                except (DuplicateScoreKey, ValueError) as exc:
-                    raise type(exc)(f"{path}:{lineno}: {exc}") from exc
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from exc
         return out
 
     def to_csv(self, path: str | Path, manifest: str | None = None) -> None:
@@ -137,7 +136,7 @@ def assemble_differences(
     cells where either side is undefined are dropped from both. When rho is
     None it defaults to 1/k, the correlation induced by two folds sharing
     (k-2)/(k-1) of their training data under a k-fold design (see the
-    matching empirical check in the test suite). Raises NoSharedKeys when
+    matching empirical check in the test suite). Raises ValueError when
     no data set yields at least one pair.
     """
     per_dataset_a: dict[str, dict[tuple[int, int], float | None]] = {}
@@ -167,7 +166,7 @@ def assemble_differences(
         rho_val = rho if rho is not None else 1.0 / k
         series.append(DifferenceSeries(dataset_id=dataset, x=np.asarray(kept), rho=rho_val))
     if not series:
-        raise NoSharedKeys(
+        raise ValueError(
             f"no shared scores between {system_a!r} and {system_b!r} for metric {metric!r}"
         )
     return series

@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IndexOutOfRange, TooFewItems
 from .statcore import rng_fork
 
 __all__ = ["SplitPlan", "make_splits", "fold_roles", "read_plan", "write_plan"]
@@ -55,7 +54,7 @@ def make_splits(n_items: int, k: int, m: int, seed: int) -> SplitPlan:
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if n_items < k:
-        raise TooFewItems(f"cannot split {n_items} items into {k} folds")
+        raise ValueError(f"cannot split {n_items} items into {k} folds")
     assignments = np.empty((m, n_items), dtype=np.int64)
     for rep in range(m):
         rng = rng_fork(seed, rep)
@@ -75,9 +74,9 @@ def fold_roles(
     and together cover every item exactly once.
     """
     if not 0 <= repetition < plan.m:
-        raise IndexOutOfRange(f"repetition {repetition} outside range(0, {plan.m})")
+        raise ValueError(f"repetition {repetition} outside range(0, {plan.m})")
     if not 0 <= eval_fold < plan.k:
-        raise IndexOutOfRange(f"fold {eval_fold} outside range(0, {plan.k})")
+        raise ValueError(f"fold {eval_fold} outside range(0, {plan.k})")
     folds = plan.assignments[repetition]
     val_fold = (eval_fold + 1) % plan.k
     eval_idx = np.flatnonzero(folds == eval_fold)

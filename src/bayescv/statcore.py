@@ -22,7 +22,6 @@ __all__ = [
     "StudentT",
     "betainc",
     "std_t_cdf",
-    "t_cdf",
     "t_sample",
     "cs_stats",
     "cs_quad_form",
@@ -60,22 +59,18 @@ class StudentT:
 _lgamma = np.vectorize(math.lgamma, otypes=[float])
 
 
-def _float_or_array(out: np.ndarray) -> float | np.ndarray:
-    return float(out) if out.ndim == 0 else out
-
-
 def _away_from_zero(v: np.ndarray) -> np.ndarray:
     return np.where(np.abs(v) < _CF_TINY, _CF_TINY, v)
 
 
-def betainc(a: ArrayLike, b: ArrayLike, x: ArrayLike) -> float | np.ndarray:
+def betainc(a: ArrayLike, b: ArrayLike, x: ArrayLike) -> np.ndarray:
     """Regularized incomplete beta function I_x(a, b), elementwise.
 
     Numerical Recipes continued fraction (modified Lentz scheme) with the
     symmetry split at x = (a+1)/(a+b+2) so the fraction always converges
     quickly. The inputs broadcast against each other; each iteration
     updates only the entries that have not converged yet. All-scalar
-    inputs give a float.
+    inputs give a 0-d array.
     """
     a, b, x = (np.asarray(v, dtype=float) for v in (a, b, x))
     if not (np.all(a > 0.0) and np.all(b > 0.0)):
@@ -120,11 +115,11 @@ def betainc(a: ArrayLike, b: ArrayLike, x: ArrayLike) -> float | np.ndarray:
         raise ArithmeticError(f"incomplete beta did not converge for {idx.size} entries")
     ratio = front * frac / denom
     out[inside] = np.where(swap, 1.0 - ratio, ratio)
-    return _float_or_array(out)
+    return out
 
 
-def std_t_cdf(z: ArrayLike, dof: ArrayLike) -> float | np.ndarray:
-    """CDF of the standard Student t, elementwise; all-scalar inputs give a float.
+def std_t_cdf(z: ArrayLike, dof: ArrayLike) -> np.ndarray:
+    """CDF of the standard Student t, elementwise; all-scalar inputs give a 0-d array.
 
     The tail mass is computed directly from the incomplete beta and only
     depends on z through z*z, so for z > 0 ``std_t_cdf(-z) == tail`` and
@@ -134,18 +129,7 @@ def std_t_cdf(z: ArrayLike, dof: ArrayLike) -> float | np.ndarray:
     """
     z, dof = np.asarray(z, dtype=float), np.asarray(dof, dtype=float)
     tail = 0.5 * betainc(0.5 * dof, 0.5, dof / (dof + z * z))
-    return _float_or_array(np.where(z < 0.0, tail, 1.0 - tail))
-
-
-def t_cdf(x: float, dist: StudentT) -> float:
-    """P(T <= x) for a location-scale Student t, absolute error below 1e-12.
-
-    A zero scale gives the degenerate step function: 0 left of the
-    location, 1 at and right of it.
-    """
-    if dist.scale == 0.0:
-        return 0.0 if x < dist.location else 1.0
-    return std_t_cdf((x - dist.location) / dist.scale, dist.dof)
+    return np.where(z < 0.0, tail, 1.0 - tail)
 
 
 def t_sample(

@@ -66,6 +66,30 @@ def scores_from_series(series, k: int, base: float, system_a: str, system_b: str
     return matrix
 
 
+def paper_shape_scores(seed: int = 5) -> ScoreMatrix:
+    """Six taggers t0-t5 on data sets d0 and d1, with m = k = 10.
+
+    A score is the data set's base (0.90 for d0, 0.86 for d1), plus the
+    system's offset, plus a fold effect shared by the systems, N(0, 0.004^2)
+    per cell, plus noise N(0, 0.002^2) per score. One generator draws the
+    fold vectors of d0 and d1 first, then each system's noise, data set by
+    data set.
+    """
+    m = k = 10
+    offsets = (0.0, 0.002, 0.01, 0.02, 0.03, 0.05)
+    bases = {"d0": 0.90, "d1": 0.86}
+    rng = np.random.default_rng(seed)
+    fold_effects = {dataset: rng.normal(0.0, 0.004, m * k) for dataset in bases}
+    matrix = ScoreMatrix()
+    for dataset, base in bases.items():
+        for j, offset in enumerate(offsets):
+            noise = rng.normal(0.0, 0.002, m * k)
+            for idx, score in enumerate(base + offset + fold_effects[dataset] + noise):
+                rep, fold = divmod(idx, k)
+                matrix.add(dataset, f"t{j}", "token", rep, fold, score)
+    return matrix
+
+
 def main() -> None:
     write_corpus(build_toy_corpus(), HERE / "toy_corpus.tsv")
 
@@ -83,6 +107,9 @@ def main() -> None:
         rho=0.1, sigma_range=(0.005, 0.01), seed=77,
     )
     scores_from_series(series, 10, 0.5, "alpha", "beta").to_csv(HERE / "null_scores.csv")
+
+    # Six systems in the shape of the paper's experiment.
+    paper_shape_scores().to_csv(HERE / "paper_shape_scores.csv")
     print("fixtures written to", HERE)
 
 

@@ -28,7 +28,7 @@ from bayescv.decision import (
 from bayescv.metrics import TaggedCorpus, oov_accuracy, sentence_accuracy, token_accuracy
 from bayescv.model import ModelConfig, PosteriorChains, correlated_ttest, fit, generate
 from bayescv.scores import DifferenceSeries, ScoreMatrix
-from bayescv.statcore import StudentT, cs_loglik, cs_stats, t_cdf
+from bayescv.statcore import StudentT, cs_loglik, cs_stats, std_t_cdf
 from oracles import dense_cs_loglik, t_logpdf
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -62,9 +62,11 @@ def synthetic_chains(rng: np.random.Generator, draws: int) -> PosteriorChains:
 
 
 def negated(post: PosteriorChains) -> PosteriorChains:
+    """delta0 and every delta_i negated; columns follow parameter_names()."""
+    q = len(post.dataset_ids)
     return PosteriorChains(
         dataset_ids=post.dataset_ids,
-        draws=np.dstack([-post.delta0, post.sigma0, post.nu, -post.deltas, post.sigmas]),
+        draws=post.draws * np.array([-1.0, 1.0, 1.0] + [-1.0] * q + [1.0] * q),
         standardization_constant=post.standardization_constant,
         config=post.config,
     )
@@ -90,7 +92,7 @@ def test_acceptance_1_kernel_exactness():
     for nu in (1.0, 2.0, 5.0, 30.0):
         dist = StudentT(location=0.0, scale=1.0, dof=nu)
         for x in np.linspace(-5.0, 5.0, 21):
-            gap = abs(t_cdf(float(x), dist) - quadrature_t_cdf(float(x), dist))
+            gap = abs(float(std_t_cdf(float(x), nu)) - quadrature_t_cdf(float(x), dist))
             worst_cdf = max(worst_cdf, gap)
     assert worst_cdf <= 1e-10
 
@@ -123,7 +125,7 @@ def test_acceptance_2_decision_algebra():
 
         # Conservation: every draw lands in exactly one counter.
         for triple in triples:
-            assert triple.n_left + triple.n_rope + triple.n_right == post.n_draws
+            assert triple.n_left + triple.n_rope + triple.n_right == post.delta0.size
 
         # Widening the rope on fixed chains never loses rope draws.
         assert triples[0].n_rope <= triples[1].n_rope <= triples[2].n_rope

@@ -23,6 +23,7 @@ from bayescv.scores import ScoreMatrix, assemble_differences
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DELTA3 = FIXTURES / "delta3rope_scores.csv"
+PAPER_SHAPE = FIXTURES / "paper_shape_scores.csv"
 
 FAST = ["--chains", "2", "--draws", "1500", "--warmup", "500"]
 
@@ -500,6 +501,14 @@ class TestCompare:
                  "--metric", "token", "--rope", "0.01", "--out-prefix", tmp_path / "x")
         assert rc == 2
 
+    def test_failed_pair_setup_leaves_no_manifest(self, tmp_path, capsys):
+        rc = run("compare", "--scores", DELTA3, "--a", "alpha", "--b", "nosuch",
+                 "--metric", "token", "--rope", "0.01", "--out-prefix", tmp_path / "pair")
+        assert rc == 2
+        assert ("error: no shared scores between 'alpha' and 'nosuch' for metric 'token'"
+                in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_scores_file_is_io_error(self, tmp_path):
         rc = run("compare", "--scores", tmp_path / "nope.csv", "--a", "a", "--b", "b",
                  "--metric", "token", "--rope", "0.01", "--out-prefix", tmp_path / "x")
@@ -821,6 +830,41 @@ class TestRank:
         for suffix in (".pairs.csv", ".ranking.txt", ".manifest.txt"):
             assert not (tmp_path / f"r{suffix}").exists(), suffix
 
+    def test_failed_pair_setup_leaves_no_manifest(self, tmp_path, capsys):
+        # x and y are scored on different data sets, so their pair has no
+        # shared cell.
+        matrix = ScoreMatrix()
+        for system, dataset in (("x", "d0"), ("y", "d1")):
+            for fold in range(5):
+                matrix.add(dataset, system, "token", 0, fold, 0.8)
+        scores = tmp_path / "disjoint.csv"
+        matrix.to_csv(scores)
+        rc = run("rank", "--scores", scores, "--metric", "token", "--rope", "0.01",
+                 "--out-prefix", tmp_path / "r")
+        assert rc == 2
+        assert ("error: no shared scores between 'x' and 'y' for metric 'token'"
+                in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == [scores]
+
+    def test_paper_shape_separates_the_distant_pairs(self, tmp_path):
+        # Six systems, offsets 0, .002, .01, .02, .03 and .05 on two data
+        # sets: every pair whose offsets differ by 0.02 or more goes to
+        # the second system. The ranking and the near pairs are left
+        # unchecked, since under these short chains they depend on the seed.
+        rc = run("rank", "--scores", PAPER_SHAPE, "--metric", "token", "--rope", "0.01",
+                 "--seed", "0", *FAST, "--out-prefix", tmp_path / "r")
+        assert rc in (0, 3)
+        verdicts = {
+            (row.system_a, row.system_b): row.triple.verdict
+            for row in read_report_csv(tmp_path / "r.pairs.csv")
+        }
+        assert len(verdicts) == 15
+        distant = [
+            ("t0", "t3"), ("t0", "t4"), ("t0", "t5"), ("t1", "t4"), ("t1", "t5"),
+            ("t2", "t4"), ("t2", "t5"), ("t3", "t5"), ("t4", "t5"),
+        ]
+        assert {pair: verdicts[pair] for pair in distant} == dict.fromkeys(distant, "left")
+
     def test_single_system_is_usage_error(self, one_dataset_csv, tmp_path):
         path = ScoreMatrix.from_csvs([one_dataset_csv])
         matrix = ScoreMatrix()
@@ -1084,24 +1128,26 @@ class TestPlot:
         assert "P(rope)=0.000" not in "".join(svgs[0])
 
     @pytest.mark.parametrize(
-        "edit, message",
-        [
-            (lambda text: re.sub(r"(?m)^n_rope=.*\n", "", text), "has no 'n_rope'"),
-            (lambda text: re.sub(r"(?m)^n_left=0$", "n_left=-1", text), "got -1, 0, 3000"),
-            (lambda text: re.sub(r"(?m)^n_left=0$", "n_left=0.0", text), "got 0.0, 0, 3000"),
-            (lambda text: re.sub(r"(?m)^n_left=0$", "n_left=1", text), "summing to 3000 draws"),
-            (lambda text: text + "n_left=0\n", "repeated key 'n_left'"),
-        ],
-        ids=["missing", "negative", "non_integer", "wrong_sum", "repeated"],
+        "case", ["missing", "negative", "non_integer", "wrong_sum", "repeated"]
     )
-    def test_plot_rejects_bad_recorded_counts(
-        self, compare_artifacts, tmp_path, capsys, edit, message
-    ):
+    def test_plot_rejects_bad_recorded_counts(self, compare_artifacts, tmp_path, capsys, case):
         meta = compare_artifacts / "pair.chains.meta.txt"
         text = meta.read_text(encoding="utf-8")
-        assert re.search(r"(?m)^n_left=0\nn_right=3000\nn_rope=0$", text)
+        left, rope, right = (read_kv(meta)[key] for key in ("n_left", "n_rope", "n_right"))
+        total = int(left) + int(rope) + int(right)
+        # Each case: the sidecar line it edits, what replaces it, and the
+        # message plot must print.
+        line = f"n_left={left}\n"
+        old, new, message = {
+            "missing": (f"n_rope={rope}\n", "", "has no 'n_rope'"),
+            "negative": (line, "n_left=-1\n", f"got -1, {rope}, {right}"),
+            "non_integer": (line, f"n_left={left}.0\n", f"got {left}.0, {rope}, {right}"),
+            "wrong_sum": (line, f"n_left={int(left) + 1}\n", f"summing to {total} draws"),
+            "repeated": (line, line + line, "repeated key 'n_left'"),
+        }[case]
+        assert text.count(old) == 1
         edited = tmp_path / "edited.meta.txt"
-        edited.write_text(edit(text), encoding="utf-8")
+        edited.write_text(text.replace(old, new), encoding="utf-8")
         capsys.readouterr()
         rc = run("plot", "--chains", compare_artifacts / "pair.chains.csv", "--meta", edited,
                  "--out-prefix", tmp_path / "fig")

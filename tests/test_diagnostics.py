@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from bayescv.diagnostics import diagnose, effective_sample_size, split_r_hat
+from bayescv.diagnostics import diagnose
 
 
 def iid_chains(n_chains=4, n_draws=5000, seed=0):
@@ -14,32 +14,32 @@ def iid_chains(n_chains=4, n_draws=5000, seed=0):
 
 class TestSplitRHat:
     def test_iid_chains_near_one(self):
-        r = split_r_hat(iid_chains(4, 10_000, seed=1))
+        r = diagnose(iid_chains(4, 10_000, seed=1)).r_hat
         assert 0.999 < r < 1.01
 
     def test_offset_chain_flagged(self):
         draws = iid_chains(4, 2000, seed=2)
         draws[0] += 3.0
-        assert split_r_hat(draws) > 1.2
+        assert diagnose(draws).r_hat > 1.2
 
     def test_trending_chain_flagged(self):
         # Split halves disagree when a chain drifts, even with one chain.
         draws = np.linspace(0.0, 1.0, 4000)[None, :] + iid_chains(1, 4000, seed=3) * 0.01
-        assert split_r_hat(draws) > 1.5
+        assert diagnose(draws).r_hat > 1.5
 
     def test_constant_chains_give_nan(self):
-        assert math.isnan(split_r_hat(np.ones((4, 100))))
+        assert math.isnan(diagnose(np.ones((4, 100))).r_hat)
 
     def test_needs_enough_draws(self):
         with pytest.raises(ValueError):
-            split_r_hat(np.zeros((2, 3)))
+            diagnose(np.zeros((2, 3)))
 
 
 class TestEffectiveSampleSize:
     def test_iid_is_near_total(self):
         draws = iid_chains(4, 5000, seed=4)
         total = draws.size
-        ess = effective_sample_size(draws)
+        ess = diagnose(draws).ess
         assert 0.75 * total < ess <= total
 
     def test_autocorrelated_is_smaller(self):
@@ -53,7 +53,7 @@ class TestEffectiveSampleSize:
                 x[t] = phi * x[t - 1] + math.sqrt(1 - phi * phi) * rng.normal()
             chains.append(x)
         draws = np.stack(chains)
-        ess = effective_sample_size(draws)
+        ess = diagnose(draws).ess
         # AR(1) theory: ess ratio is (1-phi)/(1+phi), about 1/19 here.
         expected = draws.size * (1 - phi) / (1 + phi)
         assert 0.5 * expected < ess < 2.0 * expected
@@ -62,10 +62,10 @@ class TestEffectiveSampleSize:
         rng = np.random.default_rng(6)
         x = rng.normal(size=(4, 500))
         x[:, 1::2] *= -1  # induce negative autocorrelation
-        assert effective_sample_size(x) <= x.size
+        assert diagnose(x).ess <= x.size
 
     def test_constant_gives_nan(self):
-        assert math.isnan(effective_sample_size(np.zeros((2, 100))))
+        assert math.isnan(diagnose(np.zeros((2, 100))).ess)
 
 
 class TestDiagnose:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from bayescv.errors import IndexOutOfRange, TooFewItems
 from bayescv.splits import SplitPlan, fold_roles, make_splits, read_plan, write_plan
 
 
@@ -64,7 +63,7 @@ class TestMakeSplits:
             make_splits(10, 1, 1, seed=0)
         with pytest.raises(ValueError):
             make_splits(10, 5, 0, seed=0)
-        with pytest.raises(TooFewItems):
+        with pytest.raises(ValueError, match=r"^cannot split 4 items into 5 folds$"):
             make_splits(4, 5, 1, seed=0)
         with pytest.raises(ValueError):
             make_splits(10, 5, 1, seed=-1)
@@ -97,11 +96,11 @@ class TestFoldRoles:
 
     def test_index_errors(self):
         plan = make_splits(20, 4, 2, seed=0)
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(ValueError, match=r"^repetition 2 outside range\(0, 2\)$"):
             fold_roles(plan, 2, 0)
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(ValueError, match=r"^fold 4 outside range\(0, 4\)$"):
             fold_roles(plan, 0, 4)
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(ValueError, match=r"^repetition -1 outside range\(0, 2\)$"):
             fold_roles(plan, -1, 0)
 
 
