@@ -11,7 +11,6 @@ a region of practical equivalence.
 __version__ = "0.1.0"
 
 from .decision import DecisionTriple, RopeInterval, rank, region_probs, tally
-from .errors import BayescvError
 from .metrics import TaggedCorpus, oov_accuracy, sentence_accuracy, token_accuracy
 from .model import ModelConfig, PosteriorChains, correlated_ttest, fit, generate
 from .scores import DifferenceSeries, ScoreMatrix, assemble_differences
@@ -19,7 +18,6 @@ from .splits import SplitPlan, fold_roles, make_splits
 from .statcore import StudentT, rng_fork, t_sample
 
 __all__ = [
-    "BayescvError",
     "DecisionTriple",
     "DifferenceSeries",
     "ModelConfig",

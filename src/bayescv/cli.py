@@ -36,7 +36,6 @@ from .decision import (
     ttest_triple,
     write_report_csv,
 )
-from .errors import BayescvError, CommandFailed, OutputUnreadable
 from .manifest import RunManifest, file_digest, read_kv, write_kv, write_manifest
 from .metrics import read_corpus
 from .model import (
@@ -53,7 +52,7 @@ from .model import (
     write_chains_csv,
 )
 from .plotting import draws_to_points, plotted_indices, points_from_triples, render_simplex_svg
-from .runner import DEFAULT_METRICS, run_external
+from .runner import DEFAULT_METRICS, CommandFailed, run_external
 from .scores import DifferenceSeries, ScoreMatrix, assemble_differences
 from .splits import make_splits, read_plan, write_plan
 from .statcore import StudentT
@@ -511,12 +510,12 @@ def cmd_rank(args: argparse.Namespace) -> int:
         pool.shutdown(cancel_futures=True)
 
     rows: list[ReportRow] = []
-    verdicts: dict[tuple[str, str], DecisionTriple] = {}
+    verdicts: dict[tuple[str, str], str] = {}
     all_converged = True
     for i, pair in enumerate(pairs):
         row, converged = fitted.get(i) or _finish_pair(pair, None, args, config)
         rows.append(row)
-        verdicts[(pair.system_a, pair.system_b)] = row.triple
+        verdicts[(pair.system_a, pair.system_b)] = row.triple.verdict
         all_converged = all_converged and converged
         t = row.triple
         _log(
@@ -639,15 +638,15 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (CommandFailed, OutputUnreadable) as exc:
+    except CommandFailed as exc:
         _log(f"error: {exc}")
-        if isinstance(exc, CommandFailed) and exc.stderr:
+        if exc.stderr:
             _log(exc.stderr)
         return EXIT_IO
     except OSError as exc:
         _log(f"error: {exc}")
         return EXIT_IO
-    except (BayescvError, ValueError) as exc:
+    except ValueError as exc:
         _log(f"error: {exc}")
         return EXIT_USAGE
 

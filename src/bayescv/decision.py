@@ -253,14 +253,13 @@ class RankResult:
         return self.chain is not None
 
 
-def rank(verdicts: Mapping[tuple[str, str], str | DecisionTriple]) -> RankResult:
+def rank(verdicts: Mapping[tuple[str, str], str]) -> RankResult:
     """Aggregate pairwise verdicts into a partial order.
 
-    ``verdicts`` maps each ordered pair (a, b) to its verdict ("left"
+    ``verdicts`` maps each ordered pair (a, b) to its verdict: "left"
     means b wins, "right" means a wins, "rope" means practically
-    equivalent) or to the DecisionTriple itself. Every unordered pair of
-    the mentioned systems must appear exactly once in either orientation;
-    otherwise ValueError is raised.
+    equivalent. Every unordered pair of the mentioned systems must appear
+    exactly once in either orientation; otherwise ValueError is raised.
     """
     systems = sorted({name for pair in verdicts for name in pair})
     if len(systems) < 2:
@@ -275,8 +274,6 @@ def rank(verdicts: Mapping[tuple[str, str], str | DecisionTriple]) -> RankResult
         if key in seen:
             raise ValueError(f"pair {a!r}/{b!r} appears more than once")
         seen[key] = (a, b)
-        if isinstance(verdict, DecisionTriple):
-            verdict = verdict.verdict
         if verdict == "rope":
             better[key] = None
             labels.append((a, "≈", b))

@@ -110,17 +110,20 @@ def write_kv(path: str | Path, values: dict[str, str]) -> None:
 def read_kv(path: str | Path) -> dict[str, str]:
     """Inverse of write_kv; blank lines are skipped, a repeated key is a ValueError."""
     out: dict[str, str] = {}
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, _, value = line.partition("=")
-            if key in out:
-                raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
-            out[key] = value
+    try:
+        with Path(path).open("r", encoding="utf-8") as handle:
+            for lineno, raw in enumerate(handle, start=1):
+                line = raw.rstrip("\n")
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise ValueError(f"{path}:{lineno}: expected key=value")
+                key, _, value = line.partition("=")
+                if key in out:
+                    raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
+                out[key] = value
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     return out
 
 
@@ -147,19 +150,22 @@ def read_table(path: str | Path, columns: Sequence[str]) -> Iterator[tuple[int, 
     """
     path = Path(path)
     # utf-8-sig drops the byte-order mark that spreadsheet programs write.
-    with path.open("r", encoding="utf-8-sig", newline="") as handle:
-        # A comment line reads as an empty one, so reader.line_num counts
-        # the file's lines.
-        reader = csv.reader("" if line.startswith("#") else line for line in handle)
-        header = next(filter(None, reader), None)
-        if header is None or tuple(h.strip() for h in header) != tuple(columns):
-            raise ValueError(f"{path}: expected header {','.join(columns)}, got {header}")
-        start = reader.line_num + 1
-        for row in reader:
-            # A quoted line break spans lines: name the first.
-            lineno, start = start, reader.line_num + 1
-            if not row:
-                continue
-            if len(row) != len(columns):
-                raise ValueError(f"{path}:{lineno}: expected {len(columns)} fields")
-            yield lineno, row
+    try:
+        with path.open("r", encoding="utf-8-sig", newline="") as handle:
+            # A comment line reads as an empty one, so reader.line_num
+            # counts the file's lines.
+            reader = csv.reader("" if line.startswith("#") else line for line in handle)
+            header = next(filter(None, reader), None)
+            if header is None or tuple(h.strip() for h in header) != tuple(columns):
+                raise ValueError(f"{path}: expected header {','.join(columns)}, got {header}")
+            start = reader.line_num + 1
+            for row in reader:
+                # A quoted line break spans lines: name the first.
+                lineno, start = start, reader.line_num + 1
+                if not row:
+                    continue
+                if len(row) != len(columns):
+                    raise ValueError(f"{path}:{lineno}: expected {len(columns)} fields")
+                yield lineno, row
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -9,11 +9,13 @@ with one split; each sentence keeps its block as its text instead of
 rendering it again, and a file with a bad block is walked line by line
 only to name the first bad line.
 
-The accuracies compare a predicted corpus with the aligned gold corpus;
-the out-of-vocabulary accuracy counts only tokens outside a given set of
-known token forms. Only the gold tokens are looked up in it, so the
-runner passes the evaluation fold's token types that its training data
-also holds, not the whole training vocabulary.
+The accuracies compare a predicted corpus with the aligned gold corpus,
+and raise ValueError when the two do not align; the out-of-vocabulary
+accuracy counts only tokens outside a given set of known token forms,
+and is None when there are none. Only the gold tokens are looked up in
+it, so the runner passes the evaluation fold's token types that its
+training data also holds, not the whole training vocabulary. A file that
+does not decode, or that breaks the format, is a ValueError naming it.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ from itertools import chain, compress
 from operator import eq
 from pathlib import Path
 from typing import AbstractSet, Iterable, NoReturn
-
-from .errors import NoOovTokens, ShapeMismatch, TokenMismatch
 
 __all__ = [
     "Sentence",
@@ -125,14 +125,14 @@ def _check_aligned(gold: TaggedCorpus, predicted: TaggedCorpus) -> None:
     if [s.tokens for s in gold.sentences] == [s.tokens for s in predicted.sentences]:
         return
     if gold.n_sentences != predicted.n_sentences:
-        raise ShapeMismatch(
+        raise ValueError(
             f"gold has {gold.n_sentences} sentences, prediction has {predicted.n_sentences}"
         )
     for idx, (g, p) in enumerate(zip(gold.sentences, predicted.sentences)):
         if g.tokens != p.tokens:
             if len(g) != len(p):
-                raise ShapeMismatch(f"sentence {idx}: gold has {len(g)} tokens, prediction has {len(p)}")
-            raise TokenMismatch(f"sentence {idx}: tokens differ between gold and prediction")
+                raise ValueError(f"sentence {idx}: gold has {len(g)} tokens, prediction has {len(p)}")
+            raise ValueError(f"sentence {idx}: tokens differ between gold and prediction")
 
 
 def token_accuracy(gold: TaggedCorpus, predicted: TaggedCorpus) -> float:
@@ -152,17 +152,19 @@ def sentence_accuracy(gold: TaggedCorpus, predicted: TaggedCorpus) -> float:
     return correct / gold.n_sentences
 
 
-def oov_accuracy(known: AbstractSet[str], gold: TaggedCorpus, predicted: TaggedCorpus) -> float:
+def oov_accuracy(
+    known: AbstractSet[str], gold: TaggedCorpus, predicted: TaggedCorpus
+) -> float | None:
     """Token accuracy restricted to gold tokens not in ``known``.
 
-    Raises NoOovTokens when every gold token is in-vocabulary, because the
-    metric has no defined value there.
+    None when every gold token is in-vocabulary, because the metric has
+    no defined value there.
     """
     _check_aligned(gold, predicted)
     oov = [tok not in known for sent in gold.sentences for tok in sent.tokens]
     gold_tags = list(compress(chain.from_iterable([s.tags for s in gold.sentences]), oov))
     if not gold_tags:
-        raise NoOovTokens("every token is in the vocabulary")
+        return None
     predicted_tags = compress(chain.from_iterable([s.tags for s in predicted.sentences]), oov)
     return sum(map(eq, gold_tags, predicted_tags)) / len(gold_tags)
 
@@ -195,7 +197,10 @@ def read_corpus(path: str | Path) -> TaggedCorpus:
     path = Path(path)
     data = path.read_bytes()
     # utf-8-sig drops the byte-order mark that spreadsheet programs write.
-    text = data.decode("utf-8-sig").replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        text = data.decode("utf-8-sig").replace("\r\n", "\n").replace("\r", "\n")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     # Once no line holds two tabs, a block with as many tabs as lines holds
     # exactly one on each line.
     if b"\t\t" in data.translate(None, _NOT_SEPARATOR):

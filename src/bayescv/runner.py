@@ -23,6 +23,10 @@ The out-of-vocabulary accuracy looks up only evaluation tokens, so a
 round passes ``oov_accuracy`` the evaluation fold's token types that a
 training fold (or the dev fold, under "train+dev") also holds: the same
 membership as its training vocabulary, from a per-repetition index.
+
+Bad arguments raise ValueError. A round whose command cannot run, fails
+or times out, or whose prediction is missing, malformed or misaligned
+with the gold, raises CommandFailed naming the round.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import CommandFailed, NoOovTokens, OutputUnreadable, ShapeMismatch, TokenMismatch
 from .metrics import (
     TaggedCorpus,
     oov_accuracy,
@@ -52,9 +55,19 @@ from .metrics import (
 from .scores import ScoreMatrix
 from .splits import SplitPlan, fold_roles
 
-__all__ = ["run_external", "DEFAULT_METRICS"]
+__all__ = ["run_external", "CommandFailed", "DEFAULT_METRICS"]
 
 DEFAULT_METRICS = ("token", "sentence", "oov")
+
+
+class CommandFailed(Exception):
+    """External work failed: a command that did not run to a zero exit, or
+    a prediction it left missing, malformed or misaligned with the gold."""
+
+    def __init__(self, message: str, returncode: int | None = None, stderr: str = ""):
+        super().__init__(message)
+        self.returncode = returncode
+        self.stderr = stderr
 
 
 def _split_template(command_template: str) -> list[str]:
@@ -156,11 +169,11 @@ def _score_round(
                 stderr=proc.stderr.decode("utf-8", errors="replace")[-2000:],
             )
         if not paths["pred"].exists():
-            raise OutputUnreadable(f"round ({rep}, {fold}): command wrote no file at {paths['pred']}")
+            raise CommandFailed(f"round ({rep}, {fold}): command wrote no file at {paths['pred']}")
         try:
             predicted = read_corpus(paths["pred"])
         except ValueError as exc:
-            raise OutputUnreadable(f"round ({rep}, {fold}): {exc}") from exc
+            raise CommandFailed(f"round ({rep}, {fold}): {exc}") from exc
         if "oov" in metrics:
             # fold_roles took val_idx from the round's dev fold.
             known = fold_types.known(rep, fold, int(plan.assignments[rep][val_idx[0]]))
@@ -173,12 +186,9 @@ def _score_round(
                 elif metric == "sentence":
                     out[metric] = sentence_accuracy(gold, predicted)
                 else:
-                    try:
-                        out[metric] = oov_accuracy(known, gold, predicted)
-                    except NoOovTokens:
-                        out[metric] = None
-        except (ShapeMismatch, TokenMismatch) as exc:
-            raise OutputUnreadable(f"round ({rep}, {fold}): prediction misaligned: {exc}") from exc
+                    out[metric] = oov_accuracy(known, gold, predicted)
+        except ValueError as exc:
+            raise CommandFailed(f"round ({rep}, {fold}): prediction misaligned: {exc}") from exc
         return out
 
     if workdir is None:

@@ -101,8 +101,8 @@ def write_plan(plan: SplitPlan, path: str | Path, manifest: str | None = None) -
 
 
 def read_plan(path: str | Path) -> SplitPlan:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
     try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
         plan = SplitPlan(
             n_items=int(doc["n_items"]),
             k=int(doc["k"]),

@@ -160,16 +160,24 @@ class TestScore:
                  "--out-prefix", tmp_path / "s")
         assert rc == 4
 
-    def test_failing_command_is_io_error(self, tmp_path):
-        corpus = tmp_path / "corpus.tsv"
-        self._write_corpus(corpus)
-        assert run("split", "--n", 12, "--k", 3, "--m", 1, "--seed", 5,
-                   "--out-prefix", tmp_path / "c") == 0
-        rc = run("score", "--plan", tmp_path / "c.plan.json", "--corpus", corpus,
-                 "--dataset", "toy", "--system", "boom",
-                 "--command", "sh -c 'exit 3' run {test} {pred}",
-                 "--out-prefix", tmp_path / "boom")
-        assert rc == 4
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            ("sh -c 'exit 3' run {test} {pred}", r"command exited with 3: sh -c 'exit 3' run \S+test\.tsv \S+pred\.tsv"),
+            ("true {test} {pred}", r"command wrote no file at \S+pred\.tsv"),
+            ("sh -c 'echo garbage-without-tab > {pred}' run {test}",
+             r"\S+pred\.tsv:1: expected 'token<TAB>tag', got 'garbage-without-tab'"),
+            ("""sh -c 'printf "wrong\\tX\\n\\n" > {pred}' run {test}""",
+             "prediction misaligned: gold has 4 sentences, prediction has 1"),
+        ],
+        ids=["nonzero_exit", "no_prediction", "malformed_prediction", "misaligned_prediction"],
+    )
+    def test_failing_command_is_io_error(self, tmp_path, capsys, command, message):
+        assert self._split_and_score(tmp_path, command, system="boom") == 4
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1
+        assert re.fullmatch(rf"error: round \(0, 0\): {message}", errors[0]), errors[0]
+        assert not (tmp_path / "boom.scores.csv").exists()
 
     @pytest.mark.parametrize(
         "command, message",
@@ -1264,3 +1272,33 @@ class TestManifest:
                        "--out-prefix", prefix) == 0
             recorded.append(read_kv(f"{prefix}.manifest.txt")["param[nu_prior]"])
         assert recorded == ["2.0,0.1"] * 3
+
+
+class TestUnreadableInput:
+    # Each reader: the bad file's bytes (a plan that is not JSON, the rest
+    # not UTF-8) and the command line that feeds it to the reader.
+    SCORE = ["--dataset", "d", "--system", "s", "--command", "cp {test} {pred}"]
+    CASES = {
+        "plan": (b"not json\n", ["score", "--plan", "{bad}", "--corpus", "{corpus}", *SCORE]),
+        "corpus": (b"\xff", ["score", "--plan", "{plan}", "--corpus", "{bad}", *SCORE]),
+        "scores": (b"\xff", ["compare", "--scores", "{bad}", "--a", "a", "--b", "b",
+                             "--metric", "token", "--rope", "0.01"]),
+        "report": (b"\xff", ["plot", "--report", "{bad}"]),
+        "sidecar": (b"chains=2\nx=\xff\n", ["plot", "--chains", "{chains}", "--meta", "{bad}"]),
+    }
+
+    @pytest.mark.parametrize("reader", list(CASES))
+    def test_error_names_the_file(self, tmp_path, capsys, reader):
+        content, argv = self.CASES[reader]
+        bad = tmp_path / f"bad.{reader}"
+        bad.write_bytes(content)
+        assert run("split", "--n", 200, "--k", 4, "--m", 1, "--out-prefix", tmp_path / "c") == 0
+        (tmp_path / "x.chains.csv").write_text("delta0\n0.1\n", encoding="utf-8")
+        paths = {"{bad}": bad, "{corpus}": FIXTURES / "toy_corpus.tsv",
+                 "{plan}": tmp_path / "c.plan.json", "{chains}": tmp_path / "x.chains.csv"}
+        capsys.readouterr()
+        assert run(*[paths.get(a, a) for a in argv], "--out-prefix", tmp_path / "out") == 2
+        cause = ("not a valid split plan: Expecting value" if reader == "plan"
+                 else "'utf-8' codec can't decode byte 0xff")
+        assert f"\nerror: {bad}: {cause}" in "\n" + capsys.readouterr().err
+        assert not list(tmp_path.glob("out.*"))

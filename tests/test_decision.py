@@ -327,16 +327,6 @@ class TestRank:
         assert result.chain == "a ≈ b ≈ c"
         assert result.classes == (("a", "b", "c"),)
 
-    def test_triples_accepted_directly(self):
-        result = rank(
-            {
-                ("a", "b"): DecisionTriple(n_left=90, n_rope=5, n_right=5),
-                ("a", "c"): DecisionTriple(n_left=80, n_rope=10, n_right=10),
-                ("b", "c"): DecisionTriple(n_left=70, n_rope=20, n_right=10),
-            }
-        )
-        assert result.chain == "a < b < c"
-
     def test_labels_preserved(self):
         result = rank({("x", "y"): "right"})
         assert result.labels == (("x", ">", "y"),)

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from bayescv.errors import NoOovTokens, ShapeMismatch, TokenMismatch
 from bayescv.metrics import (
     Sentence,
     TaggedCorpus,
@@ -90,14 +89,13 @@ class TestHandCounts:
 
     def test_no_oov_tokens(self):
         vocab = vocabulary_of(GOLD)
-        with pytest.raises(NoOovTokens):
-            oov_accuracy(vocab, GOLD, PRED)
+        assert oov_accuracy(vocab, GOLD, PRED) is None
 
 
 class TestValidation:
     def test_shape_mismatch(self):
         shorter = corpus([("the", "DET"), ("cat", "NOUN"), ("sat", "VERB")])
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ValueError, match="^gold has 2 sentences, prediction has 1$"):
             token_accuracy(GOLD, shorter)
 
     def test_length_mismatch_within_sentence(self):
@@ -105,7 +103,7 @@ class TestValidation:
             [("the", "DET"), ("cat", "NOUN")],
             [("dogs", "NOUN"), ("bark", "VERB")],
         )
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ValueError, match="^sentence 0: gold has 3 tokens, prediction has 2$"):
             token_accuracy(GOLD, other)
 
     def test_token_mismatch(self):
@@ -113,7 +111,7 @@ class TestValidation:
             [("the", "DET"), ("dog", "NOUN"), ("sat", "VERB")],
             [("dogs", "NOUN"), ("bark", "VERB")],
         )
-        with pytest.raises(TokenMismatch):
+        with pytest.raises(ValueError, match="^sentence 0: tokens differ between gold and prediction$"):
             token_accuracy(GOLD, other)
 
     def test_sentence_fields_validated(self):
@@ -198,12 +196,7 @@ class TestAccuraciesMatchReference:
             g, p = corpus(*gold_s), corpus(*pred_s)
             vocab = frozenset(f"w{i}" for i in range(30) if rng.random() < 0.7)
             assert token_accuracy(g, p) == reference_token_accuracy(g, p)
-            want = reference_oov_accuracy(vocab, g, p)
-            if want is None:
-                with pytest.raises(NoOovTokens):
-                    oov_accuracy(vocab, g, p)
-            else:
-                assert oov_accuracy(vocab, g, p) == want
+            assert oov_accuracy(vocab, g, p) == reference_oov_accuracy(vocab, g, p)
 
     def test_sentence_order_does_not_matter_for_token_accuracy(self):
         g2 = corpus(
@@ -472,14 +465,12 @@ class TestAlignmentErrors:
     @staticmethod
     def reference_error(gold, predicted):
         if gold.n_sentences != predicted.n_sentences:
-            return ShapeMismatch(
-                f"gold has {gold.n_sentences} sentences, prediction has {predicted.n_sentences}"
-            )
+            return f"gold has {gold.n_sentences} sentences, prediction has {predicted.n_sentences}"
         for idx, (g, p) in enumerate(zip(gold.sentences, predicted.sentences)):
             if len(g) != len(p):
-                return ShapeMismatch(f"sentence {idx}: gold has {len(g)} tokens, prediction has {len(p)}")
+                return f"sentence {idx}: gold has {len(g)} tokens, prediction has {len(p)}"
             if g.tokens != p.tokens:
-                return TokenMismatch(f"sentence {idx}: tokens differ between gold and prediction")
+                return f"sentence {idx}: tokens differ between gold and prediction"
         return None
 
     @pytest.mark.parametrize(
@@ -500,9 +491,9 @@ class TestAlignmentErrors:
     def test_same_exception_and_index(self, predicted):
         want = self.reference_error(GOLD, predicted)
         for accuracy in (token_accuracy, sentence_accuracy):
-            with pytest.raises(type(want)) as got:
+            with pytest.raises(ValueError) as got:
                 accuracy(GOLD, predicted)
-            assert str(got.value) == str(want)
-        with pytest.raises(type(want)) as got:
+            assert str(got.value) == want
+        with pytest.raises(ValueError) as got:
             oov_accuracy(frozenset(), GOLD, predicted)
-        assert str(got.value) == str(want)
+        assert str(got.value) == want

@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 from bayescv import runner
-from bayescv.errors import CommandFailed, OutputUnreadable
 from bayescv.metrics import TaggedCorpus, read_corpus
-from bayescv.runner import run_external
+from bayescv.runner import CommandFailed, run_external
 from bayescv.splits import SplitPlan, fold_roles, make_splits
 from test_metrics import (
     reference_oov_accuracy,
@@ -275,29 +274,32 @@ class TestFailureModes:
 
     def test_missing_prediction_file(self, toy_corpus):
         plan = make_splits(200, 4, 1, seed=1)
-        with pytest.raises(OutputUnreadable):
+        with pytest.raises(CommandFailed, match=r"^round \(0, 0\): command wrote no file at ") as info:
             run_external(
                 plan, toy_corpus, "true {test} {pred}",
                 dataset_id="toy", system_id="noop", metrics=("token",),
             )
+        assert (info.value.returncode, info.value.stderr) == (None, "")
 
     def test_malformed_prediction_file(self, toy_corpus):
         plan = make_splits(200, 4, 1, seed=1)
         command = "sh -c 'echo garbage-without-tab > {pred}' run {test}"
-        with pytest.raises(OutputUnreadable):
+        with pytest.raises(CommandFailed, match=r"^round \(0, 0\): .*pred\.tsv:1: expected") as info:
             run_external(
                 plan, toy_corpus, command,
                 dataset_id="toy", system_id="junk", metrics=("token",),
             )
+        assert (info.value.returncode, info.value.stderr) == (None, "")
 
     def test_misaligned_tokens_rejected(self, toy_corpus):
         plan = make_splits(200, 4, 1, seed=1)
         command = "sh -c 'printf \"wrong\\tX\\n\\n\" > {pred}' run {test}"
-        with pytest.raises(OutputUnreadable):
+        with pytest.raises(CommandFailed, match=r"^round \(0, 0\): prediction misaligned: ") as info:
             run_external(
                 plan, toy_corpus, command,
                 dataset_id="toy", system_id="mis", metrics=("token",),
             )
+        assert (info.value.returncode, info.value.stderr) == (None, "")
 
     @pytest.mark.parametrize("template", ["true {train} {test}", "cp {{test}} {pred}"])
     def test_template_must_mention_placeholders(self, toy_plan, toy_corpus, template):
