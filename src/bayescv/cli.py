@@ -29,6 +29,7 @@ from .decision import (
     ReportRow,
     RopeInterval,
     check_draws,
+    classify_draws,
     rank,
     read_report_csv,
     rope_from_differences,
@@ -143,14 +144,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_plot = sub.add_parser("plot", help="render a simplex plot from chains or a report")
     source = p_plot.add_mutually_exclusive_group(required=True)
-    source.add_argument("--chains", default=None, help="chains CSV from the compare command")
-    source.add_argument("--report", default=None, help="report CSV (one point per row)")
-    p_plot.add_argument(
-        "--meta",
-        default=None,
-        help="chains metadata file (default: the chains path with its last suffix "
-        "replaced by .meta.txt, the file compare writes)",
+    source.add_argument(
+        "--chains", default=None, help="chains CSV from compare, read with its .meta.txt sidecar"
     )
+    source.add_argument("--report", default=None, help="report CSV (one point per row)")
     p_plot.add_argument(
         "--rope", type=float, default=None, help="rope halfwidth (default: from metadata)"
     )
@@ -543,7 +540,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
         raise ValueError(f"--max-points must be >= 1, got {args.max_points}")
     digests: dict[str, str] = {}
     if args.chains is not None:
-        meta_path = Path(args.meta) if args.meta else Path(args.chains).with_suffix(".meta.txt")
+        meta_path = Path(args.chains).with_suffix(".meta.txt")
         # One pass over the bytes: checked against the sidecar below and
         # recorded in the manifest.
         with _stage("hash chains"):
@@ -551,7 +548,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
         # The draws are on the standardized scale; only the sidecar holds
         # the constant that maps the rope onto it.
         if not meta_path.is_file():
-            raise ValueError(f"chains metadata not found at {meta_path}; pass --meta")
+            raise ValueError(f"chains metadata not found at {meta_path}")
         meta = read_kv(meta_path)
         required = ("standardization_constant", "chains", "draws_per_chain", "chains_sha256")
         for key in required + (_COUNT_KEYS if args.rope is None else ()):
@@ -583,8 +580,8 @@ def cmd_plot(args: argparse.Namespace) -> int:
                 raise ValueError("no --rope given and none recorded in the chain metadata")
             rope_raw = float(meta["rope_halfwidth"])
         rope = RopeInterval(rope_raw).scaled(float(meta["standardization_constant"]))
-        # Every parsed draw is checked. Without --rope only the plotted
-        # ones are classified: the sidecar's counts cover them all.
+        # Every parsed draw is checked. The annotated triple counts every
+        # draw: the sidecar's counts, or with --rope a recount.
         check_draws(*draws)
         if args.rope is None:
             counts = [meta[key] for key in _COUNT_KEYS]
@@ -594,23 +591,25 @@ def cmd_plot(args: argparse.Namespace) -> int:
                     f"{meta_path}: {', '.join(_COUNT_KEYS)} must be non-negative integers "
                     f"summing to {n_draws} draws, got {', '.join(counts)}"
                 )
-            draws = [column[plotted_indices(n_draws, args.max_points)] for column in draws]
+            triple = DecisionTriple(*map(int, counts))
+        else:
+            triple = classify_draws(*draws, rope)[1]
+        shown = plotted_indices(n_draws, args.max_points)
         label_a = meta.get("system_a", "system a")
         label_b = meta.get("system_b", "system b")
         inputs = [args.chains, str(meta_path)]
         with _stage("points"):
-            points, triple = draws_to_points(*draws, rope.halfwidth)
-        if args.rope is None:
-            triple = DecisionTriple(*map(int, counts))
+            points = draws_to_points(*(column[shown] for column in draws), rope.halfwidth)[0]
         title = args.title or f"{label_a} vs {label_b}"
     else:
         rows = read_report_csv(args.report)
-        points = points_from_triples([r.triple for r in rows])
+        n_draws = len(rows)
+        shown = plotted_indices(n_draws, args.max_points)
+        points = points_from_triples([rows[i].triple for i in shown])
         triple = rows[0].triple if len(rows) == 1 else None
         label_a = rows[0].system_a if len(rows) == 1 else "right region"
         label_b = rows[0].system_b if len(rows) == 1 else "left region"
         inputs = [args.report]
-        n_draws = len(rows)
         title = args.title or (f"{label_a} vs {label_b}" if len(rows) == 1 else "pairwise triples")
     manifest_path = _write_manifest(args, inputs, digests)
     with _stage("render"):
@@ -621,7 +620,6 @@ def cmd_plot(args: argparse.Namespace) -> int:
             triple=triple,
             title=title,
             manifest=str(manifest_path),
-            max_points=args.max_points,
         )
     svg_path = _output(args, ".svg")
     svg_path.write_text(svg, encoding="utf-8")

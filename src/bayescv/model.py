@@ -634,12 +634,10 @@ def read_chains_csv(
         line = handle.readline()
         while line.startswith(b"#"):
             line = handle.readline()
-        header = next(csv.reader([line.decode("utf-8")]), [])
-        if header == ["chain", "draw", "parameter", "value"]:
-            raise ValueError(
-                f"{path}: long-format chains file from an older bayescv; "
-                "re-run compare to regenerate it"
-            )
+        try:
+            header = next(csv.reader([line.decode("utf-8")]), [])
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
         params = header[2:]
         if header[:2] != ["chain", "draw"] or not params:
             raise ValueError(f"{path}: expected header chain,draw,<parameters>, got {header}")

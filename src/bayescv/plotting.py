@@ -66,18 +66,16 @@ def render_simplex_svg(
     triple: DecisionTriple | None = None,
     title: str | None = None,
     manifest: str | None = None,
-    max_points: int = 5000,
 ) -> str:
     """Render points (N, 2 simplex coordinates) into an SVG document string.
 
-    At most ``max_points`` points are drawn, those ``plotted_indices``
-    picks, so huge chains stay viewable and the file bounded. Corner
-    annotations show the final probabilities when a triple is given.
+    Every point given is drawn; callers thin huge chains with
+    ``plotted_indices`` first. Corner annotations show the final
+    probabilities when a triple is given.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 2:
         raise ValueError(f"points must have shape (n, 2), got {points.shape}")
-    points = points[plotted_indices(points.shape[0], max_points)]
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',

@@ -1,6 +1,6 @@
 """Score storage and pairing.
 
-Scores live in a long-format CSV with header
+Scores live in a CSV of one row per score, with header
 ``dataset,system,metric,repetition,fold,score`` where score is a decimal
 in [0, 1] or ``NA`` for an undefined value (for example out-of-vocabulary
 accuracy on a fold with no out-of-vocabulary tokens). Rows may appear in

@@ -927,6 +927,24 @@ class TestPlot:
         assert svg.count("<circle") == 1
         assert "P(rope)=" in svg
 
+    def test_plot_from_report_draws_max_points(self, tmp_path):
+        # Four systems on one data set: rank writes one row per pair.
+        rng = np.random.default_rng(11)
+        matrix = ScoreMatrix()
+        for offset, system in enumerate(("s0", "s1", "s2", "s3")):
+            for rep in range(2):
+                for fold in range(5):
+                    value = 0.70 + 0.02 * offset + rng.normal(0.0, 0.003)
+                    matrix.add("d0", system, "token", rep, fold, value)
+        scores = tmp_path / "four.scores.csv"
+        matrix.to_csv(scores)
+        assert run("rank", "--scores", scores, "--metric", "token", "--rope", "0.01",
+                   "--out-prefix", tmp_path / "r") == 0
+        assert len(read_report_csv(tmp_path / "r.pairs.csv")) == 6
+        assert run("plot", "--report", tmp_path / "r.pairs.csv", "--max-points", "4",
+                   "--out-prefix", tmp_path / "fig") == 0
+        assert (tmp_path / "fig.svg").read_text(encoding="utf-8").count("<circle") == 4
+
     def test_plot_needs_rope_from_somewhere(self, compare_artifacts, tmp_path):
         # A bare copy of the chains has no sidecar (c.meta.txt) next to
         # it, and the draws cannot be classified without one.
@@ -967,13 +985,14 @@ class TestPlot:
         rc = run("compare", "--scores", one_dataset_csv, "--a", "alpha", "--b", "beta",
                  "--metric", "token", "--rope", "0.03", "--out-prefix", tmp_path / "one")
         assert rc == 0
-        other = tmp_path / "one.chains.meta.txt"
+        meta = compare_artifacts / "pair.chains.meta.txt"
+        meta.write_bytes((tmp_path / "one.chains.meta.txt").read_bytes())
         capsys.readouterr()
-        rc = run("plot", "--chains", compare_artifacts / "pair.chains.csv", "--meta", other,
+        rc = run("plot", "--chains", compare_artifacts / "pair.chains.csv",
                  "--rope", "0.03", "--out-prefix", tmp_path / "fig")
         assert rc == 2
         err = capsys.readouterr().err
-        assert str(other) in err
+        assert str(meta) in err
         assert "'standardization_constant'" in err
         assert not (tmp_path / "fig.svg").exists()
 
@@ -982,14 +1001,13 @@ class TestPlot:
         self, compare_artifacts, tmp_path, capsys, constant
     ):
         meta = compare_artifacts / "pair.chains.meta.txt"
-        edited = tmp_path / "edited.meta.txt"
-        edited.write_text(
+        meta.write_text(
             re.sub(r"(?m)^standardization_constant=.*$", f"standardization_constant={constant}",
                    meta.read_text(encoding="utf-8")),
             encoding="utf-8",
         )
         capsys.readouterr()
-        rc = run("plot", "--chains", compare_artifacts / "pair.chains.csv", "--meta", edited,
+        rc = run("plot", "--chains", compare_artifacts / "pair.chains.csv",
                  "--out-prefix", tmp_path / "fig")
         assert rc == 2
         assert "scaling constant must be finite and positive" in capsys.readouterr().err
@@ -998,71 +1016,61 @@ class TestPlot:
     def test_plot_needs_rope_when_sidecar_has_none(self, compare_artifacts, tmp_path, capsys):
         meta = compare_artifacts / "pair.chains.meta.txt"
         lines = meta.read_text(encoding="utf-8").splitlines(keepends=True)
-        stripped = tmp_path / "stripped.meta.txt"
-        stripped.write_text(
+        meta.write_text(
             "".join(line for line in lines if not line.startswith("rope_halfwidth=")),
             encoding="utf-8",
         )
         capsys.readouterr()
-        rc = run("plot", "--chains", compare_artifacts / "pair.chains.csv", "--meta", stripped,
+        rc = run("plot", "--chains", compare_artifacts / "pair.chains.csv",
                  "--out-prefix", tmp_path / "fig")
         assert rc == 2
         assert "no --rope given" in capsys.readouterr().err
 
-    def test_plot_rejects_chains_cut_after_a_whole_chain(self, compare_artifacts, tmp_path):
-        # Without the second chain's rows the file is still a complete
-        # one-chain grid; the sidecar's chain count exposes the cut.
-        path = compare_artifacts / "pair.chains.csv"
-        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        path.write_text("".join(lines[: 2 + 1500]), encoding="utf-8")
-        assert read_chains_csv(path)["delta0"].shape == (1, 1500)
-        rc = run("plot", "--chains", path, "--out-prefix", tmp_path / "fig")
-        assert rc == 2
-
-    def test_plot_rejects_damaged_point_mass_draw(self, compare_artifacts, tmp_path):
-        # sigma0 == 0 would otherwise send this row to the point-mass
-        # shortcut, which must not count a NaN delta0 as rope.
-        path = compare_artifacts / "pair.chains.csv"
-        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        header = lines[1].rstrip("\n").split(",")
-        row = lines[2 + 700].rstrip("\n").split(",")
-        row[header.index("delta0")] = "nan"
-        row[header.index("sigma0")] = "0"
-        lines[2 + 700] = ",".join(row) + "\n"
-        path.write_text("".join(lines), encoding="utf-8")
-        rc = run("plot", "--chains", path, "--out-prefix", tmp_path / "fig")
-        assert rc == 2
-
     @staticmethod
-    def _sidecar_for(chains: Path, meta: Path, out: Path) -> Path:
-        """A copy of ``meta`` whose chains_sha256 is the digest of ``chains``
-        as it is now, so plot gets past the digest to its later checks."""
-        out.write_text(
+    def _match_digest(chains: Path) -> None:
+        """Set chains_sha256 in the sidecar of ``chains`` to the digest of
+        the file as it is now, so plot gets past the digest to its later
+        checks."""
+        meta = chains.with_suffix(".meta.txt")
+        meta.write_text(
             re.sub(r"(?m)^chains_sha256=.*$", f"chains_sha256={file_digest(chains)}",
                    meta.read_text(encoding="utf-8")),
             encoding="utf-8",
         )
-        return out
 
     def test_sidecar_records_the_chains_digest(self, compare_artifacts):
         meta = read_kv(compare_artifacts / "pair.chains.meta.txt")
         assert meta["chains_sha256"] == file_digest(compare_artifacts / "pair.chains.csv")
 
-    def test_plot_rejects_a_changed_digit_in_an_unplotted_cell(
-        self, compare_artifacts, tmp_path, capsys
+    @pytest.mark.parametrize("damage", ["unplotted_digit", "whole_chain_cut", "point_mass_draw"])
+    def test_plot_rejects_chains_that_differ_from_the_digest(
+        self, compare_artifacts, tmp_path, capsys, damage
     ):
-        # plot never parses the sigma[...] columns; the digest still
-        # catches a change there that the full parse would accept.
         path = compare_artifacts / "pair.chains.csv"
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
         header = lines[1].rstrip("\n").split(",")
         row = lines[2 + 700].rstrip("\n").split(",")
-        column = next(j for j, name in enumerate(header) if name.startswith("sigma["))
-        last = row[column][-1]
-        row[column] = row[column][:-1] + ("1" if last != "1" else "2")
+        if damage == "unplotted_digit":
+            # plot never parses the sigma[...] columns; the digest still
+            # catches a change there that the full parse would accept.
+            column = next(j for j, name in enumerate(header) if name.startswith("sigma["))
+            last = row[column][-1]
+            row[column] = row[column][:-1] + ("1" if last != "1" else "2")
+        elif damage == "point_mass_draw":
+            # sigma0 == 0 would otherwise send this row to the point-mass
+            # shortcut, which must not count a NaN delta0 as rope.
+            row[header.index("delta0")] = "nan"
+            row[header.index("sigma0")] = "0"
         lines[2 + 700] = ",".join(row) + "\n"
+        if damage == "whole_chain_cut":
+            # Without the second chain's rows the file is still a complete
+            # one-chain grid.
+            lines = lines[: 2 + 1500]
         path.write_text("".join(lines), encoding="utf-8")
-        assert read_chains_csv(path)["delta0"].shape == (2, 1500)
+        if damage == "unplotted_digit":
+            assert read_chains_csv(path)["delta0"].shape == (2, 1500)
+        if damage == "whole_chain_cut":
+            assert read_chains_csv(path)["delta0"].shape == (1, 1500)
         capsys.readouterr()
         rc = run("plot", "--chains", path, "--out-prefix", tmp_path / "fig")
         assert rc == 2
@@ -1072,13 +1080,12 @@ class TestPlot:
     def test_plot_requires_the_chains_digest(self, compare_artifacts, tmp_path, capsys):
         meta = compare_artifacts / "pair.chains.meta.txt"
         lines = meta.read_text(encoding="utf-8").splitlines(keepends=True)
-        stripped = tmp_path / "stripped.meta.txt"
-        stripped.write_text(
+        meta.write_text(
             "".join(line for line in lines if not line.startswith("chains_sha256=")),
             encoding="utf-8",
         )
         capsys.readouterr()
-        rc = run("plot", "--chains", compare_artifacts / "pair.chains.csv", "--meta", stripped,
+        rc = run("plot", "--chains", compare_artifacts / "pair.chains.csv",
                  "--out-prefix", tmp_path / "fig")
         assert rc == 2
         assert "'chains_sha256'" in capsys.readouterr().err
@@ -1090,10 +1097,9 @@ class TestPlot:
         path = compare_artifacts / "pair.chains.csv"
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
         path.write_text("".join(lines[: 2 + 1500]), encoding="utf-8")
-        meta = self._sidecar_for(path, compare_artifacts / "pair.chains.meta.txt",
-                                 tmp_path / "cut.meta.txt")
+        self._match_digest(path)
         capsys.readouterr()
-        rc = run("plot", "--chains", path, "--meta", meta, "--out-prefix", tmp_path / "fig")
+        rc = run("plot", "--chains", path, "--out-prefix", tmp_path / "fig")
         assert rc == 2
         assert "1 chains x 1500 draws" in capsys.readouterr().err
         assert not (tmp_path / "fig.svg").exists()
@@ -1109,10 +1115,9 @@ class TestPlot:
         row[header.index("sigma0")] = "0"
         lines[2 + 700] = ",".join(row) + "\n"
         path.write_text("".join(lines), encoding="utf-8")
-        meta = self._sidecar_for(path, compare_artifacts / "pair.chains.meta.txt",
-                                 tmp_path / "nan.meta.txt")
+        self._match_digest(path)
         capsys.readouterr()
-        rc = run("plot", "--chains", path, "--meta", meta, "--out-prefix", tmp_path / "fig")
+        rc = run("plot", "--chains", path, "--out-prefix", tmp_path / "fig")
         assert rc == 2
         assert "draws need a finite delta0" in capsys.readouterr().err
         assert not (tmp_path / "fig.svg").exists()
@@ -1154,27 +1159,25 @@ class TestPlot:
             "repeated": (line, line + line, "repeated key 'n_left'"),
         }[case]
         assert text.count(old) == 1
-        edited = tmp_path / "edited.meta.txt"
-        edited.write_text(text.replace(old, new), encoding="utf-8")
+        meta.write_text(text.replace(old, new), encoding="utf-8")
         capsys.readouterr()
-        rc = run("plot", "--chains", compare_artifacts / "pair.chains.csv", "--meta", edited,
+        rc = run("plot", "--chains", compare_artifacts / "pair.chains.csv",
                  "--out-prefix", tmp_path / "fig")
         assert rc == 2
         err = capsys.readouterr().err
-        assert str(edited) in err
+        assert str(meta) in err
         assert message in err
         assert not (tmp_path / "fig.svg").exists()
 
     def test_plot_with_a_rope_counts_the_draws_itself(self, compare_artifacts, tmp_path):
         # A sidecar written before the counts existed still plots with --rope.
         meta = compare_artifacts / "pair.chains.meta.txt"
-        stripped = tmp_path / "stripped.meta.txt"
-        stripped.write_text(
+        meta.write_text(
             re.sub(r"(?m)^n_(left|rope|right)=.*\n", "", meta.read_text(encoding="utf-8")),
             encoding="utf-8",
         )
-        assert run("plot", "--chains", compare_artifacts / "pair.chains.csv", "--meta",
-                   stripped, "--rope", "0.01", "--out-prefix", tmp_path / "fig") == 0
+        assert run("plot", "--chains", compare_artifacts / "pair.chains.csv",
+                   "--rope", "0.01", "--out-prefix", tmp_path / "fig") == 0
         assert "P(right)=1.000" in (tmp_path / "fig.svg").read_text(encoding="utf-8")
 
     def test_plot_rejects_a_damaged_unplotted_draw_behind_a_matching_digest(
@@ -1190,10 +1193,9 @@ class TestPlot:
         row[header.index("nu")] = "-1"
         lines[2 + draw] = ",".join(row) + "\n"
         path.write_text("".join(lines), encoding="utf-8")
-        meta = self._sidecar_for(path, compare_artifacts / "pair.chains.meta.txt",
-                                 tmp_path / "neg.meta.txt")
+        self._match_digest(path)
         capsys.readouterr()
-        rc = run("plot", "--chains", path, "--meta", meta, "--max-points", "200",
+        rc = run("plot", "--chains", path, "--max-points", "200",
                  "--out-prefix", tmp_path / "fig")
         assert rc == 2
         assert "draws need a finite delta0" in capsys.readouterr().err
@@ -1284,13 +1286,14 @@ class TestUnreadableInput:
         "scores": (b"\xff", ["compare", "--scores", "{bad}", "--a", "a", "--b", "b",
                              "--metric", "token", "--rope", "0.01"]),
         "report": (b"\xff", ["plot", "--report", "{bad}"]),
-        "sidecar": (b"chains=2\nx=\xff\n", ["plot", "--chains", "{chains}", "--meta", "{bad}"]),
+        "sidecar": (b"chains=2\nx=\xff\n", ["plot", "--chains", "{chains}"]),
     }
 
     @pytest.mark.parametrize("reader", list(CASES))
     def test_error_names_the_file(self, tmp_path, capsys, reader):
         content, argv = self.CASES[reader]
-        bad = tmp_path / f"bad.{reader}"
+        # plot reads the sidecar next to the chains file.
+        bad = tmp_path / ("x.chains.meta.txt" if reader == "sidecar" else f"bad.{reader}")
         bad.write_bytes(content)
         assert run("split", "--n", 200, "--k", 4, "--m", 1, "--out-prefix", tmp_path / "c") == 0
         (tmp_path / "x.chains.csv").write_text("delta0\n0.1\n", encoding="utf-8")

@@ -8,6 +8,7 @@ sharing no code with the production kernel beyond that likelihood.
 
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -527,10 +528,17 @@ class TestChainsIO:
         lines = path.read_text(encoding="utf-8").splitlines()
         assert len(read_chains_csv(path)) == 9
         path.write_text(CORRUPTIONS[corruption](lines), encoding="utf-8")
-        with pytest.raises(ValueError) as excinfo:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
             read_chains_csv(path)
-        if corruption == "long_format":
-            assert "re-run compare" in str(excinfo.value)
+
+    @pytest.mark.parametrize("names", [None, ("delta0", "nu")], ids=["all", "named"])
+    def test_undecodable_header_names_the_file(self, tmp_path, names):
+        path = tmp_path / "chains.csv"
+        write_chains_csv(hand_built(["a", "b"], chains=2, draws=4), path, manifest="m.txt")
+        manifest, rest = path.read_bytes().split(b"\n", 1)
+        path.write_bytes(manifest + b"\n\xff" + rest)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: 'utf-8' codec"):
+            read_chains_csv(path, names=names)
 
     def test_metadata_roundtrip(self, tmp_path):
         series = generate(2, 2, 5, 0.01, 0.005, 5.0, 0.1, (0.01, 0.02), seed=15)

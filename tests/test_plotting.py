@@ -4,11 +4,16 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 import bayescv.decision
 from bayescv.decision import DecisionTriple, RopeInterval, region_probs, verdict_of
-from bayescv.plotting import draws_to_points, points_from_triples, render_simplex_svg
+from bayescv.plotting import (
+    draws_to_points,
+    plotted_indices,
+    points_from_triples,
+    render_simplex_svg,
+)
 
 
 def corner_points():
@@ -91,6 +96,24 @@ class TestPointsFromTriples:
         assert_allclose(pts[0], corner_points().mean(axis=0), atol=1e-15)
 
 
+class TestPlottedIndices:
+    @pytest.mark.parametrize("max_points", [0, -1])
+    def test_rejects_max_points_below_one(self, max_points):
+        with pytest.raises(ValueError, match="max_points must be >= 1"):
+            plotted_indices(10, max_points)
+
+    @pytest.mark.parametrize("n, max_points", [(3, 5000), (100, 100), (0, 1)])
+    def test_every_index_at_or_below_cap(self, n, max_points):
+        assert_array_equal(plotted_indices(n, max_points), np.arange(n))
+
+    def test_even_stride_keeps_first_and_last(self):
+        shown = plotted_indices(10700, 100)
+        assert shown.size == 100
+        assert shown[0] == 0
+        assert shown[-1] == 10699
+        assert np.all(np.diff(shown) > 0)
+
+
 class TestRenderSimplexSvg:
     def test_deterministic_output(self):
         rng = np.random.default_rng(3)
@@ -159,30 +182,13 @@ class TestRenderSimplexSvg:
         assert "x&gt;y" in svg
         assert "<script>" not in svg
 
-    def test_thinning_cap(self):
-        rng = np.random.default_rng(4)
-        n = 10700
-        raw = rng.dirichlet([2.0, 2.0, 2.0], size=n)
-        points = np.column_stack(
-            [0.5 * raw[:, 1] + raw[:, 2], 0.5 * math.sqrt(3.0) * raw[:, 1]]
-        )
-        svg = render_simplex_svg(points, label_left="a", label_right="b", max_points=100)
-        assert svg.count("<circle") == 100
-        # First and last draws survive the even stride.
-        assert f'cx="{80.0 + 480.0 * points[0, 0]:.4f}"' in svg
-        assert f'cx="{80.0 + 480.0 * points[-1, 0]:.4f}"' in svg
-
-    def test_no_thinning_below_cap(self):
-        points = corner_points()
-        svg = render_simplex_svg(points, label_left="a", label_right="b", max_points=5000)
-        assert svg.count("<circle") == 3
-
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             render_simplex_svg(np.zeros((3, 3)), label_left="a", label_right="b")
         with pytest.raises(ValueError):
             render_simplex_svg(np.zeros(4), label_left="a", label_right="b")
-        with pytest.raises(ValueError):
-            render_simplex_svg(
-                corner_points(), label_left="a", label_right="b", max_points=0
-            )
+
+    def test_draws_every_point_given(self):
+        points = np.tile(corner_points(), (4000, 1))
+        svg = render_simplex_svg(points, label_left="a", label_right="b")
+        assert svg.count("<circle") == 12000

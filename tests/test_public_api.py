@@ -2,6 +2,9 @@
 
 import importlib
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,3 +25,14 @@ def test_star_import_resolves(name):
     namespace: dict = {}
     exec(f"from {name} import *", namespace)
     assert set(exported) <= set(namespace)
+
+
+def test_package_root_loads_no_numpy():
+    # The root holds only __version__; every other name is imported from
+    # its module, so importing the package alone stays cheap.
+    src = str(Path(bayescv.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import bayescv; print('numpy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "False\n"
