@@ -78,18 +78,13 @@ def _ess(split: np.ndarray) -> float:
         return math.nan
     rho = 1.0 - (within - acov.mean(axis=0)) / var_hat
     rho[0] = 1.0
-    # Sum autocorrelations in (even, odd) pairs while the pair sums stay
-    # positive, forcing the sequence to be non-increasing as we go.
-    tau = 0.0
-    prev_pair = math.inf
-    total_pairs = n // 2
-    for t in range(total_pairs):
-        pair = rho[2 * t] + (rho[2 * t + 1] if 2 * t + 1 < n else 0.0)
-        if pair <= 0.0:
-            break
-        pair = min(pair, prev_pair)
-        tau += pair
-        prev_pair = pair
+    # Sum autocorrelations in (even, odd) pairs up to the first pair sum
+    # that is not positive, forcing the sequence to be non-increasing; the
+    # cumulative sum adds left to right, as a loop would.
+    pairs = rho[0 : 2 * (n // 2) : 2] + rho[1 : 2 * (n // 2) : 2]
+    stop = np.flatnonzero(pairs <= 0.0)
+    pairs = np.minimum.accumulate(pairs[: stop[0] if stop.size else None])
+    tau = float(np.cumsum(pairs)[-1]) if pairs.size else 0.0
     tau = max(2.0 * tau - 1.0, 1.0 / math.log10(m * n + 10.0))
     return min(m * n / tau, float(m * n))
 

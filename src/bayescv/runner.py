@@ -22,7 +22,9 @@ system id with a line break.
 The out-of-vocabulary accuracy looks up only evaluation tokens, so a
 round passes ``oov_accuracy`` the evaluation fold's token types that a
 training fold (or the dev fold, under "train+dev") also holds: the same
-membership as its training vocabulary, from a per-repetition index.
+membership as its training vocabulary. Every token form is numbered once
+per run; each round marks the forms each fold holds in a (k, forms)
+table of its own, so rounds share only read-only arrays.
 
 Bad arguments raise ValueError. A round whose command cannot run, fails
 or times out, or whose prediction is missing, malformed or misaligned
@@ -36,8 +38,6 @@ import shlex
 import string
 import subprocess
 import tempfile
-import threading
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Sequence
@@ -89,39 +89,13 @@ def _split_template(command_template: str) -> list[str]:
     return arg_templates
 
 
-class _FoldTypes:
-    """Each fold's token types, indexed once per repetition by its first
-    round to ask and dropped after its k-th, so only repetitions with
-    rounds in flight are held; a lock makes that safe under threads."""
-
-    def __init__(self, plan: SplitPlan, corpus: TaggedCorpus, oov_vocab: str) -> None:
-        self._plan, self._corpus = plan, corpus
-        self._with_dev = oov_vocab == "train+dev"
-        self._lock = threading.Lock()
-        self._held: dict[int, list[frozenset[str]]] = {}
-        self._taken: Counter[int] = Counter()
-
-    def _types(self, rep: int) -> list[frozenset[str]]:
-        with self._lock:
-            types = self._held.get(rep)
-            if types is None:
-                tokens: list[list[str]] = [[] for _ in range(self._plan.k)]
-                for sent, fold in zip(self._corpus.sentences, self._plan.assignments[rep].tolist()):
-                    tokens[fold].extend(sent.tokens)
-                types = self._held[rep] = [frozenset(t) for t in tokens]
-            self._taken[rep] += 1
-            if self._taken[rep] == self._plan.k:
-                del self._held[rep]
-        return types
-
-    def known(self, rep: int, eval_fold: int, dev_fold: int) -> frozenset[str]:
-        """The evaluation fold's token types that also occur in a training
-        fold of the round, or in its dev fold under "train+dev"."""
-        types = self._types(rep)
-        unknown = (eval_fold,) if self._with_dev else (eval_fold, dev_fold)
-        test = types[eval_fold]
-        unseen = test.difference(*[t for fold, t in enumerate(types) if fold not in unknown])
-        return test - unseen
+def _token_forms(corpus: TaggedCorpus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every token form once, the form id of every token in corpus order,
+    and every sentence's length."""
+    ids: dict[str, int] = {}
+    form_ids = [ids.setdefault(tok, len(ids)) for sent in corpus.sentences for tok in sent.tokens]
+    lengths = [len(sent) for sent in corpus.sentences]
+    return np.array(list(ids), dtype=object), np.array(form_ids), np.array(lengths)
 
 
 def _score_round(
@@ -130,7 +104,8 @@ def _score_round(
     corpus: TaggedCorpus,
     arg_templates: Sequence[str],
     metrics: Sequence[str],
-    fold_types: _FoldTypes,
+    token_forms: tuple[np.ndarray, np.ndarray, np.ndarray],
+    with_dev: bool,
     workdir: Path | None,
     timeout: float | None,
 ) -> dict[str, float | None]:
@@ -175,8 +150,16 @@ def _score_round(
         except ValueError as exc:
             raise CommandFailed(f"round ({rep}, {fold}): {exc}") from exc
         if "oov" in metrics:
-            # fold_roles took val_idx from the round's dev fold.
-            known = fold_types.known(rep, fold, int(plan.assignments[rep][val_idx[0]]))
+            # A (k, forms) table of the forms each fold holds; the folds
+            # that define the vocabulary are all but the evaluation fold
+            # and, under "train", the dev fold, which fold_roles took
+            # val_idx from.
+            forms, form_ids, lengths = token_forms
+            held = np.zeros((plan.k, len(forms)), dtype=bool)
+            held[np.repeat(plan.assignments[rep], lengths), form_ids] = True
+            unknown = [fold] if with_dev else [fold, int(plan.assignments[rep][val_idx[0]])]
+            others = np.delete(held, unknown, axis=0).any(axis=0)
+            known = frozenset(forms[held[fold] & others].tolist())
         out: dict[str, float | None] = {}
         try:
             # run_external has checked the names: the last one left is oov.
@@ -260,13 +243,14 @@ def run_external(
     if timeout is not None and not (timeout > 0 and math.isfinite(timeout)):
         raise ValueError(f"timeout must be finite and > 0 seconds, got {timeout}")
     workdir_path = Path(workdir) if workdir is not None else None
-    fold_types = _FoldTypes(plan, corpus, oov_vocab)
+    token_forms = _token_forms(corpus)
+    with_dev = oov_vocab == "train+dev"
 
     jobs = [(rep, fold) for rep in range(plan.m) for fold in range(plan.k)]
 
     def work(job: tuple[int, int]) -> dict[str, float | None]:
         return _score_round(
-            job, plan, corpus, arg_templates, metrics, fold_types, workdir_path, timeout
+            job, plan, corpus, arg_templates, metrics, token_forms, with_dev, workdir_path, timeout
         )
 
     matrix = ScoreMatrix()

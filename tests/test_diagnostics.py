@@ -67,6 +67,37 @@ class TestEffectiveSampleSize:
     def test_constant_gives_nan(self):
         assert math.isnan(diagnose(np.zeros((2, 100))).ess)
 
+    @staticmethod
+    def reference_ess(draws):
+        """ESS of the split chains with direct-sum autocovariances and
+        Geyer's initial monotone sequence summed pair by pair in a loop."""
+        n = draws.shape[1] // 2
+        split = np.vstack([draws[:, :n], draws[:, n : 2 * n]])
+        m = split.shape[0]
+        centered = split - split.mean(axis=1, keepdims=True)
+        acov = np.array([[row[: n - t] @ row[t:] / n for t in range(n)] for row in centered])
+        within = (acov[:, 0] * n / (n - 1)).mean()
+        var_hat = (n - 1) / n * within + split.mean(axis=1).var(ddof=1)
+        rho = 1.0 - (within - acov.mean(axis=0)) / var_hat
+        rho[0] = 1.0
+        tau, prev = 0.0, math.inf
+        for t in range(n // 2):
+            pair = rho[2 * t] + rho[2 * t + 1]
+            if pair <= 0.0:
+                break
+            prev = min(pair, prev)
+            tau += prev
+        tau = max(2.0 * tau - 1.0, 1.0 / math.log10(m * n + 10.0))
+        return min(m * n / tau, float(m * n))
+
+    @pytest.mark.parametrize("phi", [-0.5, 0.0, 0.6, 0.95])
+    def test_matches_a_pair_by_pair_reference(self, phi):
+        rng = np.random.default_rng(8)
+        draws = rng.normal(size=(3, 400))
+        for t in range(1, draws.shape[1]):
+            draws[:, t] += phi * draws[:, t - 1]
+        assert diagnose(draws).ess == pytest.approx(self.reference_ess(draws), rel=1e-9)
+
 
 class TestDiagnose:
     def test_returns_both_numbers(self):
