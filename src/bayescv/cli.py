@@ -71,11 +71,10 @@ EXIT_IO = 4
 # pair in a call keeps its draws alive until the call returns. Each call
 # runs in a worker process, so the budget holds per process. Ranking 4
 # systems on 3 data sets with the default sampler (6 pairs at q=3, 2-core
-# x86 machine, medians of 10 runs): this budget's 2 calls of 3 took 6.3 s
-# at 53.8 MB peak RSS one after the other in one process, and 4.3 s at
-# 46.5 MB per process in 2 workers; summed over the 3 processes, RSS
-# peaked at 130 MB (median of 6 runs). One call of all 6 pairs peaks at
-# 57.5 MB in its worker.
+# x86 machine, medians of 5 runs): this budget's 2 calls of 3 took 1.1 s
+# at 44.1 MB peak RSS in 2 workers, and 1.8 s at 44.7 MB one after the
+# other in one worker; one call of all 6 pairs took 1.4 s and peaked at
+# 54.6 MB.
 _DRAW_BUDGET = 12_000_000
 
 # Sidecar keys of the triple compare counted, which plot --chains draws

@@ -50,13 +50,20 @@ def _r_hat(split: np.ndarray) -> float:
     return math.sqrt(var_hat / within)
 
 
-def _autocovariance(row: np.ndarray) -> np.ndarray:
-    """Biased autocovariance of one chain for all lags, via FFT."""
-    n = row.shape[0]
-    centered = row - row.mean()
+# Chains per FFT call: fewer calls for many short chains, and a bounded
+# temporary for long ones.
+_FFT_ROWS = 8
+
+
+def _autocovariance(split: np.ndarray) -> np.ndarray:
+    """Biased autocovariance of each chain (row) for all lags, via FFT."""
+    m, n = split.shape
     size = 2 ** math.ceil(math.log2(2 * n))
-    freq = np.fft.rfft(centered, n=size)
-    acov = np.fft.irfft(freq * np.conj(freq), n=size)[:n].real
+    acov = np.empty((m, n))
+    for start in range(0, m, _FFT_ROWS):
+        rows = split[start : start + _FFT_ROWS]
+        freq = np.fft.rfft(rows - rows.mean(axis=1, keepdims=True), n=size, axis=1)
+        acov[start : start + _FFT_ROWS] = np.fft.irfft(freq * np.conj(freq), n=size, axis=1)[:, :n]
     return acov / n
 
 
@@ -69,7 +76,7 @@ def _ess(split: np.ndarray) -> float:
     chains give NaN.
     """
     m, n = split.shape
-    acov = np.vstack([_autocovariance(row) for row in split])
+    acov = _autocovariance(split)
     chain_vars = acov[:, 0] * n / (n - 1)
     within = chain_vars.mean()
     between = n * split.mean(axis=1).var(ddof=1) if m > 1 else 0.0

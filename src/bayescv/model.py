@@ -8,15 +8,13 @@ sigma0, and dof nu; each sigma_i has a uniform prior up to a multiple of
 the observed spread, delta0 has a wide uniform prior, and nu has a Gamma
 prior truncated to nu >= 1.
 
-Inference is adaptive random-walk Metropolis within Gibbs: one update
-per parameter per sweep, log-scale proposals (with the Jacobian
-correction) for the positive parameters, and Robbins-Monro step-size
-adaptation toward 0.44 acceptance during warmup only, so the kept draws
-come from a fixed kernel. All chains, and with ``fit_many`` several
-problems of the same size, run in lockstep in one process: each sweep
-updates delta0, sigma0 and nu of every chain as one array operation,
-then every delta_i of every chain at once (they are conditionally
-independent given the population parameters), then every sigma_i.
+Inference is Gibbs sampling on the t population written as a normal
+scale mixture: every parameter but nu is drawn from its exact
+conditional, and nu takes one adaptive random-walk Metropolis step per
+sweep on its marginal target (``_lockstep`` lists the steps). Many short
+chains, and with ``fit_many`` several problems of the same size, run in
+lockstep in one process: each step updates its parameter in every chain
+and problem as one array operation.
 
 The chain state, the kept draws, each ``PosteriorChains.draws`` and the
 chains CSV all hold the parameters as columns of one array, in
@@ -42,7 +40,7 @@ from . import __version__
 from .diagnostics import ParameterDiagnostics, diagnose
 from .manifest import write_kv
 from .scores import DifferenceSeries
-from .statcore import StudentT, cs_quad_form, cs_stats, rng_fork, t_sample
+from .statcore import StudentT, cs_quad_form, cs_stats, lgamma, rng_fork, t_sample
 
 __all__ = [
     "ModelConfig",
@@ -68,8 +66,6 @@ RHAT_THRESHOLD = 1.05
 _SIGMA_FLOOR_REL = 1e-6
 _ZERO_SPREAD_REL = 1e-3
 
-_ADAPT_TARGET = 0.44
-
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -86,9 +82,9 @@ class ModelConfig:
     sigma_bar_factor: float = 1000.0
     delta0_prior_halfwidth: float = 1.0
     nu_prior: tuple[float, float] = (2.0, 0.1)
-    chains: int = 4
-    samples_per_chain: int = 12500
-    warmup: int = 2000
+    chains: int = 40
+    samples_per_chain: int = 1250
+    warmup: int = 500
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -120,9 +116,10 @@ class PosteriorChains:
     (chains, draws) are views of the first three. All values are on the
     standardized scale; multiply locations and scales by
     ``standardization_constant`` to return to raw score differences.
-    ``acceptance`` is each parameter's acceptance rate over the kept draws
-    of all chains, ``step_size`` its final adapted proposal scale averaged
-    over chains.
+    ``acceptance`` and ``step_size`` hold, under ``"nu"``, the one
+    Metropolis step's acceptance rate over the kept draws of all chains and
+    its final adapted proposal scale (on log nu) averaged over chains;
+    every other parameter is drawn from its conditional.
     """
 
     dataset_ids: tuple[str, ...]
@@ -268,9 +265,9 @@ def _prepare(series: list[DifferenceSeries], config: ModelConfig) -> _Problem:
     if len(set(ids)) != q:
         raise ValueError("dataset ids must be unique")
 
-    # Every prior bound, start value and proposal scale below is relative
-    # to the data's spread, so dividing by this constant changes only the
-    # units the draws are stored in.
+    # Every prior bound and start value below is relative to the data's
+    # spread, so dividing by this constant changes only the units the
+    # draws are stored in.
     raw_stds = [float(s.x.std(ddof=1)) if s.n > 1 else 0.0 for s in series]
     constant = sum(raw_stds) / q
     if not (constant > 0.0 and math.isfinite(constant)):
@@ -318,45 +315,98 @@ def _prepare(series: list[DifferenceSeries], config: ModelConfig) -> _Problem:
     )
 
 
-def _t_log_norm(nu: np.ndarray) -> np.ndarray:
-    """Per lane, lgamma((nu+1)/2) - lgamma(nu/2) - log(nu pi)/2: the log
-    normalizing constant of the unit-scale Student t, and the library's
-    only t density code. ``_lockstep`` caches the rest of the density.
-    """
-    values = [
-        math.lgamma(0.5 * (v + 1.0)) - math.lgamma(0.5 * v) - 0.5 * math.log(v * math.pi)
-        for v in nu.ravel().tolist()
-    ]
-    return np.array(values).reshape(nu.shape)
+def _t_log_norm(half: np.ndarray) -> np.ndarray:
+    """lgamma(half) - lgamma(half - 1/2) - log(nu pi)/2 with nu = 2 half - 1:
+    the log normalizing constant of the unit-scale t with nu dof."""
+    logs = lgamma(np.stack([half, half - 0.5]))
+    return logs[0] - logs[1] - 0.5 * np.log((2.0 * half - 1.0) * math.pi)
 
 
-# exp(steps * z) is taken for every parameter, though only the scale
-# proposals use it; a scale proposal that overflows lands outside its box.
-# A uniform variate of exactly 0 has log -inf, which accepts as u < alpha
-# would.
-@np.errstate(over="ignore", divide="ignore")
+def _draw_gamma(
+    out: np.ndarray,
+    d: np.ndarray,
+    c: np.ndarray,
+    z: np.ndarray,
+    test: np.ndarray,
+    rate: np.ndarray,
+    box: tuple[np.ndarray, np.ndarray] | None = None,
+    boost: np.ndarray | None = None,
+) -> np.ndarray:
+    """Gamma(d + 1/3, rate) by Marsaglia & Tsang (2000), one candidate per
+    row of ``z``: v = (1 + c z)^3, c = 1/sqrt(9 d), passes when ``test``
+    (log u - z^2/2) is below d (1 - v + log v); v <= 0 fails, as log v is
+    NaN or -inf. Writes into ``out`` the first candidate d v boost / rate
+    that passes and lies in ``box``, and returns where none did."""
+    v = 1.0 + c * z
+    v = v * v * v
+    ok = test < d * (1.0 - v + np.log(v))
+    cand = d * v / rate if boost is None else d * v * boost / rate
+    if box is not None:
+        ok &= (cand >= box[0]) & (cand <= box[1])
+    for k in range(len(cand) - 1, -1, -1):
+        np.copyto(out, cand[k], where=ok[k])
+    return ~ok.any(axis=0)
+
+
+def _layout(**shapes: tuple[int, ...]) -> tuple[dict, int]:
+    """Consecutive (slice, shape) of a sweep's variates by name, and their count."""
+    out, at = {}, 0
+    for name, rows in shapes.items():
+        out[name] = (slice(at, at + math.prod(rows)), rows)
+        at += math.prod(rows)
+    return out, at
+
+
+# Marsaglia-Tsang candidates per gamma draw; the bytes of variates that
+# all chains hold at once.
+_CANDIDATES = 3
+_VARIATE_BYTES = 2**21
+_ADAPT_TARGET = 0.44
+
+
+# Failed candidates may overflow, divide by zero or take the log of a
+# negative number; none of them is kept.
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _lockstep(problems: list[_Problem], config: ModelConfig) -> tuple[np.ndarray, ...]:
     """Every chain of every problem, updated together one sweep at a time.
 
     A lane is one chain of one problem. The chain state is one array of
-    shape (3 + 2q, problems, chains) in ``parameter_names`` order: the
-    population parameters are its first three rows, each of shape
-    (problems, chains), and the per-dataset means and scales its two
-    (q, problems, chains) blocks. Per-parameter bookkeeping (steps, log
-    acceptance ratios, accepts) has the same shape. Given the
-    population parameters the delta_i are conditionally independent, and
-    so are the sigma_i, so each block is one Metropolis update over its
-    whole array; the sweep order (delta0, sigma0, nu, all delta_i, all
-    sigma_i) is the scalar Gibbs order. A proposal is accepted when
-    log(u) < log(ratio), the same test as u < min(1, ratio).
+    shape (3 + 2q, problems, chains) in ``parameter_names`` order. With
+    the t population as a scale mixture, delta_i ~ N(delta0, sigma0^2 /
+    lambda_i) and lambda_i ~ Gamma(nu/2, rate nu/2), each sweep runs over
+    all lanes at once:
 
-    Chain c draws from ``rng_fork(seed, c)``, one standard_normal(3 + 2q)
-    then one random(3 + 2q) per sweep. All problems share the seed, so
-    lanes with the same chain index use the same variates, and each
-    problem's draws do not depend on which other problems run beside it.
+    1. nu: a log-scale random walk on the t target, lambda integrated out,
+       its step adapted (Robbins-Monro, toward 0.44) during warmup only;
+    2. lambda_i | the new nu: Gamma((nu+1)/2, rate (nu + r_i^2)/2), with
+       r_i = (delta_i - delta0)/sigma0 (with step 1, one partially
+       collapsed step, van Dyk & Park 2008);
+    3. delta_i and 4. delta0: normal;
+    5. sigma_i^-2 ~ Gamma((n_i-1)/2, rate A_i/2), A_i the quadratic form at
+       delta_i, and sigma0^-2 ~ Gamma((q-1)/2, rate sum lambda_i
+       (delta_i-delta0)^2/2), truncated to their boxes, in one call;
+    6. ASIS (Yu & Meng 2011): with eta = (delta - delta0)/sigma0 fixed,
+       delta0, then sigma0 with its sign free (the data cannot tell
+       (sigma0, eta) from (-sigma0, -eta)), and delta = delta0 + sigma0 eta.
 
-    Returns the kept draws (problems, chains, draws, 3 + 2q), then the
-    accepts over them and the final log step sizes (3 + 2q, problems, chains).
+    A normal draw outside its box keeps the current value: an independence
+    Metropolis step from the untruncated conditional. A gamma draw takes
+    the first of ``_CANDIDATES`` candidates that passes and lies in its box
+    (shape a < 1: Gamma(a + 1) U^(1/a)). If none does, a truncated draw
+    takes one independence Metropolis step from the power law tau^(a-1) on
+    its box, accepted with probability exp(-rate (tau' - tau)), and a
+    lambda draw takes numpy's ``standard_gamma`` from its lane's own
+    stream, the first child of chain c's seed sequence (about 1e-4 of
+    lambda draws). The target stays exact.
+
+    Chain c draws from ``rng_fork(seed, c)`` a fixed number of variates
+    per sweep, in blocks of sweeps. All problems share the seed, so lanes
+    with the same chain index use the same variates, and no problem's
+    draws depend on the others in its batch.
+
+    Returns the kept draws (problems, chains, draws, 3 + 2q), the accepted
+    nu proposals over them and the final log nu step sizes, (problems,
+    chains) each.
     """
     chains, warmup, keep = config.chains, config.warmup, config.samples_per_chain
     nu_shape, nu_rate = config.nu_prior
@@ -364,6 +414,7 @@ def _lockstep(problems: list[_Problem], config: ModelConfig) -> tuple[np.ndarray
     n_params = 3 + 2 * q
     lanes = (len(problems), chains)
     blk_d, blk_s = slice(3, 3 + q), slice(3 + q, n_params)
+    n_cand = _CANDIDATES
 
     def spread_over_lanes(values: list) -> np.ndarray:
         """Per-problem scalars to (problems, chains); per-problem q-vectors
@@ -404,125 +455,149 @@ def _lockstep(problems: list[_Problem], config: ModelConfig) -> tuple[np.ndarray
     )
     nu[...] = np.exp(nu0)
 
-    log_steps = np.empty((n_params,) + lanes)
-    log_steps[0] = np.log(spread)
-    log_steps[1:3] = math.log(0.5)
-    log_steps[3 : 3 + q] = np.log(2.4 * sigmas * np.sqrt(c1s / ns))
-    log_steps[3 + q :] = np.log(2.4 / np.sqrt(2.0 * ns))
-    steps = np.exp(log_steps)
+    # Step 5's precisions, sigma_i^-2 in rows 0..q-1 and sigma0^-2 in row
+    # q, with their shapes, boxes and Marsaglia-Tsang constants, and the
+    # power law's log upper end and exp(-a log(hi/lo)) - 1.
+    tau = np.concatenate([sigmas, sigma0[None]]) ** -2
+    shape = np.concatenate([0.5 * (ns - 1.0), np.full((1,) + lanes, 0.5 * (q - 1.0))])
+    box = (np.concatenate([sigma_hi, sigma0_hi[None]]) ** -2,
+           np.concatenate([sigma_lo, sigma0_lo[None]]) ** -2)
+    boosted = shape < 1.0
+    inv_shape = np.where(boosted, 1.0 / shape, 0.0) if boosted.any() else None
+    d_tau = shape + boosted - 1.0 / 3.0
+    c_tau = (9.0 * d_tau) ** -0.5
+    power = np.maximum(shape, 1e-300)
+    log_hi = np.log(box[1])
+    power_span = np.expm1(-power * (log_hi - np.log(box[0])))
+    rates = np.empty_like(tau)
+    lam = np.empty_like(deltas)
+    w_unit = ns / c1s
+    rescue: dict[tuple[int, int], np.random.Generator] = {}
 
-    kept = np.empty(lanes + (keep, n_params))
-    accepted = np.zeros((n_params,) + lanes, dtype=np.int64)
-
-    # Row c of z and u holds chain c's variates of the sweep; their
-    # transposes broadcast over the problem axis.
-    z = np.empty((chains, n_params))
-    u = np.empty((chains, n_params))
-    z_t, u_t = z.T[:, None, :], u.T[:, None, :]
-    log_u = np.empty((n_params,) + lanes)
-    logr = np.empty((n_params,) + lanes)
-    accept = np.empty((n_params,) + lanes, dtype=bool)
-    two_c1s, minus_n_minus_1 = 2.0 * c1s, -(ns - 1.0)
-
-    # Cached terms of the current state: half = (nu + 1) / 2,
-    # inv = 1 / (nu sigma0^2), log_norm = the t log normalizing constant
-    # of nu at unit scale, and lt[i] = log1p((delta_i - delta0)^2 inv).
     half = 0.5 * (nu + 1.0)
-    inv = 1.0 / (nu * sigma0 * sigma0)
-    log_norm = _t_log_norm(nu)
-    lt = deltas - delta0
-    lt = np.log1p(lt * lt * inv)
+    log_norm = _t_log_norm(half)
+    log_step = np.full(lanes, math.log(0.5))
+    step = np.exp(log_step)
+    accepted = np.zeros(lanes, dtype=np.int64)
+    kept = np.empty(lanes + (keep, n_params))
+
+    # A sweep's variates by use: normals; logs of uniforms (negated
+    # standard exponentials) for the Metropolis and Marsaglia-Tsang tests;
+    # uniforms. Each chain draws a block of sweeps at a time as (chains,
+    # sweeps, count), read as (sweeps, count, chains); both copies of all
+    # three take at most _VARIATE_BYTES.
+    layouts = {
+        "standard_normal": _layout(
+            nu=(), lam=(n_cand, q), delta=(q,), delta0=(), tau=(n_cand, q + 1), asis=(2,)
+        ),
+        "standard_exponential": _layout(
+            nu=(), lam=(n_cand, q), tau=(n_cand, q + 1), accept=(q + 1,)
+        ),
+        "random": _layout(boost=(n_cand, q + 1), proposal=(q + 1,)),
+    }
+    block = max(1, _VARIATE_BYTES // (16 * chains * sum(n for _, n in layouts.values())))
+    drawn = {kind: np.empty((chains, block, n)) for kind, (_, n) in layouts.items()}
+    blocks = {kind: np.empty((block, n, chains)) for kind, (_, n) in layouts.items()}
 
     for t in range(1, warmup + keep + 1):
-        for rng, z_c, u_c in zip(rngs, z, u):
-            rng.standard_normal(out=z_c)
-            rng.random(out=u_c)
-        dz = steps * z_t
-        edz = np.exp(dz)
-        np.log(u_t, out=log_u)
-
-        # delta0: flat prior on [-halfwidth, halfwidth]
-        prop = delta0 + dz[0]
-        r = deltas - prop
-        lp = np.log1p(r * r * inv)
-        np.multiply(half, (lt - lp).sum(axis=0), out=logr[0])
-        ok = _metropolis(logr[0], np.abs(prop) > halfwidth, log_u[0], accept[0])
-        np.copyto(delta0, prop, where=ok)
-        np.copyto(lt, lp, where=ok)
-
-        # sigma0: uniform prior, log-scale walk with Jacobian
-        prop = sigma0 * edz[1]
-        inv_p = 1.0 / (nu * prop * prop)
-        r2 = deltas - delta0
-        r2 *= r2
-        lp = np.log1p(r2 * inv_p)
-        np.subtract(half * (lt - lp).sum(axis=0), (q - 1) * dz[1], out=logr[1])
-        outside = (prop <= sigma0_lo) | (prop >= sigma0_hi)
-        ok = _metropolis(logr[1], outside, log_u[1], accept[1])
-        np.copyto(sigma0, prop, where=ok)
-        np.copyto(inv, inv_p, where=ok)
-        np.copyto(lt, lp, where=ok)
-
-        # nu: Gamma(shape, rate) prior truncated at 1, log-scale walk
-        prop = nu * edz[2]
-        half_p = 0.5 * (prop + 1.0)
-        inv_p = 1.0 / (prop * sigma0 * sigma0)
-        log_norm_p = _t_log_norm(prop)
-        lp = np.log1p(r2 * inv_p)
-        np.add(
-            q * (log_norm_p - log_norm) - (half_p * lp.sum(axis=0) - half * lt.sum(axis=0)),
-            nu_shape * dz[2] - nu_rate * (prop - nu),
-            out=logr[2],
+        j = (t - 1) % block
+        if j == 0:
+            for kind, out in drawn.items():
+                for rng, out_c in zip(rngs, out):
+                    getattr(rng, kind)(out=out_c)
+                np.copyto(blocks[kind], out.transpose(1, 2, 0))
+            z_block, log_u_block = blocks["standard_normal"], blocks["standard_exponential"]
+            np.negative(log_u_block, out=log_u_block)
+            for name in ("lam", "tau"):
+                z_at = layouts["standard_normal"][0][name][0]
+                log_u_at = layouts["standard_exponential"][0][name][0]
+                log_u_block[:, log_u_at] -= 0.5 * np.square(z_block[:, z_at])
+        # Pieces of shape (rows..., 1, chains) broadcast over problems.
+        z, log_u, u = (
+            {k: blocks[kind][j, at].reshape(rows + (1, chains)) for k, (at, rows) in layout.items()}
+            for kind, (layout, _) in layouts.items()
         )
-        ok = _metropolis(logr[2], prop < 1.0, log_u[2], accept[2])
-        np.copyto(nu, prop, where=ok)
-        np.copyto(half, half_p, where=ok)
-        np.copyto(inv, inv_p, where=ok)
-        np.copyto(log_norm, log_norm_p, where=ok)
-        np.copyto(lt, lp, where=ok)
 
-        # per-dataset means
-        prop = deltas + dz[blk_d]
-        rp = means - prop
-        rc = means - deltas
-        r = prop - delta0
-        lp = np.log1p(r * r * inv)
-        a_lik = ns / (two_c1s * sigmas * sigmas)
-        np.subtract(a_lik * (rc * rc - rp * rp), half * (lp - lt), out=logr[blk_d])
-        ok = np.less(log_u[blk_d], logr[blk_d], out=accept[blk_d])
-        np.copyto(deltas, prop, where=ok)
-        np.copyto(lt, lp, where=ok)
-
-        # per-dataset scales
-        prop = sigmas * edz[blk_s]
-        a_quad = cs_quad_form(stats, deltas)
-        np.subtract(
-            minus_n_minus_1 * dz[blk_s],
-            0.5 * a_quad * (1.0 / (prop * prop) - 1.0 / (sigmas * sigmas)),
-            out=logr[blk_s],
+        # 1. nu.
+        offset = deltas - delta0
+        r2 = offset * offset * tau[q]
+        dz = step * z["nu"]
+        prop = nu * np.exp(dz)
+        half_p = 0.5 * prop + 0.5
+        log_norm_p = _t_log_norm(half_p)
+        logr = (
+            q * (log_norm_p - log_norm)
+            - (half_p * np.log1p(r2 / prop).sum(axis=0) - half * np.log1p(r2 / nu).sum(axis=0))
+            + nu_shape * dz
+            - nu_rate * (prop - nu)
         )
-        outside = (prop <= sigma_lo) | (prop >= sigma_hi)
-        ok = _metropolis(logr[blk_s], outside, log_u[blk_s], accept[blk_s])
-        np.copyto(sigmas, prop, where=ok)
-
+        np.copyto(logr, -np.inf, where=prop < 1.0)
+        ok = log_u["nu"] < logr
+        for current, new in ((nu, prop), (half, half_p), (log_norm, log_norm_p)):
+            np.copyto(current, new, where=ok)
         if t <= warmup:
-            # Robbins-Monro step-size adaptation toward _ADAPT_TARGET.
-            alpha = np.exp(np.minimum(logr, 0.0))
-            log_steps += (t + 20.0) ** -0.6 * (alpha - _ADAPT_TARGET)
-            np.exp(log_steps, out=steps)
+            log_step += (t + 20.0) ** -0.6 * (np.exp(np.minimum(logr, 0.0)) - _ADAPT_TARGET)
+            np.exp(log_step, out=step)
         else:
-            accepted += accept
+            accepted += ok
+
+        # 2. lambda.
+        d = half - 1.0 / 3.0
+        lam_rate = 0.5 * (nu + r2)
+        missed = _draw_gamma(lam, d, (9.0 * d) ** -0.5, z["lam"], log_u["lam"], lam_rate)
+        for i, p, c in zip(*np.nonzero(missed)):
+            if (p, c) not in rescue:
+                seeds = np.random.SeedSequence(config.seed, spawn_key=(c, 0))
+                rescue[p, c] = np.random.default_rng(seeds)
+            lam[i, p, c] = rescue[p, c].standard_gamma(half[p, c]) / lam_rate[i, p, c]
+
+        # 3. delta_i.
+        w = w_unit * tau[:q]
+        pull = lam * tau[q]
+        prec = w + pull
+        deltas[...] = (w * means + pull * delta0 + np.sqrt(prec) * z["delta"]) / prec
+
+        # 4. delta0.
+        lam_sum = lam.sum(axis=0)
+        prop = (lam * deltas).sum(axis=0) / lam_sum + z["delta0"] / np.sqrt(lam_sum * tau[q])
+        np.copyto(delta0, prop, where=np.abs(prop) <= halfwidth)
+
+        # 5. sigma_i^-2 and sigma0^-2.
+        offset = deltas - delta0
+        np.sum(lam * offset * offset, axis=0, out=rates[q])
+        rates[:q] = cs_quad_form(stats, deltas)
+        rates *= 0.5
+        boost = None if inv_shape is None else u["boost"] ** inv_shape
+        missed = _draw_gamma(tau, d_tau, c_tau, z["tau"], log_u["tau"], rates, box, boost)
+        if missed.any():
+            # The power-law step, elementwise on the missed entries only.
+            current, u_prop, log_u_accept = (
+                np.broadcast_to(v, tau.shape)[missed] for v in (tau, u["proposal"], log_u["accept"])
+            )
+            prop = np.exp(log_hi[missed] + np.log1p(u_prop * power_span[missed]) / power[missed])
+            accept = log_u_accept < rates[missed] * (current - prop)
+            tau[missed] = np.where(accept, prop, current)
+        sigmas[...] = tau[:q] ** -0.5
+        sigma0[...] = tau[q] ** -0.5
+
+        # 6. ASIS: delta0, then the signed sigma0, given eta.
+        w = w_unit * tau[:q]
+        w_sum = w.sum(axis=0)
+        prop = (w * (means - offset)).sum(axis=0) / w_sum + z["asis"][0] * w_sum**-0.5
+        np.copyto(delta0, prop, where=np.abs(prop) <= halfwidth)
+        eta = offset / sigma0
+        w_eta = w * eta
+        prec = (w_eta * eta).sum(axis=0)
+        prop = ((w_eta * (means - delta0)).sum(axis=0) + np.sqrt(prec) * z["asis"][1]) / prec
+        scale = np.abs(prop)
+        prop = np.where((scale > sigma0_lo) & (scale < sigma0_hi), prop, sigma0)
+        deltas[...] = delta0 + prop * eta
+        np.abs(prop, out=sigma0)
+        tau[q] = prop**-2
+
+        if t > warmup:
             kept[..., t - warmup - 1, :] = state.transpose(1, 2, 0)
-    return kept, accepted, log_steps
-
-
-def _metropolis(
-    logr: np.ndarray, outside: np.ndarray, log_u: np.ndarray, accept: np.ndarray
-) -> np.ndarray:
-    """Sets logr to -inf where the proposal left the prior's support, then
-    writes ``accept = log_u < logr`` and returns it."""
-    np.copyto(logr, -np.inf, where=outside)
-    return np.less(log_u, logr, out=accept)
+    return kept, accepted, log_step
 
 
 def fit(series: list[DifferenceSeries], config: ModelConfig = ModelConfig()) -> PosteriorChains:
@@ -554,7 +629,7 @@ def fit_many(
         raise ValueError(f"fit_many needs problems with equal numbers of data sets, got {sizes}")
     if not prepared:
         return []
-    draws, accepted, log_steps = _lockstep(prepared, config)
+    draws, accepted, log_step = _lockstep(prepared, config)
     n_kept = config.chains * config.samples_per_chain
     results = []
     for b, problem in enumerate(prepared):
@@ -571,10 +646,8 @@ def fit_many(
         names = post.parameter_names()
         post.diagnostics = {name: diagnose(post.draws[..., j]) for j, name in enumerate(names)}
         post.converged = not unconverged(post.diagnostics)
-        rates = accepted[:, b].sum(axis=1) / n_kept
-        steps = np.exp(log_steps[:, b]).mean(axis=1)
-        post.acceptance = {name: float(a) for name, a in zip(names, rates)}
-        post.step_size = {name: float(s) for name, s in zip(names, steps)}
+        post.acceptance = {"nu": float(accepted[b].sum() / n_kept)}
+        post.step_size = {"nu": float(np.exp(log_step[b]).mean())}
         results.append(post)
     return results
 

@@ -6,10 +6,11 @@ gold tags, so trivial commands like ``cp {test} {pred}`` work; a real
 system must ignore the tag column), and ``{pred}`` is where the command
 must write its tagged predictions in the same format and order. Only
 ``{test}`` and ``{pred}`` are mandatory; a no-training baseline can skip
-the rest. A prediction left in a kept round folder is deleted before the
-command runs. The command's standard output is discarded; its standard
-error is kept, as bytes, and shown (undecodable bytes replaced) when the
-command fails. The template is split into arguments the way a POSIX shell
+the rest, and a round writes the train and dev files only when the
+template names them. A prediction left in a kept round folder is deleted
+before the command runs. The command's standard output is discarded; its
+standard error is kept, as bytes, and shown (undecodable bytes replaced)
+when the command fails. The template is split into arguments the way a POSIX shell
 would (``shlex.split``) before the paths go in, so a path with a space
 stays one argument. A template that does not split or that names an
 unknown placeholder, a metric list that is empty or names an unknown
@@ -70,9 +71,10 @@ class CommandFailed(Exception):
         self.stderr = stderr
 
 
-def _split_template(command_template: str) -> list[str]:
+def _split_template(command_template: str) -> tuple[list[str], set[str | None]]:
     """Split the template into arguments, each formatted once with
-    placeholder paths, so a bad template fails before any round runs."""
+    placeholder paths, so a bad template fails before any round runs.
+    Returns the arguments and the names of the template's fields."""
     fields: set[str | None] = set()
     try:
         arg_templates = shlex.split(command_template)
@@ -86,7 +88,7 @@ def _split_template(command_template: str) -> list[str]:
     for name in ("test", "pred"):
         if name not in fields:
             raise ValueError(f"command template is missing {{{name}}}")
-    return arg_templates
+    return arg_templates, fields
 
 
 def _token_forms(corpus: TaggedCorpus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -105,14 +107,13 @@ def _score_round(
     arg_templates: Sequence[str],
     metrics: Sequence[str],
     token_forms: tuple[np.ndarray, np.ndarray, np.ndarray],
+    fields: set[str | None],
     with_dev: bool,
     workdir: Path | None,
     timeout: float | None,
 ) -> dict[str, float | None]:
     rep, fold = job
     train_idx, val_idx, eval_idx = fold_roles(plan, rep, fold)
-    train = corpus.subset(train_idx)
-    dev = corpus.subset(val_idx)
     gold = corpus.subset(eval_idx)
 
     def run_in(folder: Path) -> dict[str, float | None]:
@@ -122,8 +123,10 @@ def _score_round(
             "test": folder / "test.tsv",
             "pred": folder / "pred.tsv",
         }
-        write_corpus(train, paths["train"])
-        write_corpus(dev, paths["dev"])
+        # The training portions are written only for a template that names them.
+        for name, indices in (("train", train_idx), ("dev", val_idx)):
+            if name in fields:
+                write_corpus(corpus.subset(indices), paths[name])
         write_corpus(gold, paths["test"])
         names = {k: str(v) for k, v in paths.items()}
         argv = [arg.format(**names) for arg in arg_templates]
@@ -233,7 +236,7 @@ def run_external(
     ):
         if "\n" in value or "\r" in value:
             raise ValueError(f"{what} {value!r} contains a line break")
-    arg_templates = _split_template(command_template)
+    arg_templates, fields = _split_template(command_template)
     unknown = [metric for metric in metrics if metric not in DEFAULT_METRICS]
     if unknown or not metrics:
         problem = f"unknown metrics {', '.join(unknown)}" if unknown else "no metrics given"
@@ -250,7 +253,8 @@ def run_external(
 
     def work(job: tuple[int, int]) -> dict[str, float | None]:
         return _score_round(
-            job, plan, corpus, arg_templates, metrics, token_forms, with_dev, workdir_path, timeout
+            job, plan, corpus, arg_templates, metrics, token_forms, fields, with_dev, workdir_path,
+            timeout,
         )
 
     matrix = ScoreMatrix()

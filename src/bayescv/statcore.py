@@ -20,6 +20,7 @@ from numpy.typing import ArrayLike
 
 __all__ = [
     "StudentT",
+    "lgamma",
     "betainc",
     "std_t_cdf",
     "t_sample",
@@ -56,7 +57,29 @@ class StudentT:
             raise ValueError(f"location must be finite, got {self.location}")
 
 
-_lgamma = np.vectorize(math.lgamma, otypes=[float])
+# Stirling series of log Gamma(y) - ((y - 1/2) log y - y + log(2 pi)/2), in
+# powers of 1/y^2 after a first 1/y: B_2k / (2k (2k - 1)) for k = 1..7.
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def lgamma(x: ArrayLike) -> np.ndarray:
+    """log Gamma(x) elementwise, for 0 < x < 1e50.
+
+    The Stirling series at y = x + 6, less log(x (x+1) ... (x+5)). Against
+    ``math.lgamma`` on [0.05, 1e7] its error is below 3e-14 relative to
+    max(1, |log Gamma(x)|).
+    """
+    x = np.asarray(x, dtype=float)
+    y = x + 6.0
+    r = 1.0 / (y * y)
+    series = _STIRLING[-1]
+    for c in _STIRLING[-2::-1]:
+        series = series * r + c
+    # x (x+1) ... (x+5) as u (u + 4) (u + 6), with u = x (x + 5).
+    u = x * (x + 5.0)
+    shifted = u * (u + 4.0) * (u + 6.0)
+    return (y - 0.5) * np.log(y) - y + series / y - np.log(shifted) + _HALF_LOG_2PI
 
 
 def _away_from_zero(v: np.ndarray) -> np.ndarray:
@@ -77,7 +100,8 @@ def betainc(a: ArrayLike, b: ArrayLike, x: ArrayLike) -> np.ndarray:
         raise ValueError(f"a and b must be positive, got a={a}, b={b}")
     # log B(a, b) before x broadcasts a and b: std_t_cdf passes both tails
     # of a draw against one a, so each draw's lgamma terms run once.
-    log_beta = _lgamma(a + b) - _lgamma(a) - _lgamma(b)
+    log_gammas = lgamma(np.stack(np.broadcast_arrays(a + b, a, b)))
+    log_beta = log_gammas[0] - log_gammas[1] - log_gammas[2]
     a, b, x, log_beta = np.broadcast_arrays(a, b, x, log_beta)
     out = np.where(x <= 0.0, 0.0, np.where(x >= 1.0, 1.0, np.nan))
     inside = (x > 0.0) & (x < 1.0)

@@ -314,12 +314,15 @@ def test_acceptance_7_metrics_exactness():
 
 def test_acceptance_8_scale_invariance():
     # The sampler is seeded identically for both runs, but bit-level
-    # rounding in the standardized sufficient statistics is amplified by
-    # the accept/reject feedback, so the two trajectories eventually part
-    # ways. The triples still agree because both runs target the same
-    # standardized posterior; the draw count keeps the Monte Carlo error
-    # of each component near 2e-3, well under the 0.01 tolerance.
-    config = ModelConfig(chains=4, samples_per_chain=150000, warmup=2000, seed=11)
+    # rounding in the standardized sufficient statistics can tip an
+    # accept/reject decision, after which the two trajectories part ways.
+    # The triples still agree because both runs target the same
+    # standardized posterior; 100k draws keep the Monte Carlo error of
+    # each component at or under 1.4e-3 (from the ESS of its winner
+    # indicator: 0.0008, 0.0012 and 0.0013), so a gap between two
+    # independent runs has a standard deviation under 2e-3, a fifth of
+    # the 0.01 tolerance.
+    config = ModelConfig(chains=40, samples_per_chain=2500, warmup=500, seed=11)
     series = generate(
         q=4, m=5, k=10,
         delta0=0.012, sigma0=0.004, nu=8.0, rho=0.1,

@@ -4,8 +4,8 @@ calibration", arXiv:1804.06788).
 
 Each replicate draws the parameters from the prior and the data from the
 model, then fits them. For a correct sampler the rank of each true value
-among its (thinned) posterior draws is uniform, whatever the data. All
-replicates of one case run as one ``_lockstep`` batch of hand-built
+among its (thinned) posterior draws is uniform, whatever the data. The
+replicates of a case run as ``_lockstep`` batches of hand-built
 ``_Problem``s with fixed prior boxes: the CLI's boxes are relative to the
 data's spread, which a prior draw cannot be.
 

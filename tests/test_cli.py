@@ -533,13 +533,14 @@ class TestCompare:
         assert rc == 2
 
     def test_non_convergence_exit_code(self, tmp_path, capsys):
-        # No warmup means no step-size adaptation, and a huge sigma cap
-        # leaves the walk poorly scaled, so these chains fail R-hat.
+        # A nu prior flat up to 1e20 lets nu drift upward over decades, and
+        # with no warmup its walk keeps its first step size, so the chains
+        # wander apart in nu and fail R-hat.
         prefix = tmp_path / "stuck"
         rc = run("compare", "--scores", DELTA3, "--a", "alpha", "--b", "beta",
                  "--metric", "token", "--rope", "0.01",
                  "--chains", "4", "--draws", "1000", "--warmup", "0",
-                 "--sigma-bar-factor", "100000", "--seed", "1",
+                 "--nu-prior", "1", "1e-20", "--seed", "1",
                  "--out-prefix", prefix)
         assert rc == 3
         assert (tmp_path / "stuck.report.csv").exists()

@@ -21,6 +21,9 @@ from test_metrics import (
 
 FIXTURES = Path(__file__).parent / "fixtures"
 COPY_COMMAND = "cp {test} {pred}"
+# The copy, with the training portions passed to a shell that ignores them,
+# so every round writes all four files.
+COPY_NAMING_ALL = """sh -c 'cp "$0" "$1"' {test} {pred} {train} {dev}"""
 
 
 @pytest.fixture(scope="module")
@@ -277,6 +280,7 @@ class TestFailureModes:
 
 class TestWorkdir:
     def test_round_files_kept(self, tmp_path, toy_corpus):
+        # The copy names neither {train} nor {dev}, so no round writes them.
         plan = make_splits(200, 4, 1, seed=2)
         run_external(
             plan, toy_corpus, COPY_COMMAND,
@@ -285,14 +289,29 @@ class TestWorkdir:
         )
         round_dirs = sorted(p.name for p in tmp_path.iterdir())
         assert len(round_dirs) == 4
-        first = tmp_path / round_dirs[0]
-        names = {p.name for p in first.iterdir()}
-        assert {"train.tsv", "dev.tsv", "test.tsv", "pred.tsv"} <= names
+        for folder in round_dirs:
+            assert {p.name for p in (tmp_path / folder).iterdir()} == {"test.tsv", "pred.tsv"}
+
+    def test_training_files_written_when_the_template_names_them(self, tmp_path, toy_corpus):
+        plan = make_splits(200, 4, 1, seed=2)
+        for command, written in (
+            ("""sh -c 'cp "$0" "$1"' {test} {pred} {train}""", {"train.tsv"}),
+            ("""sh -c 'cp "$0" "$1"' {test} {pred} {dev!s}""", {"dev.tsv"}),
+            (COPY_NAMING_ALL, {"train.tsv", "dev.tsv"}),
+        ):
+            workdir = tmp_path / str(len(list(tmp_path.iterdir())))
+            run_external(
+                plan, toy_corpus, command,
+                dataset_id="toy", system_id="copy", metrics=("token",), workdir=workdir,
+            )
+            for folder in workdir.iterdir():
+                names = {p.name for p in folder.iterdir()}
+                assert names == written | {"test.tsv", "pred.tsv"}, command
 
     def test_round_files_match_reference_writer(self, tmp_path, toy_corpus):
         plan = make_splits(200, 4, 2, seed=5)
         run_external(
-            plan, toy_corpus, COPY_COMMAND,
+            plan, toy_corpus, COPY_NAMING_ALL,
             dataset_id="toy", system_id="copy", metrics=("token",),
             workdir=tmp_path / "wd",
         )
@@ -366,7 +385,9 @@ class TestThreadStress:
         one = run(1, tmp_path / "one")
         assert results["many"].entries == one.entries
         for folder in sorted((tmp_path / "one").iterdir()):
-            for name in ("train.tsv", "dev.tsv", "test.tsv", "pred.tsv"):
+            # The copy names neither training portion, so no round wrote one.
+            assert not (folder / "train.tsv").exists() and not (folder / "dev.tsv").exists()
+            for name in ("test.tsv", "pred.tsv"):
                 twin = tmp_path / "many" / folder.name / name
                 assert twin.read_bytes() == (folder / name).read_bytes(), (folder.name, name)
         assert len(list((tmp_path / "many").iterdir())) == plan.m * plan.k

@@ -1,7 +1,8 @@
 """Checks for the probability kernels against independent references:
 numerical quadrature for the t CDF, dense linear algebra for the
 compound-symmetry Gaussian, and scipy for the incomplete beta function
-and for the test oracles' t density.
+and for the test oracles' t density, and ``math.lgamma`` for the log
+gamma function.
 """
 
 import math
@@ -20,6 +21,7 @@ from bayescv.statcore import (
     cs_loglik,
     cs_quad_form,
     cs_stats,
+    lgamma,
     rng_fork,
     std_t_cdf,
     t_sample,
@@ -112,6 +114,23 @@ class TestLogPdf:
             ref = scipy.stats.t(df=dof, loc=0.3, scale=1.7)
             for x in (-6.0, -1.0, 0.3, 2.0, 9.0):
                 assert_allclose(t_logpdf(x, 0.3, 1.7, dof), ref.logpdf(x), atol=1e-12, rtol=0)
+
+
+class TestLgamma:
+    def test_matches_math_lgamma_on_a_log_grid(self):
+        x = np.geomspace(0.5, 1e7, 4001)
+        want = np.array([math.lgamma(v) for v in x])
+        relative = np.abs(lgamma(x) - want) / np.maximum(1.0, np.abs(want))
+        assert relative.max() < 3e-14
+
+    def test_around_the_shift_and_the_roots(self):
+        # The series is taken at x + 6, so no branch switches at x = 6; the
+        # roots 1 and 2 test the absolute error where log Gamma is 0.
+        x = np.array([1.0, 2.0, 6.0, np.nextafter(6.0, 0.0), np.nextafter(6.0, 7.0), 6.5, 0.5])
+        want = np.array([math.lgamma(v) for v in x])
+        assert np.max(np.abs(lgamma(x) - want)) < 3e-14
+        assert lgamma(1.0) == pytest.approx(0.0, abs=1e-14)
+        assert lgamma(0.5) == pytest.approx(0.5 * math.log(math.pi), abs=3e-14)
 
 
 class TestBetainc:
