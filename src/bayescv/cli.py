@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import json
 import os
 import sys
 import time
@@ -49,7 +50,6 @@ from .model import (
     orientation,
     read_chains_csv,
     unconverged,
-    write_chain_metadata,
     write_chains_csv,
 )
 from .plotting import draws_to_points, plotted_indices, points_from_triples, render_simplex_svg
@@ -285,29 +285,20 @@ def _resolve_rope(args: argparse.Namespace, series) -> tuple[RopeInterval, str]:
 
 @dataclass
 class _Pair:
-    """One comparison before its posterior exists: differences, rope, notes."""
+    """One comparison before its posterior exists: differences and rope."""
 
     system_a: str
     system_b: str
     series: list[DifferenceSeries]
     rope: RopeInterval
-    notes: dict[str, str]
+    rope_mode: str
 
 
 def _setup_pair(
     scores: ScoreMatrix, system_a: str, system_b: str, args: argparse.Namespace
 ) -> _Pair:
     series = assemble_differences(scores, system_a, system_b, args.metric, rho=args.rho)
-    rope, rope_mode = _resolve_rope(args, series)
-    notes = {
-        "rope_halfwidth": repr(rope.halfwidth),
-        "rope_mode": rope_mode,
-        "system_a": system_a,
-        "system_b": system_b,
-        "metric": args.metric,
-        "n_datasets": str(len(series)),
-    }
-    return _Pair(system_a, system_b, series, rope, notes)
+    return _Pair(system_a, system_b, series, *_resolve_rope(args, series))
 
 
 def _finish_pair(
@@ -318,7 +309,6 @@ def _finish_pair(
     ``post`` is the hierarchical posterior, or None for a pair with a
     single shared data set.
     """
-    notes = pair.notes
     if post is None:
         # A single shared data set cannot feed the hierarchical model;
         # fall back to the closed-form correlated t posterior and sample
@@ -333,15 +323,10 @@ def _finish_pair(
             triple = ttest_triple(oriented, pair.rope, n_samples=n_samples, seed=config.seed)
         if sign < 0:
             triple = triple.flipped()
-        notes["method"] = "correlated_ttest"
-        notes["ttest_location"] = repr(post_t.location)
-        notes["ttest_scale"] = repr(post_t.scale)
-        notes["ttest_dof"] = repr(post_t.dof)
         converged = True
     else:
         with _stage("tally"):
             triple = tally(post, pair.rope)
-        notes["method"] = "hierarchical"
         converged = post.converged
         if not converged:
             bad = ", ".join(
@@ -363,6 +348,62 @@ def _finish_pair(
     return row, converged
 
 
+def _chains_meta(
+    pair: _Pair,
+    row: ReportRow,
+    post: PosteriorChains | None,
+    args: argparse.Namespace,
+    manifest_path: Path,
+    chains_sha256: str | None,
+) -> dict[str, str]:
+    """compare's whole <out-prefix>.chains.meta.txt: the pair, its rope and
+    counted triple, and the posterior they came from, either the closed-form
+    t or the sampler's settings, diagnostics and the chains file's digest."""
+    t = row.triple
+    meta = {
+        "system_a": pair.system_a,
+        "system_b": pair.system_b,
+        "metric": args.metric,
+        "n_datasets": str(len(pair.series)),
+        "rope_halfwidth": repr(pair.rope.halfwidth),
+        "rope_mode": pair.rope_mode,
+        "manifest": str(manifest_path),
+        **dict(zip(_COUNT_KEYS, map(str, (t.n_left, t.n_rope, t.n_right)))),
+    }
+    if post is None:
+        post_t = correlated_ttest(pair.series[0])
+        meta.update({
+            "method": "correlated_ttest",
+            "ttest_location": repr(post_t.location),
+            "ttest_scale": repr(post_t.scale),
+            "ttest_dof": repr(post_t.dof),
+        })
+        return meta
+    cfg = post.config
+    meta.update({
+        "method": "hierarchical",
+        "version": __version__,
+        "chains": str(post.n_chains),
+        "draws_per_chain": str(post.draws_per_chain),
+        "warmup": str(cfg.warmup),
+        "seed": str(cfg.seed),
+        "standardization_constant": repr(post.standardization_constant),
+        "sigma_bar_factor": repr(cfg.sigma_bar_factor),
+        "delta0_prior_halfwidth": repr(cfg.delta0_prior_halfwidth),
+        "nu_prior_shape": repr(cfg.nu_prior[0]),
+        "nu_prior_rate": repr(cfg.nu_prior[1]),
+        "dataset_ids": json.dumps(list(post.dataset_ids)),
+        "converged": str(post.converged).lower(),
+        "accept[nu]": repr(post.nu_acceptance),
+        "step[nu]": repr(post.nu_step),
+        "chains_sha256": chains_sha256,
+    })
+    for name, diag in post.diagnostics.items():
+        meta[f"r_hat[{name}]"] = repr(float(diag.r_hat))
+        meta[f"ess[{name}]"] = repr(float(diag.ess))
+    return meta
+
+
 def cmd_compare(args: argparse.Namespace) -> int:
     # Built first, so bad sampler flags fail before any work, whichever
     # path the pair takes.
@@ -376,19 +417,16 @@ def cmd_compare(args: argparse.Namespace) -> int:
         with _stage("fit"):
             post = fit(pair.series, config)
     row, converged = _finish_pair(pair, post, args, config)
-    pair.notes["manifest"] = str(manifest_path)
-    t = row.triple
-    pair.notes.update(zip(_COUNT_KEYS, map(str, (t.n_left, t.n_rope, t.n_right))))
-    meta_path = _output(args, ".chains.meta.txt")
-    if post is None:
-        write_kv(meta_path, pair.notes)
-    else:
+    chains_sha256 = None
+    if post is not None:
         chains_path = _output(args, ".chains.csv")
         with _stage("write chains"):
             write_chains_csv(post, chains_path, manifest=str(manifest_path))
             # plot checks the chains against this before parsing any of it.
-            pair.notes["chains_sha256"] = file_digest(chains_path)
-            write_chain_metadata(post, meta_path, extra=pair.notes)
+            chains_sha256 = file_digest(chains_path)
+    meta = _chains_meta(pair, row, post, args, manifest_path, chains_sha256)
+    write_kv(_output(args, ".chains.meta.txt"), meta)
+    t = row.triple
     report_path = _output(args, ".report.csv")
     write_report_csv([row], report_path, manifest=str(manifest_path))
     _log(

@@ -27,7 +27,6 @@ in closed form as a Student t; ``correlated_ttest`` returns it directly.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import os
 from collections.abc import Sequence
@@ -36,9 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
 from .diagnostics import ParameterDiagnostics, diagnose
-from .manifest import write_kv
 from .scores import DifferenceSeries
 from .statcore import StudentT, cs_quad_form, cs_stats, lgamma, rng_fork, t_sample
 
@@ -52,7 +49,6 @@ __all__ = [
     "orientation",
     "write_chains_csv",
     "read_chains_csv",
-    "write_chain_metadata",
     "unconverged",
 ]
 
@@ -116,10 +112,10 @@ class PosteriorChains:
     (chains, draws) are views of the first three. All values are on the
     standardized scale; multiply locations and scales by
     ``standardization_constant`` to return to raw score differences.
-    ``acceptance`` and ``step_size`` hold, under ``"nu"``, the one
-    Metropolis step's acceptance rate over the kept draws of all chains and
-    its final adapted proposal scale (on log nu) averaged over chains;
-    every other parameter is drawn from its conditional.
+    ``nu_acceptance`` and ``nu_step`` are the acceptance rate of nu's
+    Metropolis step over the kept draws of all chains and its final
+    adapted proposal scale (on log nu) averaged over chains; every other
+    parameter is drawn from its conditional.
     """
 
     dataset_ids: tuple[str, ...]
@@ -128,8 +124,8 @@ class PosteriorChains:
     config: ModelConfig
     diagnostics: dict[str, ParameterDiagnostics] = field(default_factory=dict)
     converged: bool = True
-    acceptance: dict[str, float] = field(default_factory=dict)
-    step_size: dict[str, float] = field(default_factory=dict)
+    nu_acceptance: float = math.nan
+    nu_step: float = math.nan
 
     @property
     def delta0(self) -> np.ndarray:
@@ -646,8 +642,8 @@ def fit_many(
         names = post.parameter_names()
         post.diagnostics = {name: diagnose(post.draws[..., j]) for j, name in enumerate(names)}
         post.converged = not unconverged(post.diagnostics)
-        post.acceptance = {"nu": float(accepted[b].sum() / n_kept)}
-        post.step_size = {"nu": float(np.exp(log_step[b]).mean())}
+        post.nu_acceptance = float(accepted[b].sum() / n_kept)
+        post.nu_step = float(np.exp(log_step[b]).mean())
         results.append(post)
     return results
 
@@ -743,30 +739,3 @@ def read_chains_csv(
     columns = params if names is None else names
     return {name: table[:, j].reshape(chains, draws) for j, name in enumerate(columns, start=2)}
 
-
-def write_chain_metadata(post: PosteriorChains, path: str | Path, extra: dict[str, str] | None = None) -> None:
-    """Sidecar key=value file describing how the chains were produced."""
-    cfg = post.config
-    lines: dict[str, str] = {
-        "version": __version__,
-        "chains": str(post.n_chains),
-        "draws_per_chain": str(post.draws_per_chain),
-        "warmup": str(cfg.warmup),
-        "seed": str(cfg.seed),
-        "standardization_constant": repr(post.standardization_constant),
-        "sigma_bar_factor": repr(cfg.sigma_bar_factor),
-        "delta0_prior_halfwidth": repr(cfg.delta0_prior_halfwidth),
-        "nu_prior_shape": repr(cfg.nu_prior[0]),
-        "nu_prior_rate": repr(cfg.nu_prior[1]),
-        "dataset_ids": json.dumps(list(post.dataset_ids)),
-        "converged": str(post.converged).lower(),
-    }
-    for name, diag in post.diagnostics.items():
-        lines[f"r_hat[{name}]"] = repr(float(diag.r_hat))
-        lines[f"ess[{name}]"] = repr(float(diag.ess))
-    for name, rate in post.acceptance.items():
-        lines[f"accept[{name}]"] = repr(rate)
-        lines[f"step[{name}]"] = repr(post.step_size[name])
-    if extra:
-        lines.update(extra)
-    write_kv(path, lines)

@@ -1,11 +1,11 @@
 """Numerical kernels used everywhere else.
 
-The Student t CDF, the compound-symmetry normal likelihood that the
+The Student t CDF, the compound-symmetry quadratic form that the
 sampler runs, and reproducible random streams. The t CDF is computed from
 scratch (regularized incomplete beta via a continued fraction, evaluated
 over whole numpy arrays at once) so the package has no runtime dependency
 on a special function library; scipy appears only in the test suite as an
-oracle. The likelihood is written on the sufficient statistics of
+oracle. The quadratic form is written on the sufficient statistics of
 ``cs_stats``, so it costs O(1) per evaluation and never forms the n-by-n
 covariance matrix.
 """
@@ -26,7 +26,6 @@ __all__ = [
     "t_sample",
     "cs_stats",
     "cs_quad_form",
-    "cs_loglik",
     "rng_fork",
 ]
 
@@ -200,17 +199,6 @@ def cs_quad_form(stats: CsStats, mean: ArrayLike) -> ArrayLike:
     n, xbar, ss, c1, c2 = stats
     r = xbar - mean
     return n * r * r / c1 + ss / c2
-
-
-def cs_loglik(stats: CsStats, mean: float, variance: float) -> float:
-    """Log density of MVN(mean * 1, variance * ((1 - rho) I + rho J)) at x.
-
-    ``stats`` is ``cs_stats(x, rho)``. Positive definiteness needs
-    variance > 0 and -1/(n-1) < rho < 1.
-    """
-    n, _, _, c1, c2 = stats
-    logdet = n * math.log(variance) + math.log(c1) + (n - 1.0) * math.log(c2)
-    return -0.5 * (n * math.log(2.0 * math.pi) + logdet + cs_quad_form(stats, mean) / variance)
 
 
 def rng_fork(seed: int, stream_id: int) -> np.random.Generator:

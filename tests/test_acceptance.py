@@ -3,7 +3,7 @@
 Each gate is one test with its own tolerance and, where stated, a
 wall-clock budget, so the verbose test report shows one pass/fail line
 per gate. The oracles here are intentionally independent of the library
-internals: dense linear algebra for the likelihood, adaptive quadrature
+internals: dense linear algebra for the quadratic form, adaptive quadrature
 for the t distribution, and brute-force Monte Carlo for the decision
 probabilities.
 """
@@ -28,8 +28,8 @@ from bayescv.decision import (
 from bayescv.metrics import TaggedCorpus, oov_accuracy, sentence_accuracy, token_accuracy
 from bayescv.model import ModelConfig, PosteriorChains, correlated_ttest, fit, generate
 from bayescv.scores import DifferenceSeries, ScoreMatrix
-from bayescv.statcore import StudentT, cs_loglik, cs_stats, std_t_cdf
-from oracles import dense_cs_loglik, t_logpdf
+from bayescv.statcore import StudentT, cs_quad_form, cs_stats, std_t_cdf
+from oracles import cs_dense, t_logpdf
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -75,7 +75,9 @@ def negated(post: PosteriorChains) -> PosteriorChains:
 def test_acceptance_1_kernel_exactness():
     start = time.perf_counter()
     rng = np.random.default_rng(101)
-    worst_loglik = 0.0
+    # The sampler's step 5 draws each sigma_i from the quadratic form of
+    # its data at delta_i; the dense one solves against the full matrix.
+    worst_quad = 0.0
     for _ in range(100):
         n = int(rng.integers(1, 21))
         lo = -1.0 / (n - 1) if n > 1 else -1.0
@@ -83,10 +85,11 @@ def test_acceptance_1_kernel_exactness():
         variance = float(rng.uniform(0.1, 4.0))
         mean = float(rng.normal(0.0, 2.0))
         x = rng.normal(mean, 1.0, size=n)
-        ours = cs_loglik(cs_stats(x, rho), mean, variance)
-        gap = abs(ours - dense_cs_loglik(x, mean, variance, rho))
-        worst_loglik = max(worst_loglik, gap)
-    assert worst_loglik <= 1e-10
+        ours = cs_quad_form(cs_stats(x, rho), mean) / variance
+        resid = x - mean
+        dense = float(resid @ np.linalg.solve(cs_dense(n, variance, rho), resid))
+        worst_quad = max(worst_quad, abs(ours - dense) / max(1.0, dense))
+    assert worst_quad <= 1e-10
 
     worst_cdf = 0.0
     for nu in (1.0, 2.0, 5.0, 30.0):
@@ -98,7 +101,7 @@ def test_acceptance_1_kernel_exactness():
 
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
-    print(f"gate 1: loglik err {worst_loglik:.2e}, cdf err {worst_cdf:.2e}, {elapsed:.1f}s")
+    print(f"gate 1: quad form err {worst_quad:.2e}, cdf err {worst_cdf:.2e}, {elapsed:.1f}s")
 
 
 def test_acceptance_2_decision_algebra():

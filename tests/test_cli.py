@@ -371,6 +371,33 @@ class TestCompare:
         assert float(meta["rope_halfwidth"]) == 0.01
         assert float(meta["standardization_constant"]) > 0.0
 
+    def test_sidecar_records_the_sampler_and_its_diagnostics(self, tmp_path):
+        assert run("compare", "--scores", DELTA3, "--a", "alpha", "--b", "beta",
+                   "--metric", "token", "--rope", "0.01", "--seed", "2", *FAST,
+                   "--out-prefix", tmp_path / "pair") == 0
+        meta = read_kv(tmp_path / "pair.chains.meta.txt")
+        assert (meta["chains"], meta["draws_per_chain"], meta["warmup"]) == ("2", "1500", "500")
+        assert meta["converged"] == "true"
+        assert meta["dataset_ids"] == json.dumps([f"ds{i:02d}" for i in range(8)])
+        names = ["delta0", "sigma0", "nu"] + [
+            f"{kind}[ds{i:02d}]" for kind in ("delta", "sigma") for i in range(8)
+        ]
+        for key in ("r_hat", "ess"):
+            assert sorted(k for k in meta if k.startswith(f"{key}[")) == sorted(
+                f"{key}[{name}]" for name in names
+            )
+
+    def test_sidecar_accept_and_step_for_nu_only(self, tmp_path):
+        assert run("compare", "--scores", DELTA3, "--a", "alpha", "--b", "beta",
+                   "--metric", "token", "--rope", "0.01", "--seed", "2", *FAST,
+                   "--out-prefix", tmp_path / "pair") == 0
+        meta = read_kv(tmp_path / "pair.chains.meta.txt")
+        # nu is the only parameter with a Metropolis step; every other one
+        # is drawn from its conditional.
+        assert [k for k in meta if k.startswith(("accept[", "step["))] == ["accept[nu]", "step[nu]"]
+        assert 0.0 < float(meta["accept[nu]"]) < 1.0
+        assert float(meta["step[nu]"]) > 0.0
+
     def test_single_dataset_falls_back_to_t_posterior(self, one_dataset_csv, tmp_path):
         prefix = tmp_path / "t"
         rc = run("compare", "--scores", one_dataset_csv, "--a", "alpha", "--b", "beta",

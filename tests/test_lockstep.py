@@ -33,8 +33,8 @@ def test_stacked_problems_match_separate_fits():
         assert post.standardization_constant == alone.standardization_constant
         # Bit for bit: rank's output must not depend on how pairs are batched.
         assert_array_equal(post.draws, alone.draws)
-        assert post.acceptance == alone.acceptance
-        assert post.step_size == alone.step_size
+        assert post.nu_acceptance == alone.nu_acceptance
+        assert post.nu_step == alone.nu_step
         assert post.diagnostics == alone.diagnostics
         assert post.converged == alone.converged
 

@@ -1,9 +1,8 @@
 """Model-layer checks: the synthetic generator, the closed-form t
 posterior, and the hierarchical sampler. The sampler is validated against
 an independent reference: a plain joint random-walk Metropolis written
-here from the t density of the test oracles and the compound-symmetry
-likelihood of statcore (which gate 1 checks against a dense oracle),
-sharing no code with the production kernel beyond that likelihood.
+here from the t density and the compound-symmetry likelihood of the test
+oracles, sharing no code with the production kernel beyond ``cs_stats``.
 """
 
 import csv
@@ -26,12 +25,11 @@ from bayescv.model import (
     generate,
     orientation,
     read_chains_csv,
-    write_chain_metadata,
     write_chains_csv,
 )
 from bayescv.scores import DifferenceSeries
-from bayescv.statcore import cs_loglik, cs_stats, std_t_cdf
-from oracles import t_logpdf
+from bayescv.statcore import cs_stats, std_t_cdf
+from oracles import cs_loglik, t_logpdf
 
 FAST = ModelConfig(chains=2, samples_per_chain=1500, warmup=800, seed=3)
 
@@ -246,7 +244,7 @@ class TestEquivariance:
         assert_array_equal(post_f.draws[..., locations], -post.draws[..., locations])
         assert_array_equal(post_f.draws[..., scales], post.draws[..., scales])
         assert post_f.diagnostics == post.diagnostics
-        assert post_f.acceptance == post.acceptance
+        assert post_f.nu_acceptance == post.nu_acceptance
         # Batched together, each orientation still gets its own draws.
         batched = fit_many([series, flipped], cfg)
         assert_array_equal(batched[0].draws, post.draws)
@@ -545,32 +543,6 @@ class TestChainsIO:
         path.write_bytes(manifest + b"\n\xff" + rest)
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: 'utf-8' codec"):
             read_chains_csv(path, names=names)
-
-    def test_metadata_roundtrip(self, tmp_path):
-        series = generate(2, 2, 5, 0.01, 0.005, 5.0, 0.1, (0.01, 0.02), seed=15)
-        post = fit(series, FAST)
-        path = tmp_path / "chains.meta.txt"
-        write_chain_metadata(post, path, extra={"note": "hello"})
-        meta = read_kv(path)
-        assert meta["chains"] == "2"
-        assert meta["draws_per_chain"] == "1500"
-        assert meta["note"] == "hello"
-        assert meta["converged"] in ("true", "false")
-        assert float(meta["standardization_constant"]) == post.standardization_constant
-        assert "r_hat[delta0]" in meta and "ess[nu]" in meta
-
-    def test_metadata_acceptance_and_step_per_parameter(self, tmp_path):
-        series = generate(3, 2, 5, 0.01, 0.005, 5.0, 0.1, (0.01, 0.02), seed=15)
-        paths = [tmp_path / "a.meta.txt", tmp_path / "b.meta.txt"]
-        for path in paths:
-            write_chain_metadata(fit(series, FAST), path)
-        assert paths[0].read_bytes() == paths[1].read_bytes()
-        meta = read_kv(paths[0])
-        # nu is the only parameter with a Metropolis step; every other one
-        # is drawn from its conditional.
-        assert [k for k in meta if k.startswith(("accept[", "step["))] == ["accept[nu]", "step[nu]"]
-        assert 0.0 < float(meta["accept[nu]"]) < 1.0
-        assert float(meta["step[nu]"]) > 0.0
 
     def test_read_rejects_ragged_chains(self, tmp_path):
         path = tmp_path / "bad.csv"

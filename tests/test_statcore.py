@@ -1,7 +1,8 @@
 """Checks for the probability kernels against independent references:
 numerical quadrature for the t CDF, dense linear algebra for the
 compound-symmetry Gaussian, and scipy for the incomplete beta function
-and for the test oracles' t density, and ``math.lgamma`` for the log
+and for the test oracles' t density and compound-symmetry likelihood,
+and ``math.lgamma`` for the log
 gamma function.
 """
 
@@ -18,7 +19,6 @@ from bayescv.scores import DifferenceSeries
 from bayescv.statcore import (
     StudentT,
     betainc,
-    cs_loglik,
     cs_quad_form,
     cs_stats,
     lgamma,
@@ -26,7 +26,7 @@ from bayescv.statcore import (
     std_t_cdf,
     t_sample,
 )
-from oracles import cs_dense, dense_cs_loglik, t_logpdf
+from oracles import cs_dense, cs_loglik, dense_cs_loglik, t_logpdf
 
 
 def t_cdf_quadrature(x: float, dist: StudentT) -> float:
