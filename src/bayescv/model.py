@@ -391,9 +391,9 @@ def _lockstep(problems: list[_Problem], config: ModelConfig) -> tuple[np.ndarray
     (shape a < 1: Gamma(a + 1) U^(1/a)). If none does, a truncated draw
     takes one independence Metropolis step from the power law tau^(a-1) on
     its box, accepted with probability exp(-rate (tau' - tau)), and a
-    lambda draw takes numpy's ``standard_gamma`` from its lane's own
-    stream, the first child of chain c's seed sequence (about 1e-4 of
-    lambda draws). The target stays exact.
+    lambda draw keeps its value (about 1e-4 of them): a mixture of the
+    exact draw and the identity, with a weight that does not depend on
+    lambda, leaves the target exact (Tierney 1994).
 
     Chain c draws from ``rng_fork(seed, c)`` a fixed number of variates
     per sweep, in blocks of sweeps. All problems share the seed, so lanes
@@ -466,9 +466,8 @@ def _lockstep(problems: list[_Problem], config: ModelConfig) -> tuple[np.ndarray
     log_hi = np.log(box[1])
     power_span = np.expm1(-power * (log_hi - np.log(box[0])))
     rates = np.empty_like(tau)
-    lam = np.empty_like(deltas)
+    lam = np.ones_like(deltas)
     w_unit = ns / c1s
-    rescue: dict[tuple[int, int], np.random.Generator] = {}
 
     half = 0.5 * (nu + 1.0)
     log_norm = _t_log_norm(half)
@@ -539,13 +538,7 @@ def _lockstep(problems: list[_Problem], config: ModelConfig) -> tuple[np.ndarray
 
         # 2. lambda.
         d = half - 1.0 / 3.0
-        lam_rate = 0.5 * (nu + r2)
-        missed = _draw_gamma(lam, d, (9.0 * d) ** -0.5, z["lam"], log_u["lam"], lam_rate)
-        for i, p, c in zip(*np.nonzero(missed)):
-            if (p, c) not in rescue:
-                seeds = np.random.SeedSequence(config.seed, spawn_key=(c, 0))
-                rescue[p, c] = np.random.default_rng(seeds)
-            lam[i, p, c] = rescue[p, c].standard_gamma(half[p, c]) / lam_rate[i, p, c]
+        _draw_gamma(lam, d, (9.0 * d) ** -0.5, z["lam"], log_u["lam"], 0.5 * (nu + r2))
 
         # 3. delta_i.
         w = w_unit * tau[:q]

@@ -49,8 +49,8 @@ def test_fit_many_needs_equal_dataset_counts():
 
 def test_fallback_draws_do_not_depend_on_the_batch(monkeypatch):
     # With one candidate per gamma draw, a few lambda draws in a hundred
-    # takes its lane's own fallback stream, and truncated draws take the
-    # power-law step whenever their one candidate misses.
+    # keep their value, and truncated draws take the power-law step
+    # whenever their one candidate misses.
     monkeypatch.setattr(model, "_CANDIDATES", 1)
     problems = [
         generate(3, 2, 5, 0.01, 0.01, 2.0, 0.1, (0.01, 0.03), seed=s) for s in (4, 5)
