@@ -93,6 +93,23 @@ class TestStudentTCdf:
         assert t_cdf(-math.inf, dist) == 0.0
         assert t_cdf(1e8, dist) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("dofs", [(1.0, 1e6), (1e6, 1e22)], ids=["moderate", "huge"])
+    def test_matches_scipy_over_dof_decades(self, dofs):
+        # Near x = dof / (dof + z^2) = 1, a rounded 1 - x, log gammas of
+        # 1e10 and the continued fraction all lose digits; the huge-dof
+        # grid once raised ArithmeticError at 19 of its points.
+        rng = np.random.default_rng(5)
+        dof = 10.0 ** rng.uniform(*np.log10(dofs), 10_000)
+        z = np.array([[-1.0], [1.0]]) * 10.0 ** rng.uniform(-3.0, 4.0, 10_000)
+        assert_allclose(std_t_cdf(z, dof), scipy.stats.t.cdf(z, dof), atol=1e-11, rtol=0)
+
+    @pytest.mark.parametrize("dof", [1e10, 1e14, 1e16, 1e300])
+    def test_huge_dof_keeps_its_extremes(self, dof):
+        got = std_t_cdf(np.array([-0.5, 0.0, 0.5, -np.inf, np.inf, np.nan]), dof)
+        expected = [*scipy.stats.t.cdf([-0.5, 0.0, 0.5], dof), 0.0, 1.0]
+        assert_allclose(got[:5], expected, atol=1e-13, rtol=0)
+        assert np.isnan(got[5])
+
     def test_sf_complements_cdf(self):
         # P(T > x) is the CDF of the mirrored distribution at -x.
         dist = StudentT(location=0.6, scale=0.8, dof=11.0)
