@@ -41,6 +41,7 @@ from .decision import (
 from .manifest import RunManifest, file_digest, read_kv, write_kv, write_manifest
 from .metrics import read_corpus
 from .model import (
+    ESS_THRESHOLD,
     RHAT_THRESHOLD,
     ModelConfig,
     PosteriorChains,
@@ -330,13 +331,14 @@ def _finish_pair(
         converged = post.converged
         if not converged:
             bad = ", ".join(
-                f"{name} (r_hat={post.diagnostics[name].r_hat:.3f}, "
+                f"{name}: {' and '.join(rules)} (r_hat={post.diagnostics[name].r_hat:.3f}, "
                 f"ess={post.diagnostics[name].ess:.0f})"
-                for name in unconverged(post.diagnostics)
+                for name, rules in unconverged(post.diagnostics).items()
             )
             _log(
                 f"warning: chains did not converge for {pair.system_a} vs {pair.system_b} "
-                f"(R-hat above {RHAT_THRESHOLD} or undefined): {bad}"
+                f"(R-hat above {RHAT_THRESHOLD} or undefined, or ESS below "
+                f"{ESS_THRESHOLD:g} or undefined): {bad}"
             )
     row = ReportRow(
         system_a=pair.system_a,

@@ -52,7 +52,10 @@ __all__ = [
     "unconverged",
 ]
 
+# A parameter has converged when its split R-hat is at most RHAT_THRESHOLD
+# and its effective sample size at least ESS_THRESHOLD, both defined.
 RHAT_THRESHOLD = 1.05
+ESS_THRESHOLD = 400.0
 
 # Relative floors keeping the posterior proper when a series has zero
 # sample variance (identical scores in every round, e.g. a system compared
@@ -641,13 +644,24 @@ def fit_many(
     return results
 
 
-def unconverged(diagnostics: dict[str, ParameterDiagnostics]) -> list[str]:
-    """Names of the parameters whose R-hat is undefined or above RHAT_THRESHOLD."""
-    return [
-        name
-        for name, d in diagnostics.items()
-        if not (math.isfinite(d.r_hat) and d.r_hat <= RHAT_THRESHOLD)
-    ]
+def unconverged(diagnostics: dict[str, ParameterDiagnostics]) -> dict[str, list[str]]:
+    """The parameters that fail a convergence rule, each with the rules it
+    fails: "R-hat" when its R-hat is undefined or above RHAT_THRESHOLD, and
+    "ESS" when its effective sample size is undefined or below
+    ESS_THRESHOLD."""
+    failed = {}
+    for name, d in diagnostics.items():
+        rules = [
+            rule
+            for rule, ok in (
+                ("R-hat", math.isfinite(d.r_hat) and d.r_hat <= RHAT_THRESHOLD),
+                ("ESS", math.isfinite(d.ess) and d.ess >= ESS_THRESHOLD),
+            )
+            if not ok
+        ]
+        if rules:
+            failed[name] = rules
+    return failed
 
 
 def write_chains_csv(post: PosteriorChains, path: str | Path, manifest: str | None = None) -> None:

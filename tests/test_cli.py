@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from bayescv import cli
+from bayescv import cli, model
 from bayescv.cli import main
 from bayescv.decision import read_report_csv, rope_from_differences
 from bayescv.manifest import file_digest, read_kv, write_kv
@@ -578,6 +578,22 @@ class TestCompare:
         assert "R-hat above 1.05" in warning
         assert re.search(r"\w+ \(r_hat=(\d+\.\d{3}|nan), ess=(\d+|nan)\)", warning)
 
+    def test_low_ess_alone_exits_3(self, tmp_path, capsys, monkeypatch):
+        # Every R-hat passes at these settings; a gate no ESS can reach
+        # fails every parameter on ESS alone.
+        monkeypatch.setattr(model, "ESS_THRESHOLD", 1e9)
+        rc = run("compare", "--scores", DELTA3, "--a", "alpha", "--b", "beta",
+                 "--metric", "token", "--rope", "0.01", "--seed", "2", *FAST,
+                 "--out-prefix", tmp_path / "pair")
+        assert rc == 3
+        assert read_kv(tmp_path / "pair.chains.meta.txt")["converged"] == "false"
+        warning = next(
+            line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")
+        )
+        assert "or ESS below" in warning
+        assert re.search(r"delta0: ESS \(r_hat=1\.0\d\d, ess=\d+\)", warning)
+        assert "R-hat and" not in warning
+
     def test_artifacts_identical_across_reruns_and_workers(self, tmp_path, monkeypatch):
         # The same relative prefix in each directory keeps the manifest
         # path, and so the "# manifest:" line, the same in every run.
@@ -900,6 +916,20 @@ class TestRank:
             ("t2", "t4"), ("t2", "t5"), ("t3", "t5"), ("t4", "t5"),
         ]
         assert {pair: verdicts[pair] for pair in distant} == dict.fromkeys(distant, "left")
+
+    def test_paper_shape_at_the_default_sampler(self, tmp_path, capsys):
+        # t0 and t1 differ by 0.002 against a rope of 0.01. At seeds 0-2
+        # p_rope - p_left reads 0.09-0.10 here, many times its Monte Carlo
+        # error, and every pair passes the R-hat and ESS gates.
+        rc = run("rank", "--scores", PAPER_SHAPE, "--metric", "token", "--rope", "0.01",
+                 "--seed", "0", "--out-prefix", tmp_path / "r")
+        assert rc == 0
+        assert "warning" not in capsys.readouterr().err
+        verdicts = {
+            (row.system_a, row.system_b): row.triple.verdict
+            for row in read_report_csv(tmp_path / "r.pairs.csv")
+        }
+        assert verdicts[("t0", "t1")] == "rope"
 
     def test_single_system_is_usage_error(self, one_dataset_csv, tmp_path):
         path = ScoreMatrix.from_csvs([one_dataset_csv])
