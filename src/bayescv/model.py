@@ -651,14 +651,8 @@ def unconverged(diagnostics: dict[str, ParameterDiagnostics]) -> dict[str, list[
     ESS_THRESHOLD."""
     failed = {}
     for name, d in diagnostics.items():
-        rules = [
-            rule
-            for rule, ok in (
-                ("R-hat", math.isfinite(d.r_hat) and d.r_hat <= RHAT_THRESHOLD),
-                ("ESS", math.isfinite(d.ess) and d.ess >= ESS_THRESHOLD),
-            )
-            if not ok
-        ]
+        rules = [] if math.isfinite(d.r_hat) and d.r_hat <= RHAT_THRESHOLD else ["R-hat"]
+        rules += [] if math.isfinite(d.ess) and d.ess >= ESS_THRESHOLD else ["ESS"]
         if rules:
             failed[name] = rules
     return failed

@@ -32,8 +32,7 @@ __all__ = [
 _CF_MAX_ITER = 400
 _CF_EPS = 1e-16
 _CF_TINY = 1e-300
-# std_t_cdf's dof from which the t tail is the corrected normal one.
-_NORMAL_DOF = 1e6
+_NORMAL_DOF = 1e5
 
 
 @dataclass(frozen=True)
@@ -73,37 +72,14 @@ def lgamma(x: ArrayLike) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     y = x + 6.0
-    return (y - 0.5) * np.log(y) - y + _stirling(y) - _log_rising(x) + _HALF_LOG_2PI
-
-
-def _stirling(y: np.ndarray) -> np.ndarray:
-    """log Gamma(y) - ((y - 1/2) log y - y + log(2 pi)/2), for y >= 6."""
     r = 1.0 / (y * y)
     series = _STIRLING[-1]
     for c in _STIRLING[-2::-1]:
         series = series * r + c
-    return series / y
-
-
-def _log_rising(x: np.ndarray) -> np.ndarray:
-    """log(x (x+1) ... (x+5)), the product as u (u + 4) (u + 6), u = x (x + 5)."""
+    # x (x+1) ... (x+5) as u (u + 4) (u + 6), with u = x (x + 5).
     u = x * (x + 5.0)
-    return np.log(u * (u + 4.0) * (u + 6.0))
-
-
-def _log_beta(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """log B(a, b) = lgamma(s) + lgamma(g) - lgamma(g + s), s <= g, elementwise.
-
-    lgamma(g) - lgamma(g + s) is one difference of ``lgamma``'s terms at
-    Y = g + 6: s - (Y - 1/2) log1p(s/Y) - s log(Y + s), the Stirling
-    series' difference, and the shift's log((g+s) ... (g+s+5)) less
-    log(g ... (g+5)). Two whole log gammas would lose their rounding to
-    the subtraction, about 1e-5 at g = 5e9.
-    """
-    s, g = np.minimum(a, b), np.maximum(a, b)
-    y = g + 6.0
-    gap = s - (y - 0.5) * np.log1p(s / y) - s * np.log(y + s) + _stirling(y) - _stirling(y + s)
-    return lgamma(s) + gap + _log_rising(g + s) - _log_rising(g)
+    shifted = u * (u + 4.0) * (u + 6.0)
+    return (y - 0.5) * np.log(y) - y + series / y - np.log(shifted) + _HALF_LOG_2PI
 
 
 def _away_from_zero(v: np.ndarray) -> np.ndarray:
@@ -118,11 +94,10 @@ def betainc(
     Numerical Recipes continued fraction (modified Lentz scheme) with the
     symmetry split at x = (a+1)/(a+b+2) so the fraction always converges
     quickly. The inputs broadcast against each other; each iteration
-    updates only the entries that have not converged yet, and an entry
-    whose prefactor x^a (1-x)^b / B(a, b) underflows to 0 needs none.
-    ``complement`` is 1 - x, for a caller that has it without the
-    cancellation of 1 - x near x = 1; it serves for log(1 - x) and for the
-    swapped fraction. All-scalar inputs give a 0-d array.
+    updates only the entries that have not converged yet, and one whose
+    prefactor x^a (1-x)^b / B(a, b) is 0 needs none. ``complement`` is
+    1 - x without its rounding near x = 1, for log(1 - x) and the swapped
+    fraction. All-scalar inputs give a 0-d array.
     """
     a, b, x = (np.asarray(v, dtype=float) for v in (a, b, x))
     y = 1.0 - x if complement is None else np.asarray(complement, dtype=float)
@@ -130,18 +105,13 @@ def betainc(
         raise ValueError(f"a and b must be positive, got a={a}, b={b}")
     # log B(a, b) before x broadcasts a and b: std_t_cdf passes both tails
     # of a draw against one a, so each draw's lgamma terms run once.
-    log_inv_beta = -_log_beta(*np.broadcast_arrays(a, b))
-    a, b, x, y, log_inv_beta = np.broadcast_arrays(a, b, x, y, log_inv_beta)
+    log_gammas = lgamma(np.stack(np.broadcast_arrays(a + b, a, b)))
+    log_beta = log_gammas[0] - log_gammas[1] - log_gammas[2]
+    a, b, x, y, log_beta = np.broadcast_arrays(a, b, x, y, log_beta)
     out = np.where(x <= 0.0, 0.0, np.where(y <= 0.0, 1.0, np.nan))
     inside = (x > 0.0) & (y > 0.0)
-    a, b, x, y, log_inv_beta = a[inside], b[inside], x[inside], y[inside], log_inv_beta[inside]
-    # log x and log(1 - x), each from the smaller of x and y, so that
-    # neither is the log of a number rounded near 1.
-    log_x, log_y = np.log(x), np.log(y)
-    near = y < x
-    log_x[near] = np.log1p(-y[near])
-    log_y[~near] = np.log1p(-x[~near])
-    front = np.exp(log_inv_beta + a * log_x + b * log_y)
+    a, b, x, y, log_beta = a[inside], b[inside], x[inside], y[inside], log_beta[inside]
+    front = np.exp(log_beta + a * np.log(x) + b * np.log(y))
     # Past the split, I_x(a, b) = 1 - I_{1-x}(b, a): swap, then one fraction.
     swap = x >= (a + 1.0) / (a + b + 2.0)
     a, b, x = np.where(swap, b, a), np.where(swap, a, b), np.where(swap, y, x)
@@ -186,28 +156,30 @@ def std_t_cdf(z: ArrayLike, dof: ArrayLike) -> np.ndarray:
     ``std_t_cdf(z) == 1 - tail`` use the exact same tail value. Callers that
     need exact mirror symmetry (the decision counters) rely on this.
     z = 0 gives exactly 0.5, z = -inf/+inf give 0/1, and NaN stays NaN.
-
-    Both dof / (dof + z*z) and its complement z*z / (dof + z*z) are
-    computed directly, so neither is a rounded 1 - x. From dof = 1e6 on,
-    where the continued fraction in x loses digits to x being near 1, the
-    tail is the normal one with its first-order correction,
-    phi(z) (|z|^3 + |z|) / (4 dof); the next term is below 1e-12 there.
+    x = dof / (dof + z*z) and 1 - x = z*z / (dof + z*z) are both computed
+    directly. From dof = _NORMAL_DOF on, where the log gammas of dof / 2
+    and the continued fraction lose digits, the tail is the normal one plus
+    its first-order correction phi(z) (|z|^3 + |z|) / (4 dof), within
+    1e-10 there.
     """
-    z, dof = np.broadcast_arrays(np.asarray(z, dtype=float), np.asarray(dof, dtype=float))
-    tail = np.empty(z.shape)
-    beta = dof < _NORMAL_DOF
-    nu, z2 = dof[beta], np.square(z[beta])
+    z, dof = np.asarray(z, dtype=float), np.asarray(dof, dtype=float)
+    # Each entry from _NORMAL_DOF on is replaced below.
+    nu = np.minimum(dof, _NORMAL_DOF)
+    z2 = z * z
     total = nu + z2
     with np.errstate(invalid="ignore"):
         # z = +-inf: x = 0 decides, and y = inf / inf = NaN is never read.
         y = z2 / total
-    tail[beta] = 0.5 * betainc(0.5 * nu, 0.5, nu / total, y)
+    tail = betainc(0.5 * nu, 0.5, nu / total, y)
+    tail *= 0.5
+    normal = np.broadcast_to(dof >= _NORMAL_DOF, tail.shape)
     # Past |z| = 40 both terms below are 0 in double precision; the cap
     # keeps z = +-inf from giving 0 * inf.
-    r, nu = np.minimum(np.abs(z[~beta]), 40.0), dof[~beta]
+    r = np.minimum(np.abs(np.broadcast_to(z, tail.shape)[normal]), 40.0)
     erfc = np.frompyfunc(math.erfc, 1, 1)(r / math.sqrt(2.0)).astype(float)
     density = np.exp(-0.5 * r * r) / math.sqrt(2.0 * math.pi)
-    tail[~beta] = 0.5 * erfc + density * (r * r * r + r) / (4.0 * nu)
+    nu = np.broadcast_to(dof, tail.shape)[normal]
+    tail[normal] = 0.5 * erfc + density * (r * r * r + r) / (4.0 * nu)
     return np.where(z < 0.0, tail, 1.0 - tail)
 
 

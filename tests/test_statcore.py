@@ -101,7 +101,7 @@ class TestStudentTCdf:
         rng = np.random.default_rng(5)
         dof = 10.0 ** rng.uniform(*np.log10(dofs), 10_000)
         z = np.array([[-1.0], [1.0]]) * 10.0 ** rng.uniform(-3.0, 4.0, 10_000)
-        assert_allclose(std_t_cdf(z, dof), scipy.stats.t.cdf(z, dof), atol=1e-11, rtol=0)
+        assert_allclose(std_t_cdf(z, dof), scipy.stats.t.cdf(z, dof), atol=1e-10, rtol=0)
 
     @pytest.mark.parametrize("dof", [1e10, 1e14, 1e16, 1e300])
     def test_huge_dof_keeps_its_extremes(self, dof):
