@@ -111,7 +111,9 @@ def betainc(
     out = np.where(x <= 0.0, 0.0, np.where(y <= 0.0, 1.0, np.nan))
     inside = (x > 0.0) & (y > 0.0)
     a, b, x, y, log_beta = a[inside], b[inside], x[inside], y[inside], log_beta[inside]
-    front = np.exp(log_beta + a * np.log(x) + b * np.log(y))
+    # log(1 - x): from the complement, or else log1p, exact for small x.
+    log_y = np.log1p(-x) if complement is None else np.log(y)
+    front = np.exp(log_beta + a * np.log(x) + b * log_y)
     # Past the split, I_x(a, b) = 1 - I_{1-x}(b, a): swap, then one fraction.
     swap = x >= (a + 1.0) / (a + b + 2.0)
     a, b, x = np.where(swap, b, a), np.where(swap, a, b), np.where(swap, y, x)
