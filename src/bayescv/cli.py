@@ -30,7 +30,7 @@ from .decision import (
     ReportRow,
     RopeInterval,
     check_draws,
-    classify_draws,
+    count_draws,
     rank,
     read_report_csv,
     rope_from_differences,
@@ -632,7 +632,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
                 )
             triple = DecisionTriple(*map(int, counts))
         else:
-            triple = classify_draws(*draws, rope)[1]
+            triple = count_draws(*draws, rope)
         shown = plotted_indices(n_draws, args.max_points)
         label_a = meta.get("system_a", "system a")
         label_b = meta.get("system_b", "system b")

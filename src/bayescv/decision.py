@@ -4,11 +4,20 @@ A rope [-r, r] splits the real line into "left" (the second system wins by
 more than r), "rope" (practically equivalent), and "right" (the first
 system wins by more than r), reading a difference series as first minus
 second. ``region_probs`` integrates the population t of every posterior
-draw over the three regions in one array kernel; ``tally`` counts the
-per-draw argmax verdicts of those masses, and the plot places the same
-masses on the simplex. ``rank`` assembles pairwise verdicts into a partial
-order. ``write_report_csv`` and ``read_report_csv`` keep the triples in a
-CSV table written and read by ``manifest.write_table`` and
+draw over the three regions in one array kernel, and the plot places those
+masses on the simplex. ``count_draws`` (behind ``tally``) counts each
+draw's argmax verdict, integrating only the draws that two exact rules
+for nu >= 1 leave open. With r the rope halfwidth: when |delta0| - r >
+1e-6 sigma0, the tail on delta0's side holds 1/2 plus at least 3.1e-7
+(near 0 the t density is >= 1/pi) and wins (median rule); when r - |delta0|
+>= 0.5774 sigma0, each tail holds at most 1/3 - 1.19e-5 and the rope wins
+(Cauchy rule: P(t_nu > z) <= 1/2 - arctan(z)/pi for z >= 0, which is 1/3 at
+tan(pi/6) = 0.57735...). Each winner leads by 6.3e-7 or more, far beyond
+the kernel's 1e-10 error per tail, so the counts are the kernel's; at
+sigma0 = 0 both rules give its point-mass answer.
+``rank`` assembles pairwise verdicts into a partial order.
+``write_report_csv`` and ``read_report_csv`` keep the triples in a CSV
+table written and read by ``manifest.write_table`` and
 ``manifest.read_table``.
 """
 
@@ -34,6 +43,7 @@ __all__ = [
     "check_draws",
     "region_probs",
     "classify_draws",
+    "count_draws",
     "tally",
     "ttest_triple",
     "simplex_points",
@@ -50,6 +60,10 @@ VERDICTS = ("left", "rope", "right")
 
 # Draws per kernel call in classify_draws: bounds its working memory.
 _BLOCK = 2048
+
+# count_draws' margins; the module docstring derives them.
+_MEDIAN_MARGIN = 1e-6
+_CAUCHY_RATIO = 0.5774
 
 
 @dataclass(frozen=True)
@@ -186,6 +200,28 @@ def classify_draws(
     return tuple(probs), DecisionTriple(*(int(n) for n in counts))
 
 
+def count_draws(
+    delta0: ArrayLike, sigma0: ArrayLike, nu: ArrayLike, rope: RopeInterval
+) -> DecisionTriple:
+    """``classify_draws(...)[1]``: every draw checked, then the rules'
+    draws counted from |delta0| and its sign, and only the rest integrated."""
+    d0, s0, nu = (np.asarray(v, dtype=float).reshape(-1) for v in (delta0, sigma0, nu))
+    if not d0.size == s0.size == nu.size:
+        raise ValueError("delta0, sigma0, nu must hold the same number of draws")
+    check_draws(d0, s0, nu)
+    # Neither rule divides, and r - |delta0| is -offset exactly.
+    offset = np.abs(d0) - rope.halfwidth
+    outside = (nu >= 1.0) & (offset > _MEDIAN_MARGIN * s0)
+    inside = (nu >= 1.0) & (-offset >= _CAUCHY_RATIO * s0)
+    right = np.count_nonzero(outside & (d0 > 0.0))
+    counts = np.array([np.count_nonzero(outside) - right, np.count_nonzero(inside), right])
+    rest = ~(outside | inside)
+    if rest.any():
+        kernel = classify_draws(d0[rest], s0[rest], nu[rest], rope)[1]
+        counts += (kernel.n_left, kernel.n_rope, kernel.n_right)
+    return DecisionTriple(*(int(n) for n in counts))
+
+
 def tally(post: PosteriorChains, rope: RopeInterval) -> DecisionTriple:
     """One decision per posterior draw, counted.
 
@@ -196,7 +232,7 @@ def tally(post: PosteriorChains, rope: RopeInterval) -> DecisionTriple:
     the standardized scale of the draws here.
     """
     rope_std = rope.scaled(post.standardization_constant)
-    return classify_draws(post.delta0, post.sigma0, post.nu, rope_std)[1]
+    return count_draws(post.delta0, post.sigma0, post.nu, rope_std)
 
 
 def ttest_triple(

@@ -1180,20 +1180,53 @@ class TestPlot:
         assert "draws need a finite delta0" in capsys.readouterr().err
         assert not (tmp_path / "fig.svg").exists()
 
-    def test_plot_draws_the_recorded_triple(self, tmp_path):
+    @pytest.mark.parametrize("column, value", [("nu", "nan"), ("sigma0", "-0.5")])
+    def test_recount_rejects_a_damaged_draw_a_rule_would_settle(
+        self, compare_artifacts, tmp_path, capsys, column, value
+    ):
+        # delta0 = 50 lies far right of the rope, where the median rule
+        # would count the draw without looking at nu or sigma0.
+        path = compare_artifacts / "pair.chains.csv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        header = lines[1].rstrip("\n").split(",")
+        row = lines[2 + 700].rstrip("\n").split(",")
+        row[header.index("delta0")] = "50"
+        row[header.index(column)] = value
+        lines[2 + 700] = ",".join(row) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        self._match_digest(path)
+        capsys.readouterr()
+        rc = run("plot", "--chains", path, "--rope", "0.03", "--out-prefix", tmp_path / "fig")
+        assert rc == 2
+        assert "draws need a finite delta0" in capsys.readouterr().err
+        assert not (tmp_path / "fig.svg").exists()
+
+    def test_plot_draws_the_recorded_triple(self, tmp_path, monkeypatch):
         # Without --rope the plot classifies only the 200 draws it shows
         # and takes the triple from the sidecar; with the recorded rope
-        # it counts all 3000 draws itself. Both give the same SVG.
+        # it counts all 3000 draws itself. Both annotate the sidecar's
+        # counts and give the same SVG.
         assert run("compare", "--scores", DELTA3, "--a", "alpha", "--b", "beta",
                    "--metric", "token", "--rope", "0.03", "--seed", "2", *FAST,
                    "--out-prefix", tmp_path / "pair") == 0
-        rope = read_kv(tmp_path / "pair.chains.meta.txt")["rope_halfwidth"]
+        meta = read_kv(tmp_path / "pair.chains.meta.txt")
+        recorded = [int(meta[key]) for key in ("n_left", "n_rope", "n_right")]
+        triples = []
+        render = cli.render_simplex_svg
+
+        def spy(points, **kwargs):
+            triples.append(kwargs["triple"])
+            return render(points, **kwargs)
+
+        monkeypatch.setattr(cli, "render_simplex_svg", spy)
         svgs = []
-        for name, flags in (("recorded", ()), ("counted", ("--rope", rope))):
+        for name, flags in (("recorded", ()), ("counted", ("--rope", meta["rope_halfwidth"]))):
             assert run("plot", "--chains", tmp_path / "pair.chains.csv", *flags,
                        "--max-points", "200", "--out-prefix", tmp_path / name) == 0
             text = (tmp_path / f"{name}.svg").read_text(encoding="utf-8")
             svgs.append([line for line in text.splitlines() if "<!-- manifest:" not in line])
+        assert [[t.n_left, t.n_rope, t.n_right] for t in triples] == [recorded, recorded]
+        assert recorded[1] > 0 and recorded[2] > 0
         assert svgs[0] == svgs[1]
         assert sum(line.startswith("<circle") for line in svgs[0]) == 200
         assert "P(rope)=0.000" not in "".join(svgs[0])

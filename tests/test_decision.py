@@ -8,13 +8,17 @@ import re
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.stats
 from numpy.testing import assert_allclose
 
+from bayescv import decision
 from bayescv.decision import (
     DecisionTriple,
     REPORT_COLUMNS,
     ReportRow,
     RopeInterval,
+    classify_draws,
+    count_draws,
     rank,
     read_report_csv,
     region_probs,
@@ -255,6 +259,128 @@ class TestTally:
             n_left=counts["left"], n_rope=counts["rope"], n_right=counts["right"]
         )
         assert min(counts.values()) > 0
+
+
+def _edge(holds, x: float, rising: bool) -> float:
+    """The float nearest ``x`` on the true side of the edge of ``holds``,
+    a test that turns true as its argument rises (or, with ``rising``
+    false, as it falls), whose neighbour on the other side is false."""
+    toward_true = math.inf if rising else -math.inf
+    while not holds(x):
+        x = float(np.nextafter(x, toward_true))
+    while holds(float(np.nextafter(x, -toward_true))):
+        x = float(np.nextafter(x, -toward_true))
+    return x
+
+
+def _ulps_around(x: float) -> list[float]:
+    return [float(np.nextafter(x, -math.inf)), x, float(np.nextafter(x, math.inf))]
+
+
+class TestCountDraws:
+    """count_draws settles draws by the median and Cauchy rules and must
+    count exactly what the kernel's per-draw argmax counts."""
+
+    def test_cauchy_tail_bounds_every_t_tail(self):
+        # For nu >= 1 the ratio f_nu / f_1 of the densities rises on
+        # [0, 1] and falls after it, toward 0, and f_nu(0) >= 1/pi = f_1(0);
+        # so f_nu - f_1 changes sign once on [0, inf), from + to -, and the
+        # tail of t_nu past any z >= 0 is at most the Cauchy tail.
+        nu = np.logspace(0.0, 7.0, 120)[:, None]
+        assert nu[0, 0] == 1.0
+        z = np.concatenate([np.linspace(0.0, 10.0, 1001), np.logspace(1.0, 4.0, 300)])[None, :]
+        sf = scipy.stats.t.sf(z, nu)
+        # 1/2 - arctan(z)/pi, written without its cancellation at large z.
+        # At nu = 1 the two are one function, and scipy's t.sf strays from
+        # it by up to 22 ulps near z = 0.
+        cauchy = np.arctan2(1.0, z) / math.pi
+        assert np.all(sf <= cauchy + 32 * np.spacing(cauchy))
+        assert np.all(scipy.stats.t.pdf(0.0, nu) >= 1.0 / math.pi)
+
+    def test_margins_leave_room_for_the_kernel_error(self):
+        # std_t_cdf is within 1e-10 of scipy per tail; each rule's winner
+        # must lead by far more than the errors of three masses.
+        c = decision._CAUCHY_RATIO
+        assert c > math.tan(math.pi / 6)
+        tail = 0.5 - math.atan(c) / math.pi
+        assert tail < 1.0 / 3.0
+        assert 3 * (1.0 / 3.0 - tail) > 1e5 * 1e-10
+        nu = np.logspace(0.0, 7.0, 50)
+        lead = 2 * (scipy.stats.t.cdf(decision._MEDIAN_MARGIN, nu) - 0.5)
+        assert lead.min() > 1e3 * 1e-10
+
+    def test_boundaries_match_the_kernel_draw_by_draw(self):
+        c, m = decision._CAUCHY_RATIO, decision._MEDIAN_MARGIN
+        nus = (1.0, float(np.nextafter(1.0, 0.0)), 2.5, 1e6)
+        for r in (0.0, 0.01, 1.0):
+            rope = RopeInterval(r)
+            draws = []
+            for s0 in (0.0, 1e-3, 0.01, 0.02, 3.0):
+                offsets = _ulps_around(r)
+                if s0 > 0.0:
+                    offsets += _ulps_around(_edge(lambda a: a - r > m * s0, r + m * s0, True))
+                if r > c * s0 > 0.0:
+                    offsets += _ulps_around(_edge(lambda a: r - a >= c * s0, r - c * s0, False))
+                draws += [(a, s0, nu) for a in offsets if a >= 0.0 for nu in nus]
+            d0, s0, nu = (np.array(v) for v in zip(*draws))
+            for sign in (1.0, -1.0):
+                for i in range(d0.size):
+                    one = (sign * d0[i : i + 1], s0[i : i + 1], nu[i : i + 1])
+                    assert count_draws(*one, rope) == classify_draws(*one, rope)[1], one
+            (p_left, p_rope, p_right), kernel = classify_draws(d0, s0, nu, rope)
+            assert count_draws(d0, s0, nu, rope) == kernel
+            # Tails that tie exactly above the rope, as at delta0 = 0 with a
+            # sigma0 wide against r, go left either way (the tie rule);
+            # every other draw mirrors.
+            mirrors = (p_left != p_right) | (p_rope >= p_left)
+            d0, s0, nu = d0[mirrors], s0[mirrors], nu[mirrors]
+            assert count_draws(-d0, s0, nu, rope) == count_draws(d0, s0, nu, rope).flipped()
+
+    def test_point_masses_keep_the_closed_rope(self):
+        r = 0.01
+        a = np.array(_ulps_around(r))
+        d0 = np.concatenate([a, -a])
+        counted = count_draws(d0, np.zeros(6), np.ones(6), RopeInterval(r))
+        assert counted == DecisionTriple(n_left=1, n_rope=4, n_right=1)
+
+    def test_settled_draws_never_reach_the_kernel(self, monkeypatch):
+        seen = []
+        kernel = decision.region_probs
+
+        def spy(delta0, sigma0, nu, rope):
+            seen.append(np.asarray(delta0, dtype=float).copy())
+            return kernel(delta0, sigma0, nu, rope)
+
+        monkeypatch.setattr(decision, "region_probs", spy)
+        rope = RopeInterval(0.01)
+        # Each draw's delta0 is distinct, so the spy can tell them apart.
+        settled = [(0.5, 0.001, 3.0), (-0.03, 0.01, 1.0), (0.0, 0.001, 2.0),
+                   (0.004, 0.005, 40.0), (0.011, 0.0, 1.0), (-0.01, 0.0, 7.0)]
+        unsettled = [(0.01 + 1e-10, 0.01, 3.0), (0.005, 0.02, 5.0), (-0.2, 0.01, 0.5),
+                     (0.002, 0.01, float(np.nextafter(1.0, 0.0)))]
+        d0, s0, nu = (np.array(v) for v in zip(*settled))
+        assert count_draws(d0, s0, nu, rope) == DecisionTriple(n_left=1, n_rope=3, n_right=2)
+        assert sum(v.size for v in seen) == 0
+        d0, s0, nu = (np.array(v) for v in zip(*(settled + unsettled)))
+        counted = count_draws(d0, s0, nu, rope)
+        assert sorted(np.concatenate(seen)) == sorted(d for d, _, _ in unsettled)
+        verdicts = [verdict_of(*kernel(*draw, rope)) for draw in settled + unsettled]
+        assert counted == DecisionTriple(*(verdicts.count(v) for v in ("left", "rope", "right")))
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [(2, math.nan), (1, -0.001), (2, math.inf), (0, math.inf), (1, math.inf)],
+        ids=["nan nu", "negative sigma0", "infinite nu", "infinite delta0", "infinite sigma0"],
+    )
+    def test_a_damaged_draw_is_rejected_where_a_rule_would_settle_it(self, column, value):
+        # Draw 3 would be counted "right" (or rope, for sigma0 = inf) by
+        # a rule that ran before the check.
+        draws = [np.full(10, 0.5), np.full(10, 0.001), np.full(10, 5.0)]
+        if column == 1 and value == math.inf:
+            draws[0][3] = 0.0
+        draws[column][3] = value
+        with pytest.raises(ValueError, match="draws need a finite delta0"):
+            tally(synthetic_chains(*draws), RopeInterval(0.01))
 
 
 class TestTtestTriple:
