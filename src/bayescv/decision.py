@@ -119,7 +119,7 @@ class DecisionTriple:
 
     @property
     def verdict(self) -> str:
-        """Region with the most draws; ties break rope first, then left."""
+        """Region with the most draws; any tie is rope."""
         return verdict_of(self.n_left, self.n_rope, self.n_right)
 
     def flipped(self) -> "DecisionTriple":
@@ -128,13 +128,16 @@ class DecisionTriple:
 
 
 def _winner(p_left: ArrayLike, p_rope: ArrayLike, p_right: ArrayLike) -> np.ndarray:
-    """Elementwise index into VERDICTS of the argmax region; ties go rope, then left."""
+    """Elementwise index into VERDICTS of the argmax region. Any tie is rope,
+    an exact left/right tie above the rope too, so swapping left and right
+    mirrors every winner."""
     p_left, p_rope, p_right = (np.asarray(p) for p in (p_left, p_rope, p_right))
-    return np.where((p_rope >= p_left) & (p_rope >= p_right), 1, np.where(p_left >= p_right, 0, 2))
+    rope = (p_rope >= np.maximum(p_left, p_right)) | (p_left == p_right)
+    return np.where(rope, 1, np.where(p_left > p_right, 0, 2))
 
 
 def verdict_of(p_left: float, p_rope: float, p_right: float) -> str:
-    """Argmax region, breaking ties by the fixed priority rope, left, right."""
+    """Argmax region; any tie, a left/right one included, is rope."""
     return VERDICTS[int(_winner(p_left, p_rope, p_right))]
 
 
@@ -227,8 +230,8 @@ def tally(post: PosteriorChains, rope: RopeInterval) -> DecisionTriple:
 
     For each draw of (delta0, sigma0, nu) the predicted difference on a
     fresh data set follows the population t; its three region masses are
-    compared and the winning counter is incremented (ties prefer rope,
-    then left). The rope is given on the raw score scale and converted to
+    compared and the winning counter is incremented (any tie counts as
+    rope). The rope is given on the raw score scale and converted to
     the standardized scale of the draws here.
     """
     rope_std = rope.scaled(post.standardization_constant)

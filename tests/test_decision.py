@@ -155,9 +155,9 @@ class TestVerdictRule:
         assert verdict_of(0.4, 0.4, 0.2) == "rope"
         assert verdict_of(0.2, 0.4, 0.4) == "rope"
         assert verdict_of(1 / 3, 1 / 3, 1 / 3) == "rope"
-
-    def test_left_beats_right_on_ties(self):
-        assert verdict_of(0.45, 0.1, 0.45) == "left"
+        # A left/right tie above the rope favours neither side.
+        assert verdict_of(0.45, 0.1, 0.45) == "rope"
+        assert DecisionTriple(4, 1, 4).verdict == "rope"
 
 
 class TestDecisionTriple:
@@ -327,14 +327,34 @@ class TestCountDraws:
                 for i in range(d0.size):
                     one = (sign * d0[i : i + 1], s0[i : i + 1], nu[i : i + 1])
                     assert count_draws(*one, rope) == classify_draws(*one, rope)[1], one
-            (p_left, p_rope, p_right), kernel = classify_draws(d0, s0, nu, rope)
-            assert count_draws(d0, s0, nu, rope) == kernel
-            # Tails that tie exactly above the rope, as at delta0 = 0 with a
-            # sigma0 wide against r, go left either way (the tie rule);
-            # every other draw mirrors.
-            mirrors = (p_left != p_right) | (p_rope >= p_left)
-            d0, s0, nu = d0[mirrors], s0[mirrors], nu[mirrors]
+            assert count_draws(d0, s0, nu, rope) == classify_draws(d0, s0, nu, rope)[1]
             assert count_draws(-d0, s0, nu, rope) == count_draws(d0, s0, nu, rope).flipped()
+
+    def test_sign_flip_mirrors_bit_for_bit_ties_included(self):
+        rng = np.random.default_rng(20201)
+        n = 4000
+        d0 = rng.normal(0.0, 0.03, n)
+        s0 = rng.uniform(0.0, 0.05, n)
+        nu = np.exp(rng.uniform(math.log(0.5), math.log(1e3), n))
+        # Draws whose two tails tie exactly: delta0 of either zero, with a
+        # sigma0 wide against the rope, so the tie sits above the rope.
+        d0[:300:2], d0[1:300:2] = 0.0, -0.0
+        s0[:300] = rng.uniform(0.1, 3.0, 300)
+        # Point masses, at zero and elsewhere.
+        s0[300:400] = 0.0
+        d0[300:350] = 0.0
+        for r in (0.0, 0.001, 0.01):
+            rope = RopeInterval(r)
+            (p_left, p_rope, p_right), kernel = classify_draws(d0, s0, nu, rope)
+            assert np.all(p_left[:300] == p_right[:300]) and np.all(p_rope[:300] < p_left[:300])
+            counted = count_draws(d0, s0, nu, rope)
+            assert counted == kernel
+            assert count_draws(-d0, s0, nu, rope) == counted.flipped()
+        # Every small triple's verdict mirrors, ties included.
+        mirror = {"left": "right", "rope": "rope", "right": "left"}
+        for n_left, n_rope, n_right in np.ndindex(5, 5, 5):
+            verdict = verdict_of(n_left, n_rope, n_right)
+            assert verdict_of(n_right, n_rope, n_left) == mirror[verdict]
 
     def test_point_masses_keep_the_closed_rope(self):
         r = 0.01
