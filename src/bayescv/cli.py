@@ -26,10 +26,8 @@ import numpy as np
 
 from . import __version__
 from .decision import (
-    DecisionTriple,
     ReportRow,
     RopeInterval,
-    check_draws,
     count_draws,
     rank,
     read_report_csv,
@@ -77,10 +75,6 @@ EXIT_IO = 4
 # other in one worker; one call of all 6 pairs took 1.4 s and peaked at
 # 54.6 MB.
 _DRAW_BUDGET = 12_000_000
-
-# Sidecar keys of the triple compare counted, which plot --chains draws
-# unless --rope asks for a count under another rope.
-_COUNT_KEYS = ("n_left", "n_rope", "n_right")
 
 
 def _log(message: str) -> None:
@@ -352,16 +346,14 @@ def _finish_pair(
 
 def _chains_meta(
     pair: _Pair,
-    row: ReportRow,
     post: PosteriorChains | None,
     args: argparse.Namespace,
     manifest_path: Path,
     chains_sha256: str | None,
 ) -> dict[str, str]:
-    """compare's whole <out-prefix>.chains.meta.txt: the pair, its rope and
-    counted triple, and the posterior they came from, either the closed-form
-    t or the sampler's settings, diagnostics and the chains file's digest."""
-    t = row.triple
+    """compare's whole <out-prefix>.chains.meta.txt: the pair, its rope,
+    and the posterior the triple came from, either the closed-form t or the
+    sampler's settings, diagnostics and the chains file's digest."""
     meta = {
         "system_a": pair.system_a,
         "system_b": pair.system_b,
@@ -370,7 +362,6 @@ def _chains_meta(
         "rope_halfwidth": repr(pair.rope.halfwidth),
         "rope_mode": pair.rope_mode,
         "manifest": str(manifest_path),
-        **dict(zip(_COUNT_KEYS, map(str, (t.n_left, t.n_rope, t.n_right)))),
     }
     if post is None:
         post_t = correlated_ttest(pair.series[0])
@@ -426,7 +417,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             write_chains_csv(post, chains_path, manifest=str(manifest_path))
             # plot checks the chains against this before parsing any of it.
             chains_sha256 = file_digest(chains_path)
-    meta = _chains_meta(pair, row, post, args, manifest_path, chains_sha256)
+    meta = _chains_meta(pair, post, args, manifest_path, chains_sha256)
     write_kv(_output(args, ".chains.meta.txt"), meta)
     t = row.triple
     report_path = _output(args, ".report.csv")
@@ -589,8 +580,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
         if not meta_path.is_file():
             raise ValueError(f"chains metadata not found at {meta_path}")
         meta = read_kv(meta_path)
-        required = ("standardization_constant", "chains", "draws_per_chain", "chains_sha256")
-        for key in required + (_COUNT_KEYS if args.rope is None else ()):
+        for key in ("standardization_constant", "chains", "draws_per_chain", "chains_sha256"):
             if key not in meta:
                 raise ValueError(f"{meta_path} has no {key!r}; is it the sidecar of these chains?")
         # Only the population columns are parsed below, so the bytes of
@@ -619,20 +609,9 @@ def cmd_plot(args: argparse.Namespace) -> int:
                 raise ValueError("no --rope given and none recorded in the chain metadata")
             rope_raw = float(meta["rope_halfwidth"])
         rope = RopeInterval(rope_raw).scaled(float(meta["standardization_constant"]))
-        # Every parsed draw is checked. The annotated triple counts every
-        # draw: the sidecar's counts, or with --rope a recount.
-        check_draws(*draws)
-        if args.rope is None:
-            counts = [meta[key] for key in _COUNT_KEYS]
-            digits = all(n.isascii() and n.isdigit() for n in counts)
-            if not digits or sum(map(int, counts)) != n_draws:
-                raise ValueError(
-                    f"{meta_path}: {', '.join(_COUNT_KEYS)} must be non-negative integers "
-                    f"summing to {n_draws} draws, got {', '.join(counts)}"
-                )
-            triple = DecisionTriple(*map(int, counts))
-        else:
-            triple = count_draws(*draws, rope)
+        # The annotated triple counts every draw, each checked first, by
+        # the rules compare's tally uses.
+        triple = count_draws(*draws, rope)
         shown = plotted_indices(n_draws, args.max_points)
         label_a = meta.get("system_a", "system a")
         label_b = meta.get("system_b", "system b")

@@ -15,7 +15,7 @@ from numpy.testing import assert_array_equal
 
 from bayescv import cli, model
 from bayescv.cli import main
-from bayescv.decision import read_report_csv, rope_from_differences
+from bayescv.decision import RopeInterval, count_draws, read_report_csv, rope_from_differences
 from bayescv.manifest import file_digest, read_kv, write_kv
 from bayescv.model import read_chains_csv
 from bayescv.plotting import plotted_indices
@@ -412,18 +412,24 @@ class TestCompare:
         assert rows[0].triple.n_samples == 4 * 5000
 
     def test_sidecar_counts_are_the_reported_triple(self, one_dataset_csv, tmp_path):
-        # A hierarchical pair and a single-dataset one, each with draws in
-        # more than one region.
-        for name, scores, rope in (("h", DELTA3, "0.03"), ("t", one_dataset_csv, "0.02")):
+        # The sidecar holds no counts, only what counts them again: its rope
+        # and standardization constant over the chains give the reported
+        # triple. A hierarchical pair and a single-dataset one, each with
+        # draws in more than one region.
+        for name, scores, rope in (("t", one_dataset_csv, "0.02"), ("h", DELTA3, "0.03")):
             assert run("compare", "--scores", scores, "--a", "alpha", "--b", "beta",
                        "--metric", "token", "--rope", rope, "--seed", "2", *FAST,
                        "--out-prefix", tmp_path / name) == 0
             meta = read_kv(tmp_path / f"{name}.chains.meta.txt")
+            assert not {"n_left", "n_rope", "n_right"} & meta.keys(), name
             (row,) = read_report_csv(tmp_path / f"{name}.report.csv")
             t = row.triple
-            counts = [int(meta[key]) for key in ("n_left", "n_rope", "n_right")]
-            assert counts == [round(p * t.n_samples) for p in (t.p_left, t.p_rope, t.p_right)]
-            assert sorted(counts)[1] > 0, name
+            assert sorted((t.n_left, t.n_rope, t.n_right))[1] > 0, name
+        # meta and t are the hierarchical pair's, the last above.
+        chains = read_chains_csv(tmp_path / "h.chains.csv", names=("delta0", "sigma0", "nu"))
+        rope = RopeInterval(float(meta["rope_halfwidth"]))
+        rope = rope.scaled(float(meta["standardization_constant"]))
+        assert count_draws(*(chains[n] for n in ("delta0", "sigma0", "nu")), rope) == t
 
     def test_sign_flipped_posterior_swaps_the_sidecar_counts(self, tmp_path, monkeypatch):
         fit = cli.fit
@@ -434,6 +440,7 @@ class TestCompare:
             post.draws[..., [0, *range(3, 3 + q)]] *= -1.0
             return post
 
+        # The counts are the report's; the sidecar no longer records them.
         counts = []
         for name in ("plain", "flipped"):
             if name == "flipped":
@@ -441,8 +448,8 @@ class TestCompare:
             assert run("compare", "--scores", DELTA3, "--a", "alpha", "--b", "beta",
                        "--metric", "token", "--rope", "0.03", "--seed", "2", *FAST,
                        "--out-prefix", tmp_path / name) == 0
-            meta = read_kv(tmp_path / f"{name}.chains.meta.txt")
-            counts.append([meta[key] for key in ("n_left", "n_rope", "n_right")])
+            (row,) = read_report_csv(tmp_path / f"{name}.report.csv")
+            counts.append([row.triple.n_left, row.triple.n_rope, row.triple.n_right])
         assert counts[1] == counts[0][::-1]
         assert counts[0][0] != counts[0][2]
 
@@ -455,12 +462,10 @@ class TestCompare:
         ab_ba = ("ab", "ba")
         ab, ba = (read_kv(tmp_path / f"{name}.chains.meta.txt") for name in ab_ba)
         assert ab["method"] == method
-        counts = [[meta[key] for key in ("n_left", "n_rope", "n_right")] for meta in (ab, ba)]
-        assert counts[1] == counts[0][::-1]
-        assert counts[0][0] != counts[0][2]
         (row_ab,), (row_ba,) = (read_report_csv(tmp_path / f"{n}.report.csv") for n in ab_ba)
         assert (row_ba.system_a, row_ba.system_b) == (row_ab.system_b, row_ab.system_a)
         assert row_ba.triple == row_ab.triple.flipped()
+        assert row_ab.triple.n_left != row_ab.triple.n_right
         if method == "correlated_ttest":
             assert float(ba["ttest_location"]) == -float(ab["ttest_location"])
             return
@@ -1202,15 +1207,15 @@ class TestPlot:
         assert not (tmp_path / "fig.svg").exists()
 
     def test_plot_draws_the_recorded_triple(self, tmp_path, monkeypatch):
-        # Without --rope the plot classifies only the 200 draws it shows
-        # and takes the triple from the sidecar; with the recorded rope
-        # it counts all 3000 draws itself. Both annotate the sidecar's
-        # counts and give the same SVG.
+        # The plot places masses only for the 200 draws it shows, and
+        # counts all 3000 under the sidecar's rope, or under --rope. Both
+        # annotate the reported triple and give the same SVG.
         assert run("compare", "--scores", DELTA3, "--a", "alpha", "--b", "beta",
                    "--metric", "token", "--rope", "0.03", "--seed", "2", *FAST,
                    "--out-prefix", tmp_path / "pair") == 0
         meta = read_kv(tmp_path / "pair.chains.meta.txt")
-        recorded = [int(meta[key]) for key in ("n_left", "n_rope", "n_right")]
+        (row,) = read_report_csv(tmp_path / "pair.report.csv")
+        recorded = [row.triple.n_left, row.triple.n_rope, row.triple.n_right]
         triples = []
         render = cli.render_simplex_svg
 
@@ -1231,45 +1236,38 @@ class TestPlot:
         assert sum(line.startswith("<circle") for line in svgs[0]) == 200
         assert "P(rope)=0.000" not in "".join(svgs[0])
 
-    @pytest.mark.parametrize(
-        "case", ["missing", "negative", "non_integer", "wrong_sum", "repeated"]
-    )
-    def test_plot_rejects_bad_recorded_counts(self, compare_artifacts, tmp_path, capsys, case):
+    def test_plot_rejects_a_repeated_sidecar_key(self, compare_artifacts, tmp_path, capsys):
         meta = compare_artifacts / "pair.chains.meta.txt"
         text = meta.read_text(encoding="utf-8")
-        left, rope, right = (read_kv(meta)[key] for key in ("n_left", "n_rope", "n_right"))
-        total = int(left) + int(rope) + int(right)
-        # Each case: the sidecar line it edits, what replaces it, and the
-        # message plot must print.
-        line = f"n_left={left}\n"
-        old, new, message = {
-            "missing": (f"n_rope={rope}\n", "", "has no 'n_rope'"),
-            "negative": (line, "n_left=-1\n", f"got -1, {rope}, {right}"),
-            "non_integer": (line, f"n_left={left}.0\n", f"got {left}.0, {rope}, {right}"),
-            "wrong_sum": (line, f"n_left={int(left) + 1}\n", f"summing to {total} draws"),
-            "repeated": (line, line + line, "repeated key 'n_left'"),
-        }[case]
-        assert text.count(old) == 1
-        meta.write_text(text.replace(old, new), encoding="utf-8")
+        line = "rope_halfwidth=0.01\n"
+        assert text.count(line) == 1
+        meta.write_text(text.replace(line, line + line), encoding="utf-8")
         capsys.readouterr()
         rc = run("plot", "--chains", compare_artifacts / "pair.chains.csv",
                  "--out-prefix", tmp_path / "fig")
         assert rc == 2
         err = capsys.readouterr().err
         assert str(meta) in err
-        assert message in err
+        assert "repeated key 'rope_halfwidth'" in err
         assert not (tmp_path / "fig.svg").exists()
 
     def test_plot_with_a_rope_counts_the_draws_itself(self, compare_artifacts, tmp_path):
-        # A sidecar written before the counts existed still plots with --rope.
+        # A sidecar written before plot counted its own triple holds
+        # n_left, n_rope and n_right; plot ignores them, with or without
+        # --rope. Counts that are not the draws' show that they are unread.
         meta = compare_artifacts / "pair.chains.meta.txt"
-        meta.write_text(
-            re.sub(r"(?m)^n_(left|rope|right)=.*\n", "", meta.read_text(encoding="utf-8")),
-            encoding="utf-8",
-        )
-        assert run("plot", "--chains", compare_artifacts / "pair.chains.csv",
-                   "--rope", "0.01", "--out-prefix", tmp_path / "fig") == 0
-        assert "P(right)=1.000" in (tmp_path / "fig.svg").read_text(encoding="utf-8")
+        current = meta.read_text(encoding="utf-8")
+        svgs = []
+        for name, text in (("new", current), ("old", current + "n_left=1\nn_rope=2\nn_right=3\n")):
+            meta.write_text(text, encoding="utf-8")
+            for flags in ((), ("--rope", "0.01")):
+                prefix = tmp_path / f"{name}{len(flags)}"
+                assert run("plot", "--chains", compare_artifacts / "pair.chains.csv", *flags,
+                           "--max-points", "100", "--out-prefix", prefix) == 0
+                svg = prefix.with_suffix(".svg").read_text(encoding="utf-8")
+                svgs.append([line for line in svg.splitlines() if "<!-- manifest:" not in line])
+        assert all(svg == svgs[0] for svg in svgs[1:])
+        assert "P(right)=1.000" in "".join(svgs[0])
 
     def test_plot_rejects_a_damaged_unplotted_draw_behind_a_matching_digest(
         self, compare_artifacts, tmp_path, capsys
