@@ -652,6 +652,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
+    # Checked before any work: score would otherwise run every round first.
+    directory = Path(args.out_prefix).parent
+    if not directory.is_dir():
+        _log(f"error: output directory '{directory}' does not exist; bayescv does not create it")
+        return EXIT_IO
     try:
         return args.func(args)
     except CommandFailed as exc:

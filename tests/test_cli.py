@@ -1365,6 +1365,34 @@ class TestManifest:
         assert recorded == ["2.0,0.1"] * 3
 
 
+@pytest.mark.parametrize("command", ["split", "score", "compare", "rank", "plot"])
+def test_missing_output_directory_exits_before_any_work(
+    one_dataset_csv, tmp_path, capsys, command
+):
+    assert run("split", "--n", 200, "--k", 4, "--m", 1, "--out-prefix", tmp_path / "c") == 0
+    assert run("compare", "--scores", one_dataset_csv, "--a", "alpha", "--b", "beta",
+               "--metric", "token", "--rope", "0.01", "--out-prefix", tmp_path / "one") == 0
+    flags = {
+        "split": ("--n", 200, "--k", 4, "--m", 1),
+        "score": ("--plan", tmp_path / "c.plan.json", "--corpus", FIXTURES / "toy_corpus.tsv",
+                  "--dataset", "toy", "--system", "copy", "--command", "cp {test} {pred}"),
+        "compare": ("--scores", DELTA3, "--a", "alpha", "--b", "beta", "--metric", "token",
+                    "--rope", "0.01"),
+        "rank": ("--scores", DELTA3, "--metric", "token", "--rope", "0.01"),
+        "plot": ("--report", tmp_path / "one.report.csv"),
+    }[command]
+    missing = tmp_path / "run0"
+    capsys.readouterr()
+    assert run(command, *flags, "--out-prefix", missing / "x") == 4
+    captured = capsys.readouterr()
+    # Nothing else on stderr: no stage line, and from score no round line.
+    assert captured.err == (
+        f"error: output directory '{missing}' does not exist; bayescv does not create it\n"
+    )
+    assert captured.out == ""
+    assert not missing.exists()
+
+
 class TestUnreadableInput:
     # Each reader: the bad file's bytes (a plan that is not JSON, the rest
     # not UTF-8) and the command line that feeds it to the reader.
