@@ -155,6 +155,8 @@ class TestVerdictRule:
         assert verdict_of(0.4, 0.4, 0.2) == "rope"
         assert verdict_of(0.2, 0.4, 0.4) == "rope"
         assert verdict_of(1 / 3, 1 / 3, 1 / 3) == "rope"
+
+    def test_left_right_tie_is_rope(self):
         # A left/right tie above the rope favours neither side.
         assert verdict_of(0.45, 0.1, 0.45) == "rope"
         assert DecisionTriple(4, 1, 4).verdict == "rope"
