@@ -33,7 +33,6 @@ from .decision import (
     read_report_csv,
     rope_from_differences,
     tally,
-    ttest_triple,
     write_report_csv,
 )
 from .manifest import RunManifest, file_digest, read_kv, write_kv, write_manifest
@@ -55,7 +54,7 @@ from .plotting import draws_to_points, plotted_indices, points_from_triples, ren
 from .runner import DEFAULT_METRICS, CommandFailed, run_external
 from .scores import DifferenceSeries, ScoreMatrix, assemble_differences
 from .splits import make_splits, read_plan, write_plan
-from .statcore import StudentT
+from .statcore import StudentT, rng_fork, t_sample
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -143,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     source.add_argument("--report", default=None, help="report CSV (one point per row)")
     p_plot.add_argument(
-        "--rope", type=float, default=None, help="rope halfwidth (default: from metadata)"
+        "--rope", type=float, default=None, help="--chains only: rope halfwidth (default: sidecar's)"
     )
     p_plot.add_argument("--max-points", type=int, default=5000)
     p_plot.add_argument("--title", default=None)
@@ -306,18 +305,17 @@ def _finish_pair(
     """
     if post is None:
         # A single shared data set cannot feed the hierarchical model;
-        # fall back to the closed-form correlated t posterior and sample
-        # the decision counters from it.
+        # fall back to the closed-form correlated t posterior. Its mean
+        # differences are sampled in the data's orientation, mirrored back,
+        # and counted as point-mass draws, so swapping the systems gives
+        # the flipped triple bit for bit.
         post_t = correlated_ttest(pair.series[0])
         n_samples = config.chains * config.samples_per_chain
-        # Sampled in the data's orientation and mirrored back, so swapping
-        # the systems gives the flipped triple bit for bit.
         sign = orientation(pair.series)
         oriented = StudentT(sign * post_t.location, post_t.scale, post_t.dof)
         with _stage("tally"):
-            triple = ttest_triple(oriented, pair.rope, n_samples=n_samples, seed=config.seed)
-        if sign < 0:
-            triple = triple.flipped()
+            means = sign * t_sample(oriented, rng_fork(config.seed, 0), size=n_samples)
+            triple = count_draws(means, np.zeros(n_samples), np.ones(n_samples), pair.rope)
         converged = True
     else:
         with _stage("tally"):
@@ -568,6 +566,8 @@ def cmd_rank(args: argparse.Namespace) -> int:
 def cmd_plot(args: argparse.Namespace) -> int:
     if args.max_points < 1:
         raise ValueError(f"--max-points must be >= 1, got {args.max_points}")
+    if args.report is not None and args.rope is not None:
+        raise ValueError("--rope applies to --chains only; a report's triples are already counted")
     digests: dict[str, str] = {}
     if args.chains is not None:
         meta_path = Path(args.chains).with_suffix(".meta.txt")

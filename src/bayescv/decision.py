@@ -34,19 +34,16 @@ from numpy.typing import ArrayLike
 from .manifest import read_table, write_table
 from .model import PosteriorChains
 from .scores import DifferenceSeries
-from .statcore import StudentT, rng_fork, std_t_cdf, t_sample
+from .statcore import std_t_cdf
 
 __all__ = [
     "RopeInterval",
     "DecisionTriple",
     "verdict_of",
-    "check_draws",
     "region_probs",
     "classify_draws",
     "count_draws",
     "tally",
-    "ttest_triple",
-    "simplex_points",
     "rank",
     "RankResult",
     "rope_from_differences",
@@ -141,7 +138,7 @@ def verdict_of(p_left: float, p_rope: float, p_right: float) -> str:
     return VERDICTS[int(_winner(p_left, p_rope, p_right))]
 
 
-def check_draws(delta0: np.ndarray, sigma0: np.ndarray, nu: np.ndarray) -> None:
+def _check_draws(delta0: np.ndarray, sigma0: np.ndarray, nu: np.ndarray) -> None:
     """ValueError naming the first draw, in the arrays' common shape, whose
     delta0 is not finite, sigma0 not finite and >= 0, or nu not finite and > 0."""
     valid = np.isfinite(delta0) & np.isfinite(sigma0) & (sigma0 >= 0.0)
@@ -160,8 +157,9 @@ def region_probs(
     """Mass of t(delta0, sigma0, nu) left of, inside, and right of the rope.
 
     The inputs broadcast against each other, and each of the three arrays
-    has their common shape (0-d for scalars). Every draw must pass
-    ``check_draws``.
+    has their common shape (0-d for scalars). A draw whose delta0 is not
+    finite, sigma0 not finite and >= 0, or nu not finite and > 0 raises
+    ValueError.
 
     The left and right masses are computed as direct tail integrals that
     depend on the standardized offsets only through their squares, so
@@ -171,7 +169,7 @@ def region_probs(
     boundary.
     """
     d0, s0, nu = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (delta0, sigma0, nu)))
-    check_draws(d0, s0, nu)
+    _check_draws(d0, s0, nu)
     r = rope.halfwidth
     point = s0 == 0.0
     scale = np.where(point, 1.0, s0)
@@ -211,7 +209,7 @@ def count_draws(
     d0, s0, nu = (np.asarray(v, dtype=float).reshape(-1) for v in (delta0, sigma0, nu))
     if not d0.size == s0.size == nu.size:
         raise ValueError("delta0, sigma0, nu must hold the same number of draws")
-    check_draws(d0, s0, nu)
+    _check_draws(d0, s0, nu)
     # Neither rule divides, and r - |delta0| is -offset exactly.
     offset = np.abs(d0) - rope.halfwidth
     outside = (nu >= 1.0) & (offset > _MEDIAN_MARGIN * s0)
@@ -236,37 +234,6 @@ def tally(post: PosteriorChains, rope: RopeInterval) -> DecisionTriple:
     """
     rope_std = rope.scaled(post.standardization_constant)
     return count_draws(post.delta0, post.sigma0, post.nu, rope_std)
-
-
-def ttest_triple(
-    post: StudentT, rope: RopeInterval, n_samples: int = 50000, seed: int = 0
-) -> DecisionTriple:
-    """Decision counters for a single-dataset t posterior, by simulation.
-
-    Each draw is a simulated mean difference; it lands in exactly one
-    region (the rope is closed). The analytic region masses are available
-    from region_probs for cross-checking; this sampled version exists so
-    single-dataset comparisons report honest counters with the same
-    contract as the hierarchical path.
-    """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    rng = rng_fork(seed, 0)
-    draws = t_sample(post, rng, size=n_samples)
-    draws = np.asarray(draws)
-    r = rope.halfwidth
-    n_left = int(np.count_nonzero(draws < -r))
-    n_right = int(np.count_nonzero(draws > r))
-    return DecisionTriple(n_left=n_left, n_rope=n_samples - n_left - n_right, n_right=n_right)
-
-
-def simplex_points(p_rope: ArrayLike, p_right: ArrayLike) -> np.ndarray:
-    """Barycentric embedding of region masses into the unit-side triangle, shape (..., 2).
-
-    Vertices: left at (0, 0), rope at (1/2, sqrt(3)/2), right at (1, 0).
-    """
-    p_rope = np.asarray(p_rope, dtype=float)
-    return np.stack([0.5 * p_rope + p_right, 0.5 * math.sqrt(3.0) * p_rope], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -471,7 +438,7 @@ def read_report_csv(path: str | Path) -> list[ReportRow]:
                 n_right=round(float(row[5]) * n_samples),
             )
             halfwidth = float(row[8])
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # round() overflows on an infinite p
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
         if triple.n_samples != n_samples:
             raise ValueError(f"{path}:{lineno}: probabilities do not match n_samples")

@@ -12,10 +12,14 @@ import math
 from typing import Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
-from .decision import DecisionTriple, RopeInterval, classify_draws, simplex_points
+from .decision import DecisionTriple, RopeInterval, classify_draws
 
-__all__ = ["render_simplex_svg", "draws_to_points", "points_from_triples", "plotted_indices"]
+__all__ = [
+    "render_simplex_svg", "draws_to_points", "points_from_triples", "plotted_indices",
+    "simplex_points",
+]
 
 _W = 640
 _H = 600
@@ -31,6 +35,15 @@ def _px(x: float) -> float:
 
 def _py(y: float) -> float:
     return _Y0 - _SIDE * y
+
+
+def simplex_points(p_rope: ArrayLike, p_right: ArrayLike) -> np.ndarray:
+    """Barycentric embedding of region masses into the unit-side triangle, shape (..., 2).
+
+    Vertices: left at (0, 0), rope at (1/2, sqrt(3)/2), right at (1, 0).
+    """
+    p_rope = np.asarray(p_rope, dtype=float)
+    return np.stack([0.5 * p_rope + p_right, 0.5 * math.sqrt(3.0) * p_rope], axis=-1)
 
 
 def draws_to_points(

@@ -103,13 +103,16 @@ def write_plan(plan: SplitPlan, path: str | Path, manifest: str | None = None) -
 def read_plan(path: str | Path) -> SplitPlan:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        plan = SplitPlan(
-            n_items=int(doc["n_items"]),
-            k=int(doc["k"]),
-            m=int(doc["m"]),
-            seed=int(doc["seed"]),
-            assignments=np.asarray(doc["assignments"], dtype=np.int64),
-        )
+        scalars = {key: doc[key] for key in ("n_items", "k", "m", "seed")}
+        for key, value in scalars.items():
+            if type(value) is not int:
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+        # One dtype check, not one per entry: a fractional, boolean or
+        # out-of-int64 fold index makes a float, bool or object array.
+        assignments = np.asarray(doc["assignments"])
+        if assignments.size and assignments.dtype.kind != "i":
+            raise ValueError(f"fold indices must be int64 integers, got {assignments.dtype}")
+        plan = SplitPlan(**scalars, assignments=assignments.astype(np.int64, copy=False))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: not a valid split plan: {exc}") from exc
     if plan.assignments.size and not (

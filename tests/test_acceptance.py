@@ -18,17 +18,11 @@ import pytest
 from scipy import integrate
 
 from bayescv.cli import main as cli_main
-from bayescv.decision import (
-    RopeInterval,
-    read_report_csv,
-    region_probs,
-    tally,
-    ttest_triple,
-)
+from bayescv.decision import RopeInterval, count_draws, read_report_csv, region_probs, tally
 from bayescv.metrics import TaggedCorpus, oov_accuracy, sentence_accuracy, token_accuracy
 from bayescv.model import ModelConfig, PosteriorChains, correlated_ttest, fit, generate
 from bayescv.scores import DifferenceSeries, ScoreMatrix
-from bayescv.statcore import StudentT, cs_quad_form, cs_stats, std_t_cdf
+from bayescv.statcore import StudentT, cs_quad_form, cs_stats, rng_fork, std_t_cdf, t_sample
 from oracles import cs_dense, t_logpdf
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -209,7 +203,11 @@ def test_acceptance_5_single_dataset_consistency():
         post = correlated_ttest(series)
         rope = RopeInterval(float(rng.uniform(0.005, 0.02)))
         analytic = region_probs(post.location, post.scale, post.dof, rope)
-        sampled = ttest_triple(post, rope, n_samples=1_000_000, seed=9000 + i)
+        # Sampled and counted as compare does for one shared data set:
+        # each mean difference is a point-mass draw.
+        n = 1_000_000
+        means = t_sample(post, rng_fork(9000 + i, 0), size=n)
+        sampled = count_draws(means, np.zeros(n), np.ones(n), rope)
         gap = max(
             abs(analytic[0] - sampled.p_left),
             abs(analytic[1] - sampled.p_rope),

@@ -15,7 +15,13 @@ from numpy.testing import assert_array_equal
 
 from bayescv import cli, model
 from bayescv.cli import main
-from bayescv.decision import RopeInterval, count_draws, read_report_csv, rope_from_differences
+from bayescv.decision import (
+    REPORT_COLUMNS,
+    RopeInterval,
+    count_draws,
+    read_report_csv,
+    rope_from_differences,
+)
 from bayescv.manifest import file_digest, read_kv, write_kv
 from bayescv.model import read_chains_csv
 from bayescv.plotting import plotted_indices
@@ -521,6 +527,24 @@ class TestCompare:
         assert rc == 0
         rows = read_report_csv(tmp_path / "self.report.csv")
         assert rows[0].triple.p_rope == 1.0
+
+    def test_differences_on_the_rope_boundary_are_rope(self, tmp_path):
+        # No variance: every draw of the t fallback is the mean difference,
+        # which is exactly the rope halfwidth, and the rope is closed.
+        matrix = ScoreMatrix()
+        for rep in range(2):
+            for fold in range(5):
+                matrix.add("wsj", "alpha", "token", rep, fold, 0.75)
+                matrix.add("wsj", "beta", "token", rep, fold, 0.5)
+        matrix.to_csv(tmp_path / "edge.scores.csv")
+        for name, a, b in (("ab", "alpha", "beta"), ("ba", "beta", "alpha")):
+            assert run("compare", "--scores", tmp_path / "edge.scores.csv", "--a", a, "--b", b,
+                       "--metric", "token", "--rope", "0.25", "--out-prefix", tmp_path / name) == 0
+            meta = read_kv(tmp_path / f"{name}.chains.meta.txt")
+            assert (meta["method"], float(meta["ttest_scale"])) == ("correlated_ttest", 0.0)
+            assert abs(float(meta["ttest_location"])) == 0.25
+            (row,) = read_report_csv(tmp_path / f"{name}.report.csv")
+            assert row.triple.n_rope == row.triple.n_samples == 50000, name
 
     def test_rope_mode_ci95_matches_pooled_interval(self, tmp_path):
         prefix = tmp_path / "auto"
@@ -1028,6 +1052,15 @@ class TestPlot:
         assert not (tmp_path / "fig.manifest.txt").exists()
         assert not (tmp_path / "fig.svg").exists()
 
+    def test_rope_with_report_checked_before_any_work(self, tmp_path, capsys):
+        # A report's triples are counted already, so --rope could not
+        # change the plot. The report is not even opened: it does not exist.
+        rc = run("plot", "--report", tmp_path / "missing.report.csv", "--rope", "0.5",
+                 "--out-prefix", tmp_path / "fig")
+        assert rc == 2
+        assert "error: --rope applies to --chains only" in capsys.readouterr().err
+        assert not list(tmp_path.glob("fig.*"))
+
     def test_plot_requires_the_sidecar(self, compare_artifacts, tmp_path, capsys):
         # The draws are standardized; classifying them without the
         # sidecar's constant would put every draw on the wrong scale.
@@ -1394,21 +1427,37 @@ def test_missing_output_directory_exits_before_any_work(
 
 
 class TestUnreadableInput:
-    # Each reader: the bad file's bytes (a plan that is not JSON, the rest
-    # not UTF-8) and the command line that feeds it to the reader.
+    # Each reader: the bad file's bytes (a plan that is not JSON or holds a
+    # bad number, a report with an infinite probability, the rest not
+    # UTF-8), the command line that feeds it to the reader, and the error
+    # that follows the file's name.
     SCORE = ["--dataset", "d", "--system", "s", "--command", "cp {test} {pred}"]
+    READ_PLAN = ["score", "--plan", "{bad}", "--corpus", "{corpus}", *SCORE]
+    READ_REPORT = ["plot", "--report", "{bad}"]
+    PLAN = '{{"assignments": {folds}, "k": {k}, "m": 1, "n_items": 2, "seed": 0}}\n'
+    NOT_A_PLAN = ": not a valid split plan: "
+    NOT_UTF8 = ": 'utf-8' codec can't decode byte 0xff"
     CASES = {
-        "plan": (b"not json\n", ["score", "--plan", "{bad}", "--corpus", "{corpus}", *SCORE]),
-        "corpus": (b"\xff", ["score", "--plan", "{plan}", "--corpus", "{bad}", *SCORE]),
+        "plan": (b"not json\n", READ_PLAN, NOT_A_PLAN + "Expecting value"),
+        "plan-k-1e400": (PLAN.format(folds="[[0, 1]]", k="1e400").encode(), READ_PLAN,
+                         NOT_A_PLAN + "k must be an integer, got inf"),
+        "plan-fold-30-digits": (PLAN.format(folds=f"[[0, {10**29}]]", k=2).encode(), READ_PLAN,
+                                NOT_A_PLAN + "fold indices must be int64 integers, got object"),
+        "plan-fractional-folds": (PLAN.format(folds="[[0.7, 1.2]]", k=2).encode(), READ_PLAN,
+                                  NOT_A_PLAN + "fold indices must be int64 integers, got float64"),
+        "corpus": (b"\xff", ["score", "--plan", "{plan}", "--corpus", "{bad}", *SCORE], NOT_UTF8),
         "scores": (b"\xff", ["compare", "--scores", "{bad}", "--a", "a", "--b", "b",
-                             "--metric", "token", "--rope", "0.01"]),
-        "report": (b"\xff", ["plot", "--report", "{bad}"]),
-        "sidecar": (b"chains=2\nx=\xff\n", ["plot", "--chains", "{chains}"]),
+                             "--metric", "token", "--rope", "0.01"], NOT_UTF8),
+        "report": (b"\xff", READ_REPORT, NOT_UTF8),
+        "report-overflow": (
+            ",".join(REPORT_COLUMNS).encode() + b"\na,b,token,inf,0,0,left,10,0.01\n",
+            READ_REPORT, ":2: cannot convert float infinity to integer"),
+        "sidecar": (b"chains=2\nx=\xff\n", ["plot", "--chains", "{chains}"], NOT_UTF8),
     }
 
     @pytest.mark.parametrize("reader", list(CASES))
     def test_error_names_the_file(self, tmp_path, capsys, reader):
-        content, argv = self.CASES[reader]
+        content, argv, cause = self.CASES[reader]
         # plot reads the sidecar next to the chains file.
         bad = tmp_path / ("x.chains.meta.txt" if reader == "sidecar" else f"bad.{reader}")
         bad.write_bytes(content)
@@ -1418,7 +1467,5 @@ class TestUnreadableInput:
                  "{plan}": tmp_path / "c.plan.json", "{chains}": tmp_path / "x.chains.csv"}
         capsys.readouterr()
         assert run(*[paths.get(a, a) for a in argv], "--out-prefix", tmp_path / "out") == 2
-        cause = ("not a valid split plan: Expecting value" if reader == "plan"
-                 else "'utf-8' codec can't decode byte 0xff")
-        assert f"\nerror: {bad}: {cause}" in "\n" + capsys.readouterr().err
+        assert f"\nerror: {bad}{cause}" in "\n" + capsys.readouterr().err
         assert not list(tmp_path.glob("out.*"))

@@ -23,15 +23,13 @@ from bayescv.decision import (
     read_report_csv,
     region_probs,
     rope_from_differences,
-    simplex_points,
     tally,
-    ttest_triple,
     verdict_of,
     write_report_csv,
 )
 from bayescv.model import ModelConfig, PosteriorChains, fit, generate
+from bayescv.plotting import simplex_points
 from bayescv.scores import DifferenceSeries
-from bayescv.statcore import StudentT, std_t_cdf
 from oracles import t_logpdf
 
 
@@ -403,31 +401,6 @@ class TestCountDraws:
         draws[column][3] = value
         with pytest.raises(ValueError, match="draws need a finite delta0"):
             tally(synthetic_chains(*draws), RopeInterval(0.01))
-
-
-class TestTtestTriple:
-    def test_matches_analytic_tails(self):
-        post = StudentT(location=0.02, scale=0.012, dof=9.0)
-        rope = RopeInterval(0.01)
-        n = 200_000
-        triple = ttest_triple(post, rope, n_samples=n, seed=5)
-        p_left = std_t_cdf((-0.01 - post.location) / post.scale, post.dof)
-        p_right = 1.0 - std_t_cdf((0.01 - post.location) / post.scale, post.dof)
-        se = math.sqrt(0.25 / n)
-        assert abs(triple.p_left - p_left) < 5 * se + 1e-4
-        assert abs(triple.p_right - p_right) < 5 * se + 1e-4
-
-    def test_degenerate_point_mass(self):
-        inside = ttest_triple(StudentT(0.005, 0.0, 3.0), RopeInterval(0.01), 1000)
-        assert inside == DecisionTriple(0, 1000, 0)
-        above = ttest_triple(StudentT(0.05, 0.0, 3.0), RopeInterval(0.01), 1000)
-        assert above == DecisionTriple(0, 0, 1000)
-
-    def test_deterministic_given_seed(self):
-        post = StudentT(location=0.0, scale=0.02, dof=5.0)
-        a = ttest_triple(post, RopeInterval(0.01), 5000, seed=1)
-        b = ttest_triple(post, RopeInterval(0.01), 5000, seed=1)
-        assert a == b
 
 
 class TestSimplexCoordinates:
